@@ -88,7 +88,8 @@ benchSpec(int argc, char **argv)
             valueOfArg(argc, argv, "model");
         !model.empty()) {
         const auto kind = ml::modelKindFromName(model);
-        fatalIf(!kind, "unknown --model '" + model + "'");
+        if (!kind)
+            fatal("unknown --model '" + model + "'");
         spec.model = *kind;
     }
     spec.check();
@@ -125,8 +126,8 @@ runConnected(int argc, char **argv, const std::string &connect)
     Client mono(host, port);
     const std::string reference =
         mono.call(classifyRequest("bc", spec));
-    fatalIf(!parseReply(reference).ok,
-            "classify failed: " + reference);
+    if (!parseReply(reference).ok)
+        fatal("classify failed: " + reference);
     std::cout << "monolithic: " << reference.size() << " bytes\n";
 
     // ---- Streamed, assembled == monolithic ---------------------
@@ -141,7 +142,8 @@ runConnected(int argc, char **argv, const std::string &connect)
             seen.push_back(index);
         });
     streamer.close();
-    fatalIf(!sr.reply.ok, "streamed classify failed: " + sr.reply.raw);
+    if (!sr.reply.ok)
+        fatal("streamed classify failed: " + sr.reply.raw);
     std::cout << "streamed: " << seen.size() << "/" << total
               << " frames, assembled reply "
               << (sr.reply.raw == reference ? "== monolithic"
@@ -199,7 +201,8 @@ runConnected(int argc, char **argv, const std::string &connect)
         Client bye(host, port);
         const Reply r = parseReply(
             bye.call(adminRequest("bye", RequestType::Shutdown)));
-        fatalIf(!r.ok, "shutdown refused: " + r.raw);
+        if (!r.ok)
+            fatal("shutdown refused: " + r.raw);
     }
 
     const double wallMs = timer.elapsedMs();

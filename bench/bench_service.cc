@@ -231,7 +231,8 @@ mixedPass(const std::string &host, std::uint16_t port,
     for (const std::string &req : mixedRequests()) {
         const std::string raw = client.call(req);
         const Reply r = parseReply(raw);
-        fatalIf(!r.ok, "mixed request failed: " + raw);
+        if (!r.ok)
+            fatal("mixed request failed: " + raw);
         const auto [it, fresh] = ref.try_emplace(r.id, raw);
         if (!fresh && it->second != raw)
             identical = false;
@@ -336,9 +337,9 @@ runShardedBench(int argc, char **argv, unsigned shards)
         const std::string dir =
             slash == std::string::npos ? "." : self.substr(0, slash);
         printedd = dir + "/../src/service/printedd";
-        fatalIf(!std::filesystem::exists(printedd),
-                "cannot find printedd at " + printedd +
-                    " (give --printedd PATH)");
+        if (!std::filesystem::exists(printedd))
+            fatal("cannot find printedd at " + printedd +
+                  " (give --printedd PATH)");
     }
 
     bench::JsonReport jr("bench_service");
@@ -452,8 +453,8 @@ runShardedBench(int argc, char **argv, unsigned shards)
         for (std::thread &t : pool)
             t.join();
         for (unsigned c = 0; c < clients; ++c) {
-            fatalIf(!parseReply(replies[c]).ok,
-                    "coalesce burst failed: " + replies[c]);
+            if (!parseReply(replies[c]).ok)
+                fatal("coalesce burst failed: " + replies[c]);
             if (replies[c] != replies[0]) {
                 std::cout << "FAIL: coalesced replies differ\n";
                 pass = false;
@@ -491,7 +492,8 @@ runShardedBench(int argc, char **argv, unsigned shards)
                 firstPartialMs = streamTimer.elapsedMs();
         });
     const double streamMs = streamTimer.elapsedMs();
-    fatalIf(!sr.reply.ok, "streamed sweep failed: " + sr.reply.raw);
+    if (!sr.reply.ok)
+        fatal("streamed sweep failed: " + sr.reply.raw);
     const std::string mono = streamer.call(sweepRequest("sw", spec));
     const bool assembledIdentical = sr.reply.raw == mono;
     const double firstFrac =
@@ -618,7 +620,8 @@ runShardedBench(int argc, char **argv, unsigned shards)
         Client bye(host, port);
         const Reply r = parseReply(
             bye.call(adminRequest("bye", RequestType::Shutdown)));
-        fatalIf(!r.ok, "shutdown refused: " + r.raw);
+        if (!r.ok)
+            fatal("shutdown refused: " + r.raw);
     }
     fleet.reset(); // spawn mode: drain + reap the fleet
 
@@ -764,7 +767,8 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < coldConfigs.size(); ++i) {
         const Reply r = parseReply(call(synthRequest(
             "cold" + std::to_string(i), coldConfigs[i])));
-        fatalIf(!r.ok, "cold synth failed: " + r.raw);
+        if (!r.ok)
+            fatal("cold synth failed: " + r.raw);
     }
     const double coldMs = coldTimer.elapsedMs();
     const double coldPerS =
@@ -785,7 +789,8 @@ main(int argc, char **argv)
         const bench::WallTimer one;
         const Reply r = parseReply(call(hotReq));
         hotLatMs.push_back(one.elapsedMs());
-        fatalIf(!r.ok, "hot synth failed: " + r.raw);
+        if (!r.ok)
+            fatal("hot synth failed: " + r.raw);
     }
     const double hotMs = hotTimer.elapsedMs();
     const double hotPerS = double(hotIters) / (hotMs / 1000.0);
@@ -845,8 +850,8 @@ main(int argc, char **argv)
         for (std::thread &t : threads)
             t.join();
         for (unsigned c = 0; c < clients; ++c) {
-            fatalIf(!parseReply(replies[c]).ok,
-                    "coalesce burst failed: " + replies[c]);
+            if (!parseReply(replies[c]).ok)
+                fatal("coalesce burst failed: " + replies[c]);
             if (replies[c] != replies[0]) {
                 std::cout << "FAIL: coalesced replies differ\n";
                 pass = false;
@@ -895,7 +900,7 @@ main(int argc, char **argv)
             else if (r.error == errc::queueFull)
                 ++rejected;
             else
-                fatalIf(true, "unexpected burst reply: " + r.raw);
+                fatal("unexpected burst reply: " + r.raw);
         }
         std::cout << "reject: " << burstN << " pipelined -> "
                   << accepted << " served, " << rejected
@@ -1047,7 +1052,8 @@ main(int argc, char **argv)
         const Reply r = parseReply(
             retry ? rclient->call(bye, /*idempotent=*/false)
                   : client.call(bye));
-        fatalIf(!r.ok, "shutdown refused: " + r.raw);
+        if (!r.ok)
+            fatal("shutdown refused: " + r.raw);
     }
     if (rclient)
         rclient->close();

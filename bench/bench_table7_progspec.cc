@@ -95,8 +95,10 @@ main(int argc, char **argv)
         argString(argc, argv, "--engine", "batch");
     const auto core = legacy::issCoreFromId(coreId);
     const auto engine = legacy::issEngineFromName(engineName);
-    fatalIf(!core, "unknown --core " + coreId);
-    fatalIf(!engine, "unknown --engine " + engineName);
+    if (!core)
+        fatal("unknown --core " + coreId);
+    if (!engine)
+        fatal("unknown --engine " + engineName);
 
     legacy::IssBatchOptions opts;
     opts.engine = *engine;

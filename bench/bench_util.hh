@@ -170,7 +170,8 @@ class JsonReport
     writeTo(const std::string &path) const
     {
         std::ofstream os(path);
-        fatalIf(!os, "cannot open JSON output file '" + path + "'");
+        if (!os)
+            fatal("cannot open JSON output file '" + path + "'");
         write(os);
         std::cout << "\nJSON report written to " << path << "\n";
     }

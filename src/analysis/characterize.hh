@@ -49,7 +49,8 @@ struct Characterization
 
 /**
  * Characterize a netlist: validates, collects structural stats, and
- * runs area / timing / power analysis.
+ * runs area / timing / power analysis. One call validates once and
+ * levelizes once; stats and timing share the order.
  *
  * @param netlist the gate-level design
  * @param lib technology library (EGFET or CNT-TFT)

@@ -334,9 +334,9 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
             const std::uint64_t cycles = cs.run();
             const auto got = k.wl.read(
                 [&](std::size_t a) { return cs.mem(a); });
-            fatalIf(got != k.golden,
-                    "measureFunctionalYield: fault-free core fails "
-                    "workload " + k.wl.program.name);
+            if (got != k.golden)
+                fatal("measureFunctionalYield: fault-free core fails "
+                      "workload " + k.wl.program.name);
             k.cycleBudget = 4 * cycles + 64;
         }
     }

@@ -25,6 +25,13 @@ struct Arrival
 TimingReport
 analyzeTiming(const Netlist &netlist, const CellLibrary &lib)
 {
+    return analyzeTiming(netlist, lib, netlist.levelize());
+}
+
+TimingReport
+analyzeTiming(const Netlist &netlist, const CellLibrary &lib,
+              const std::vector<GateId> &order)
+{
     std::vector<Arrival> arrival(netlist.netCount());
 
     // Launch points: sequential outputs start at clk-to-q.
@@ -39,7 +46,6 @@ analyzeTiming(const Netlist &netlist, const CellLibrary &lib)
             std::max(arrival[g.out].fall, spec.fall_us);
     }
 
-    const auto order = netlist.levelize();
     for (GateId gi : order) {
         const Gate &g = netlist.gate(gi);
         const CellSpec &spec = lib.cell(g.kind);

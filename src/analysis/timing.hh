@@ -17,6 +17,8 @@
 #ifndef PRINTED_ANALYSIS_TIMING_HH
 #define PRINTED_ANALYSIS_TIMING_HH
 
+#include <vector>
+
 #include "netlist/netlist.hh"
 #include "tech/library.hh"
 
@@ -49,6 +51,10 @@ struct TimingReport
 /** Run static timing analysis of a netlist in a technology. */
 TimingReport analyzeTiming(const Netlist &netlist,
                            const CellLibrary &lib);
+
+/** analyzeTiming over an order already returned by levelize(). */
+TimingReport analyzeTiming(const Netlist &netlist, const CellLibrary &lib,
+                           const std::vector<GateId> &order);
 
 } // namespace printed
 

@@ -72,10 +72,10 @@ TpIsaMachine::setStreamPort(std::size_t addr,
 std::uint64_t
 TpIsaMachine::readMem(unsigned addr)
 {
-    fatalIf(addr >= dmem_.size(),
-            "TP-ISA read of address " + std::to_string(addr) +
-            " beyond the " + std::to_string(dmem_.size()) +
-            "-word data memory (program '" + program_.name + "')");
+    if (addr >= dmem_.size())
+        fatal("TP-ISA read of address " + std::to_string(addr) +
+              " beyond the " + std::to_string(dmem_.size()) +
+              "-word data memory (program '" + program_.name + "')");
     ++stats_.memReads;
     if (lastWriteAddr_ >= 0 && addr == unsigned(lastWriteAddr_))
         curReadsLastWrite_ = true;
@@ -93,10 +93,10 @@ TpIsaMachine::readMem(unsigned addr)
 void
 TpIsaMachine::writeMem(unsigned addr, std::uint64_t value)
 {
-    fatalIf(addr >= dmem_.size(),
-            "TP-ISA write of address " + std::to_string(addr) +
-            " beyond the " + std::to_string(dmem_.size()) +
-            "-word data memory (program '" + program_.name + "')");
+    if (addr >= dmem_.size())
+        fatal("TP-ISA write of address " + std::to_string(addr) +
+              " beyond the " + std::to_string(dmem_.size()) +
+              "-word data memory (program '" + program_.name + "')");
     ++stats_.memWrites;
     dmem_[addr] = value & maskBits(program_.isa.datawidth);
 }

@@ -46,9 +46,18 @@ class PanicError : public std::logic_error
  */
 [[noreturn]] void panic(const std::string &msg);
 
+/*
+ * The *If helpers take a const char * so that a check that passes
+ * never builds its message (they sit in per-gate loops). A computed
+ * message goes behind the condition instead:
+ *
+ *     if (addr >= size)
+ *         fatal("read at " + std::to_string(addr));
+ */
+
 /** Call fatal(msg) when cond is true. */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, const char *msg)
 {
     if (cond)
         fatal(msg);
@@ -56,7 +65,7 @@ fatalIf(bool cond, const std::string &msg)
 
 /** Call panic(msg) when cond is true. */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const char *msg)
 {
     if (cond)
         panic(msg);

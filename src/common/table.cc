@@ -18,9 +18,9 @@ TableWriter::TableWriter(std::vector<std::string> headers)
 void
 TableWriter::addRow(std::vector<std::string> cells)
 {
-    fatalIf(cells.size() != headers_.size(),
-            "TableWriter: row has " + std::to_string(cells.size()) +
-            " cells, expected " + std::to_string(headers_.size()));
+    if (cells.size() != headers_.size())
+        fatal("TableWriter: row has " + std::to_string(cells.size()) +
+              " cells, expected " + std::to_string(headers_.size()));
     rows_.push_back(std::move(cells));
 }
 

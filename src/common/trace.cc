@@ -7,6 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/json_min.hh"
+
 namespace printed::trace
 {
 
@@ -58,29 +60,6 @@ currentTid()
     thread_local std::uint32_t tid =
         next.fetch_add(1, std::memory_order_relaxed);
     return tid;
-}
-
-/** Escape a string for a JSON literal (quotes/backslash/control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    static const char *hex = "0123456789abcdef";
-    for (char c : s) {
-        const unsigned char u = static_cast<unsigned char>(c);
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (u < 0x20) {
-            out += "\\u00";
-            out += hex[u >> 4];
-            out += hex[u & 0xF];
-        } else {
-            out += c;
-        }
-    }
-    return out;
 }
 
 } // anonymous namespace
@@ -189,18 +168,18 @@ write(std::ostream &os)
         os << "  {\"name\": \"thread_name\", \"ph\": \"M\", "
               "\"pid\": 1, \"tid\": "
            << tid << ", \"args\": {\"name\": \""
-           << jsonEscape(name) << "\"}}";
+           << json::jsonEscape(name) << "\"}}";
     }
     for (const Event &ev : t.events) {
         sep();
-        os << "  {\"name\": \"" << jsonEscape(ev.name)
+        os << "  {\"name\": \"" << json::jsonEscape(ev.name)
            << "\", \"cat\": \"printed\", \"ph\": \"X\", "
               "\"pid\": 1, \"tid\": "
            << ev.tid << ", \"ts\": " << ev.tsUs
            << ", \"dur\": " << ev.durUs;
         if (!ev.detail.empty())
             os << ", \"args\": {\"detail\": \""
-               << jsonEscape(ev.detail) << "\"}";
+               << json::jsonEscape(ev.detail) << "\"}";
         os << "}";
     }
     os << "\n]}\n";

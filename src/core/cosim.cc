@@ -133,10 +133,10 @@ CoreCosim::cycle()
     // Phase 3: commit the write-back, clock the core.
     if (sim_.value(ports_.wen)) {
         const auto wa = std::size_t(sim_.readBus(ports_.waddr));
-        fatalIf(wa >= ram_.size(),
-                "CoreCosim: gate-level core wrote address " +
-                std::to_string(wa) + " beyond the " +
-                std::to_string(ram_.size()) + "-word RAM");
+        if (wa >= ram_.size())
+            fatal("CoreCosim: gate-level core wrote address " +
+                  std::to_string(wa) + " beyond the " +
+                  std::to_string(ram_.size()) + "-word RAM");
         ram_[wa] = sim_.readBus(ports_.wdata) &
                    maskBits(config_.isa.datawidth);
     }

@@ -163,9 +163,9 @@ encode(const Instruction &inst, const IsaConfig &config)
 {
     const ControlBits cb = controlsOf(inst.mnemonic);
     const unsigned ob = config.operandBits;
-    fatalIf(inst.op1 >= (1u << ob) || inst.op2 >= (1u << ob),
-            "encode: operand does not fit a " + std::to_string(ob) +
-            "-bit field");
+    if (inst.op1 >= (1u << ob) || inst.op2 >= (1u << ob))
+        fatal("encode: operand does not fit a " + std::to_string(ob) +
+              "-bit field");
     std::uint32_t word = 0;
     word = std::uint32_t(insertBits(word, 0, ob, inst.op2));
     word = std::uint32_t(insertBits(word, ob, ob, inst.op1));
@@ -184,8 +184,8 @@ decode(std::uint32_t word)
 {
     fatalIf(word >> 24, "decode: word wider than 24 bits");
     const auto opcode_bits = unsigned(extractBits(word, 20, 4));
-    fatalIf(opcode_bits >= numOpcodes,
-            "decode: illegal opcode " + std::to_string(opcode_bits));
+    if (opcode_bits >= numOpcodes)
+        fatal("decode: illegal opcode " + std::to_string(opcode_bits));
     const auto opcode = static_cast<Opcode>(opcode_bits);
     const ControlBits cb = {bit(word, 19) != 0, bit(word, 18) != 0,
                             bit(word, 17) != 0, bit(word, 16) != 0};
@@ -220,14 +220,14 @@ makeOperand(unsigned bar_sel, unsigned offset,
 {
     const unsigned sel_bits = config.barSelBits();
     const unsigned off_bits = config.offsetBits();
-    fatalIf(bar_sel >= config.barCount,
-            "makeOperand: BAR index " + std::to_string(bar_sel) +
-            " out of range for " + std::to_string(config.barCount) +
-            "-BAR ISA");
-    fatalIf(offset >= (1u << off_bits),
-            "makeOperand: offset " + std::to_string(offset) +
-            " does not fit in " + std::to_string(off_bits) +
-            " offset bits");
+    if (bar_sel >= config.barCount)
+        fatal("makeOperand: BAR index " + std::to_string(bar_sel) +
+              " out of range for " + std::to_string(config.barCount) +
+              "-BAR ISA");
+    if (offset >= (1u << off_bits))
+        fatal("makeOperand: offset " + std::to_string(offset) +
+              " does not fit in " + std::to_string(off_bits) +
+              " offset bits");
     std::uint64_t v = offset;
     v = insertBits(v, off_bits, sel_bits, bar_sel);
     return std::uint8_t(v);

@@ -22,22 +22,23 @@ void
 Program::check() const
 {
     isa.check();
-    fatalIf(code.empty(), "Program '" + name + "' is empty");
-    fatalIf(code.size() > (std::size_t(1) << isa.pcBits),
-            "Program '" + name + "': " + std::to_string(code.size()) +
-            " instructions exceed the " +
-            std::to_string(isa.pcBits) + "-bit PC range");
+    if (code.empty())
+        fatal("Program '" + name + "' is empty");
+    if (code.size() > (std::size_t(1) << isa.pcBits))
+        fatal("Program '" + name + "': " + std::to_string(code.size()) +
+              " instructions exceed the " + std::to_string(isa.pcBits) +
+              "-bit PC range");
     for (std::size_t pc = 0; pc < code.size(); ++pc) {
         const Instruction &inst = code[pc];
         if (isBranch(inst.mnemonic)) {
-            fatalIf(inst.op1 >= code.size(),
-                    "Program '" + name + "': branch at " +
-                    std::to_string(pc) + " targets address " +
-                    std::to_string(inst.op1) + " past the end");
+            if (inst.op1 >= code.size())
+                fatal("Program '" + name + "': branch at " +
+                      std::to_string(pc) + " targets address " +
+                      std::to_string(inst.op1) + " past the end");
         } else if (inst.mnemonic == Mnemonic::SETBAR) {
-            fatalIf(inst.op2 == 0 || inst.op2 >= isa.barCount,
-                    "Program '" + name + "': SET-BAR of register " +
-                    std::to_string(inst.op2));
+            if (inst.op2 == 0 || inst.op2 >= isa.barCount)
+                fatal("Program '" + name + "': SET-BAR of register " +
+                      std::to_string(inst.op2));
         }
     }
 }

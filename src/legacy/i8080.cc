@@ -248,8 +248,8 @@ class Compiler
     {
         for (const auto &[pos, label] : fixups_) {
             auto it = labels_.find(label);
-            fatalIf(it == labels_.end(),
-                    "compile8080: undefined label " + label);
+            if (it == labels_.end())
+                fatal("compile8080: undefined label " + label);
             code_[pos] = std::uint8_t(it->second & 0xff);
             code_[pos + 1] = std::uint8_t(it->second >> 8);
         }

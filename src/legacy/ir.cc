@@ -113,8 +113,8 @@ interpretIr(const IrProgram &prog,
 
     auto target = [&](const std::string &l) {
         auto it = labels.find(l);
-        fatalIf(it == labels.end(),
-                "interpretIr: undefined label " + l);
+        if (it == labels.end())
+            fatal("interpretIr: undefined label " + l);
         return it->second;
     };
 

@@ -176,8 +176,8 @@ class Compiler
     {
         for (const auto &[pos, label] : fixups_) {
             auto it = labels_.find(label);
-            fatalIf(it == labels_.end(),
-                    "msp430: undefined label " + label);
+            if (it == labels_.end())
+                fatal("msp430: undefined label " + label);
             code_[pos] =
                 std::uint16_t(codeBase + it->second * 2);
         }

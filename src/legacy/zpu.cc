@@ -103,8 +103,8 @@ class Compiler
     {
         for (const auto &[pos, label] : fixups_) {
             auto it = labels_.find(label);
-            fatalIf(it == labels_.end(),
-                    "zpu: undefined label " + label);
+            if (it == labels_.end())
+                fatal("zpu: undefined label " + label);
             const std::uint32_t t = std::uint32_t(it->second);
             fatalIf(t >= (1u << 21), "zpu: target out of IM range");
             code_[pos] = std::uint8_t(0x80 | ((t >> 14) & 0x7f));

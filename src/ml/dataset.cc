@@ -67,9 +67,9 @@ xorSample(const DatasetSpec &spec, std::uint64_t tag,
 void
 DatasetSpec::check() const
 {
-    fatalIf(kind != "blobs" && kind != "xor",
-            "dataset kind must be \"blobs\" or \"xor\", not \"" +
-                kind + "\"");
+    if (kind != "blobs" && kind != "xor")
+        fatal("dataset kind must be \"blobs\" or \"xor\", not \"" + kind +
+              "\"");
     fatalIf(features < 1 || features > 16,
             "dataset features must be in [1, 16]");
     fatalIf(classes < 2 || classes > 10,

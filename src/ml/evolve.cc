@@ -397,9 +397,9 @@ ClassifySpec::check() const
         bool known = false;
         for (const Battery &b : printedBatteries())
             known = known || b.name == budget.battery;
-        fatalIf(!known, "classify budget battery \"" +
-                            budget.battery +
-                            "\" is not a printed battery");
+        if (!known)
+            fatal("classify budget battery \"" + budget.battery +
+                  "\" is not a printed battery");
     }
 }
 

@@ -13,8 +13,8 @@ BlockId
 Design::addBlock(std::string instance, Netlist netlist)
 {
     fatalIf(instance.empty(), "hier: empty instance name");
-    fatalIf(byInstance_.count(instance) != 0,
-            "hier: duplicate instance '" + instance + "'");
+    if (byInstance_.count(instance) != 0)
+        fatal("hier: duplicate instance '" + instance + "'");
     const BlockId id = BlockId(blocks_.size());
     byInstance_.emplace(instance, id);
     blocks_.push_back({std::move(instance), std::move(netlist),
@@ -73,16 +73,16 @@ Design::connect(const PortRef &from, const PortRef &to)
 {
     checkedBlock(from.block);
     checkedBlock(to.block);
-    fatalIf(!hasOutput(from.block, from.port),
-            "hier: '" + blocks_[from.block].instance +
-            "' has no output port '" + from.port + "'");
-    fatalIf(!hasInput(to.block, to.port),
-            "hier: '" + blocks_[to.block].instance +
-            "' has no input port '" + to.port + "'");
+    if (!hasOutput(from.block, from.port))
+        fatal("hier: '" + blocks_[from.block].instance +
+              "' has no output port '" + from.port + "'");
+    if (!hasInput(to.block, to.port))
+        fatal("hier: '" + blocks_[to.block].instance +
+              "' has no input port '" + to.port + "'");
     const auto key = std::make_pair(to.block, to.port);
-    fatalIf(inputFrom_.count(key) != 0,
-            "hier: input '" + blocks_[to.block].instance + "." +
-            to.port + "' already connected");
+    if (inputFrom_.count(key) != 0)
+        fatal("hier: input '" + blocks_[to.block].instance + "." + to.port +
+              "' already connected");
     inputFrom_.emplace(key, from);
 }
 
@@ -101,9 +101,9 @@ void
 Design::exposeOutput(const PortRef &from, std::string topName)
 {
     checkedBlock(from.block);
-    fatalIf(!hasOutput(from.block, from.port),
-            "hier: '" + blocks_[from.block].instance +
-            "' has no output port '" + from.port + "'");
+    if (!hasOutput(from.block, from.port))
+        fatal("hier: '" + blocks_[from.block].instance +
+              "' has no output port '" + from.port + "'");
     exposed_.emplace_back(from, std::move(topName));
 }
 
@@ -308,14 +308,14 @@ Design::flatten() const
             }
             t[out] = newOut;
         }
-        panicIf(!fwd.empty(),
-                "hier: block '" + inst +
-                "' reads a net no gate or port drives");
+        if (!fwd.empty())
+            panic("hier: block '" + inst +
+                  "' reads a net no gate or port drives");
 
         for (const PortBinding &p : nl.outputs()) {
-            panicIf(t[p.net] == invalidNet,
-                    "hier: output '" + inst + "." + p.name +
-                    "' is unconnected inside the block");
+            if (t[p.net] == invalidNet)
+                panic("hier: output '" + inst + "." + p.name +
+                      "' is unconnected inside the block");
             outNet.emplace(std::make_pair(b, p.name), t[p.net]);
         }
     }
@@ -323,10 +323,10 @@ Design::flatten() const
     for (const CrossRef &cr : pendingCross) {
         const auto it =
             outNet.find({cr.from.block, cr.from.port});
-        panicIf(it == outNet.end(),
-                "hier: unresolved connection from '" +
-                blocks_[cr.from.block].instance + "." +
-                cr.from.port + "'");
+        if (it == outNet.end())
+            panic("hier: unresolved connection from '" +
+                  blocks_[cr.from.block].instance + "." +
+                  cr.from.port + "'");
         flat.resolveFeedback(cr.placeholder, it->second);
     }
 

@@ -297,10 +297,10 @@ Netlist::addGate(CellKind kind, NetId a, NetId b)
             "addGate: use addTristate for TSBUFX1");
     const unsigned wants = cellInputCount(kind);
     panicIf(a >= netSource_.size(), "addGate: bad input a");
-    panicIf(wants == 2 && b >= netSource_.size(),
-            "addGate: " + cellName(kind) + " needs two inputs");
-    panicIf(wants == 1 && b != invalidNet,
-            "addGate: " + cellName(kind) + " takes one input");
+    if (wants == 2 && b >= netSource_.size())
+        panic("addGate: " + cellName(kind) + " needs two inputs");
+    if (wants == 1 && b != invalidNet)
+        panic("addGate: " + cellName(kind) + " takes one input");
 
     const NetId out = addDrivenNet(NetSource::GateOutput);
     const GateId gi = GateId(gateKind_.size());
@@ -348,10 +348,10 @@ Netlist::setGate(GateId id, CellKind kind, NetId in0, NetId in1)
             "setGate: sequential/combinational change");
     const unsigned wants = cellInputCount(kind);
     panicIf(in0 >= netSource_.size(), "setGate: bad input a");
-    panicIf(wants == 2 && in1 >= netSource_.size(),
-            "setGate: " + cellName(kind) + " needs two inputs");
-    panicIf(wants == 1 && in1 != invalidNet,
-            "setGate: " + cellName(kind) + " takes one input");
+    if (wants == 2 && in1 >= netSource_.size())
+        panic("setGate: " + cellName(kind) + " needs two inputs");
+    if (wants == 1 && in1 != invalidNet)
+        panic("setGate: " + cellName(kind) + " takes one input");
 
     if (gateIn0_[id] != in0) {
         if (gateIn0_[id] != invalidNet)
@@ -470,13 +470,13 @@ Netlist::validate() const
     for (NetId n = 0; n < netSource_.size(); ++n) {
         switch (netSource_[n]) {
           case NetSource::Undriven:
-            panicIf(read[n],
-                    "Netlist '" + name_ + "': net " +
-                    std::to_string(n) +
-                    (netNameRef_[n] == 0
-                         ? std::string()
-                         : " (" + netName(n) + ")") +
-                    " is read but undriven");
+            if (read[n])
+                panic("Netlist '" + name_ + "': net " +
+                      std::to_string(n) +
+                      (netNameRef_[n] == 0
+                           ? std::string()
+                           : " (" + netName(n) + ")") +
+                      " is read but undriven");
             panicIf(driverHead_[n] != invalidGate,
                     "Netlist: undriven net has gate drivers");
             break;
@@ -495,9 +495,9 @@ Netlist::validate() const
             if (count > 1) {
                 for (GateId g = driverHead_[n]; g != invalidGate;
                      g = driverNext_[g])
-                    panicIf(gateKind_[g] != CellKind::TSBUFX1,
-                            "Netlist: only TSBUFs may share net " +
-                            std::to_string(n));
+                    if (gateKind_[g] != CellKind::TSBUFX1)
+                        panic("Netlist: only TSBUFs may share net " +
+                              std::to_string(n));
             }
             listed_drivers += count;
             break;
@@ -608,10 +608,9 @@ Netlist::levelize() const
     for (CellKind kind : gateKind_)
         if (!cellIsSequential(kind))
             ++comb;
-    fatalIf(order.size() != comb,
-            "Netlist '" + name_ + "': combinational cycle detected (" +
-            std::to_string(comb - order.size()) +
-            " gates unschedulable)");
+    if (order.size() != comb)
+        fatal("Netlist '" + name_ + "': combinational cycle detected (" +
+              std::to_string(comb - order.size()) + " gates unschedulable)");
     return order;
 }
 

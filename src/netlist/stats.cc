@@ -8,6 +8,12 @@ namespace printed
 NetlistStats
 computeStats(const Netlist &netlist)
 {
+    return computeStats(netlist, netlist.levelize());
+}
+
+NetlistStats
+computeStats(const Netlist &netlist, const std::vector<GateId> &order)
+{
     NetlistStats stats;
     stats.histogram = netlist.cellHistogram();
     stats.totalGates = netlist.gateCount();
@@ -18,7 +24,6 @@ computeStats(const Netlist &netlist)
 
     // Logic depth: longest chain of combinational gates, in
     // levelized order.
-    const auto order = netlist.levelize();
     std::vector<std::size_t> net_depth(netlist.netCount(), 0);
     std::size_t max_depth = 0;
     for (GateId gi : order) {

@@ -10,6 +10,7 @@
 #include <array>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "netlist/netlist.hh"
 
@@ -30,6 +31,10 @@ struct NetlistStats
 
 /** Compute structural statistics (includes a levelization pass). */
 NetlistStats computeStats(const Netlist &netlist);
+
+/** computeStats over an order already returned by levelize(). */
+NetlistStats computeStats(const Netlist &netlist,
+                          const std::vector<GateId> &order);
 
 /** Print a one-block human-readable summary. */
 void printStats(std::ostream &os, const std::string &label,

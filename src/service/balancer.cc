@@ -126,8 +126,8 @@ Balancer::start()
         fault_ = std::make_unique<FaultInjector>(opts_.faultPlan);
 
     listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(listenFd_ < 0,
-            std::string("socket(): ") + std::strerror(errno));
+    if (listenFd_ < 0)
+        fatal(std::string("socket(): ") + std::strerror(errno));
     int one = 1;
     ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
                  sizeof(one));
@@ -135,14 +135,13 @@ Balancer::start()
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(opts_.port);
-    fatalIf(::inet_pton(AF_INET, opts_.host.c_str(),
-                        &addr.sin_addr) != 1,
-            "bad listen address '" + opts_.host + "'");
-    fatalIf(::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0,
-            std::string("bind(): ") + std::strerror(errno));
-    fatalIf(::listen(listenFd_, 64) != 0,
-            std::string("listen(): ") + std::strerror(errno));
+    if (::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) != 1)
+        fatal("bad listen address '" + opts_.host + "'");
+    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) != 0)
+        fatal(std::string("bind(): ") + std::strerror(errno));
+    if (::listen(listenFd_, 64) != 0)
+        fatal(std::string("listen(): ") + std::strerror(errno));
 
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
@@ -256,11 +255,12 @@ void
 Balancer::spawnWorker(unsigned index)
 {
     int pipeFds[2];
-    fatalIf(::pipe(pipeFds) != 0,
-            std::string("pipe(): ") + std::strerror(errno));
+    if (::pipe(pipeFds) != 0)
+        fatal(std::string("pipe(): ") + std::strerror(errno));
 
     const pid_t pid = ::fork();
-    fatalIf(pid < 0, std::string("fork(): ") + std::strerror(errno));
+    if (pid < 0)
+        fatal(std::string("fork(): ") + std::strerror(errno));
 
     if (pid == 0) {
         // Child: stdout -> pipe, then exec printedd on an
@@ -319,9 +319,8 @@ Balancer::spawnWorker(unsigned index)
         ::close(pipeFds[0]);
         int status = 0;
         ::waitpid(pid, &status, 0);
-        fatalIf(true, "worker " + std::to_string(index) +
-                          " (" + opts_.printeddPath +
-                          ") exited before announcing its port");
+        fatal("worker " + std::to_string(index) + " (" +
+              opts_.printeddPath + ") exited before announcing its port");
     }
 }
 

@@ -35,8 +35,8 @@ onSignal(int)
 unsigned long
 numberArg(int argc, char **argv, int &i, const char *flag)
 {
-    printed::fatalIf(i + 1 >= argc,
-                     std::string(flag) + " needs a value");
+    if (i + 1 >= argc)
+        printed::fatal(std::string(flag) + " needs a value");
     return std::strtoul(argv[++i], nullptr, 10);
 }
 
@@ -45,8 +45,8 @@ printed::service::WorkerAddress
 parseWorker(const std::string &spec)
 {
     const std::size_t colon = spec.rfind(':');
-    printed::fatalIf(colon == std::string::npos || colon == 0,
-                     "--worker needs HOST:PORT, got '" + spec + "'");
+    if (colon == std::string::npos || colon == 0)
+        printed::fatal("--worker needs HOST:PORT, got '" + spec + "'");
     printed::service::WorkerAddress addr;
     addr.host = spec.substr(0, colon);
     addr.port = std::uint16_t(

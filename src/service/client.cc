@@ -84,14 +84,14 @@ Client::connect(const std::string &host, std::uint16_t port)
 {
     close();
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(fd_ < 0,
-            std::string("socket(): ") + std::strerror(errno));
+    if (fd_ < 0)
+        fatal(std::string("socket(): ") + std::strerror(errno));
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
-    fatalIf(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1,
-            "bad server address '" + host + "'");
+    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
+        fatal("bad server address '" + host + "'");
     for (;;) {
         if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
                       sizeof(addr)) == 0)
@@ -242,10 +242,10 @@ RetryingClient::call(const std::string &line, bool idempotent)
                 (parsed.error == errc::queueFull ||
                  parsed.error == errc::unavailable) &&
                 idempotent) {
-                fatalIf(overloadTries >= policy_.maxOverloadRetries,
-                        "request rejected queue_full " +
-                            std::to_string(overloadTries + 1) +
-                            " times; giving up");
+                if (overloadTries >= policy_.maxOverloadRetries)
+                    fatal("request rejected queue_full " +
+                          std::to_string(overloadTries + 1) +
+                          " times; giving up");
                 ++overloadTries;
                 ++stats_.overloadReplays;
                 backoff(overloadTries - 1, parsed.retryAfterMs);
@@ -310,17 +310,16 @@ RetryingClient::streamCall(
                     out.reply.raw = raw;
                     return out; // not our reply shape
                 }
-                fatalIf(!frame.id.empty() && frame.id != id,
-                        "stream frame for id '" + frame.id +
-                            "' while waiting on '" + id + "'");
+                if (!frame.id.empty() && frame.id != id)
+                    fatal("stream frame for id '" + frame.id +
+                          "' while waiting on '" + id + "'");
 
                 if (frame.kind == StreamFrame::Kind::Partial) {
-                    fatalIf(frame.index != out.points.size(),
-                            "stream point " +
-                                std::to_string(frame.index) +
-                                " arrived with " +
-                                std::to_string(out.points.size()) +
-                                " points in hand");
+                    if (frame.index != out.points.size())
+                        fatal("stream point " + std::to_string(frame.index) +
+                              " arrived with " +
+                              std::to_string(out.points.size()) +
+                              " points in hand");
                     out.points.push_back(frame.pointBody);
                     ++out.partials;
                     out.streamed = true;
@@ -331,12 +330,11 @@ RetryingClient::streamCall(
                 }
 
                 if (frame.kind == StreamFrame::Kind::Done) {
-                    fatalIf(frame.points != out.points.size(),
-                            "stream done after " +
-                                std::to_string(frame.points) +
-                                " points but " +
-                                std::to_string(out.points.size()) +
-                                " are in hand");
+                    if (frame.points != out.points.size())
+                        fatal("stream done after " +
+                              std::to_string(frame.points) + " points but " +
+                              std::to_string(out.points.size()) +
+                              " are in hand");
                     out.streamed = true;
                     out.reply = parseReply(
                         assembleStreamedReply(id, type, out.points));
@@ -355,11 +353,10 @@ RetryingClient::streamCall(
                 if (!parsed.ok &&
                     (parsed.error == errc::queueFull ||
                      parsed.error == errc::unavailable)) {
-                    fatalIf(overloadTries >=
-                                policy_.maxOverloadRetries,
-                            "stream rejected " + parsed.error + " " +
-                                std::to_string(overloadTries + 1) +
-                                " times; giving up");
+                    if (overloadTries >= policy_.maxOverloadRetries)
+                        fatal("stream rejected " + parsed.error + " " +
+                              std::to_string(overloadTries + 1) +
+                              " times; giving up");
                     ++overloadTries;
                     ++stats_.overloadReplays;
                     backoff(overloadTries - 1, parsed.retryAfterMs);

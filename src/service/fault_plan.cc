@@ -16,9 +16,8 @@ numberValue(const std::string &key, const std::string &text)
 {
     char *end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    fatalIf(end != text.c_str() + text.size() || text.empty(),
-            "fault plan: bad number '" + text + "' for '" + key +
-                "'");
+    if (end != text.c_str() + text.size() || text.empty())
+        fatal("fault plan: bad number '" + text + "' for '" + key + "'");
     return v;
 }
 
@@ -26,8 +25,9 @@ double
 rateValue(const std::string &key, const std::string &text)
 {
     const double v = numberValue(key, text);
-    fatalIf(v < 0 || v > 1, "fault plan: rate '" + key +
-                                "' must be in [0, 1], got " + text);
+    if (v < 0 || v > 1)
+        fatal("fault plan: rate '" + key + "' must be in [0, 1], got " +
+              text);
     return v;
 }
 
@@ -47,9 +47,8 @@ FaultPlan::parse(const std::string &spec)
         if (item.empty())
             continue;
         const std::size_t eq = item.find('=');
-        fatalIf(eq == std::string::npos,
-                "fault plan: expected key=value, got '" + item +
-                    "'");
+        if (eq == std::string::npos)
+            fatal("fault plan: expected key=value, got '" + item + "'");
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
         if (key == "seed") {

@@ -34,8 +34,8 @@ onSignal(int)
 unsigned long
 numberArg(int argc, char **argv, int &i, const char *flag)
 {
-    printed::fatalIf(i + 1 >= argc,
-                     std::string(flag) + " needs a value");
+    if (i + 1 >= argc)
+        printed::fatal(std::string(flag) + " needs a value");
     return std::strtoul(argv[++i], nullptr, 10);
 }
 

@@ -25,14 +25,14 @@ uintField(const Value &obj, const char *name, std::uint64_t fallback,
     const Value *f = obj.find(name);
     if (!f)
         return fallback;
-    fatalIf(!f->isNumber() || f->number < 0 ||
-                f->number != std::floor(f->number),
-            std::string("request field '") + name +
-                "' must be a non-negative integer");
+    if (!f->isNumber() || f->number < 0 ||
+        f->number != std::floor(f->number))
+        fatal(std::string("request field '") + name +
+              "' must be a non-negative integer");
     const double v = f->number;
-    fatalIf(v < double(lo) || v > double(hi),
-            std::string("request field '") + name + "' out of range [" +
-                std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    if (v < double(lo) || v > double(hi))
+        fatal(std::string("request field '") + name + "' out of range [" +
+              std::to_string(lo) + ", " + std::to_string(hi) + "]");
     return std::uint64_t(v);
 }
 
@@ -44,11 +44,11 @@ doubleField(const Value &obj, const char *name, double fallback,
     const Value *f = obj.find(name);
     if (!f)
         return fallback;
-    fatalIf(!f->isNumber() || !std::isfinite(f->number),
-            std::string("request field '") + name +
-                "' must be a finite number");
-    fatalIf(f->number < lo || f->number > hi,
-            std::string("request field '") + name + "' out of range");
+    if (!f->isNumber() || !std::isfinite(f->number))
+        fatal(std::string("request field '") + name +
+              "' must be a finite number");
+    if (f->number < lo || f->number > hi)
+        fatal(std::string("request field '") + name + "' out of range");
     return f->number;
 }
 
@@ -61,19 +61,19 @@ axisField(const Value &obj, const char *name,
     const Value *f = obj.find(name);
     if (!f)
         return out;
-    fatalIf(!f->isArray(), std::string("request field '") + name +
-                               "' must be an array");
+    if (!f->isArray())
+        fatal(std::string("request field '") + name + "' must be an array");
     for (const Value &e : f->array) {
-        fatalIf(!e.isNumber() || e.number != std::floor(e.number),
-                std::string("request field '") + name +
-                    "' must hold integers");
+        if (!e.isNumber() || e.number != std::floor(e.number))
+            fatal(std::string("request field '") + name +
+                  "' must hold integers");
         const unsigned v = unsigned(e.number);
         bool ok = false;
         for (unsigned a : allowed)
             ok = ok || a == v;
-        fatalIf(!ok, std::string("request field '") + name +
-                         "' holds unsupported value " +
-                         std::to_string(v));
+        if (!ok)
+            fatal(std::string("request field '") + name +
+                  "' holds unsupported value " + std::to_string(v));
         // Deduplicate, preserving canonical order below.
         bool dup = false;
         for (unsigned seen : out)
@@ -181,7 +181,8 @@ issField(const Value &obj)
             fatalIf(!e.isString(),
                     "request field 'cores' must hold strings");
             const auto core = legacy::issCoreFromId(e.string);
-            fatalIf(!core, "unknown legacy core '" + e.string + "'");
+            if (!core)
+                fatal("unknown legacy core '" + e.string + "'");
             bool dup = false;
             for (legacy::LegacyCore seen : spec.cores)
                 dup = dup || seen == *core;
@@ -200,7 +201,8 @@ issField(const Value &obj)
             fatalIf(!e.isString(),
                     "request field 'kernels' must hold strings");
             const auto kernel = kernelFromName(e.string);
-            fatalIf(!kernel, "unknown kernel '" + e.string + "'");
+            if (!kernel)
+                fatal("unknown kernel '" + e.string + "'");
             bool dup = false;
             for (Kernel seen : spec.kernels)
                 dup = dup || seen == *kernel;
@@ -228,9 +230,9 @@ issField(const Value &obj)
         fatalIf(!e->isString(),
                 "request field 'engine' must be a string");
         const auto engine = legacy::issEngineFromName(e->string);
-        fatalIf(!engine,
-                "unknown ISS engine '" + e->string +
-                    "' (want \"batch\" or \"scalar\")");
+        if (!engine)
+            fatal("unknown ISS engine '" + e->string +
+                  "' (want \"batch\" or \"scalar\")");
         spec.engine = *engine;
     }
     return spec;
@@ -282,8 +284,8 @@ stringField(const Value &obj, const char *name,
     const Value *f = obj.find(name);
     if (!f)
         return fallback;
-    fatalIf(!f->isString(), std::string("request field '") + name +
-                                "' must be a string");
+    if (!f->isString())
+        fatal(std::string("request field '") + name + "' must be a string");
     return f->string;
 }
 
@@ -317,8 +319,9 @@ classifyField(const Value &root)
 
     const std::string model = stringField(root, "model", "tree");
     const auto kind = ml::modelKindFromName(model);
-    fatalIf(!kind, "unknown classify model '" + model +
-                       "' (want \"tree\" or \"ternary\")");
+    if (!kind)
+        fatal("unknown classify model '" + model +
+              "' (want \"tree\" or \"ternary\")");
     spec.model = *kind;
     spec.depth = unsigned(uintField(root, "depth", 4, 1, 12));
     spec.hidden = unsigned(uintField(root, "hidden", 0, 0, 16));
@@ -335,8 +338,9 @@ classifyField(const Value &root)
         const std::string engine =
             stringField(*s, "engine", "batch");
         const auto parsed = ml::scoreEngineFromName(engine);
-        fatalIf(!parsed, "unknown scoring engine '" + engine +
-                             "' (want \"batch\" or \"scalar\")");
+        if (!parsed)
+            fatal("unknown scoring engine '" + engine +
+                  "' (want \"batch\" or \"scalar\")");
         spec.search.engine = *parsed;
     }
 

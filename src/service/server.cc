@@ -92,8 +92,8 @@ Server::start()
         fault_ = std::make_unique<FaultInjector>(opts_.faultPlan);
 
     listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    fatalIf(listenFd_ < 0, std::string("socket(): ") +
-                               std::strerror(errno));
+    if (listenFd_ < 0)
+        fatal(std::string("socket(): ") + std::strerror(errno));
     int one = 1;
     ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
                  sizeof(one));
@@ -101,14 +101,13 @@ Server::start()
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(opts_.port);
-    fatalIf(::inet_pton(AF_INET, opts_.host.c_str(),
-                        &addr.sin_addr) != 1,
-            "bad listen address '" + opts_.host + "'");
-    fatalIf(::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0,
-            std::string("bind(): ") + std::strerror(errno));
-    fatalIf(::listen(listenFd_, 64) != 0,
-            std::string("listen(): ") + std::strerror(errno));
+    if (::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) != 1)
+        fatal("bad listen address '" + opts_.host + "'");
+    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
+               sizeof(addr)) != 0)
+        fatal(std::string("bind(): ") + std::strerror(errno));
+    if (::listen(listenFd_, 64) != 0)
+        fatal(std::string("listen(): ") + std::strerror(errno));
 
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
@@ -534,10 +533,10 @@ Server::streamTask(Task &task)
         if (req.type == RequestType::Sweep && req.hasIss) {
             const auto grid = req.iss.grid();
             const std::uint64_t total = grid.size();
-            fatalIf(req.resumeFrom > total,
-                    "resume_from " + std::to_string(req.resumeFrom) +
-                        " is past the sweep's " +
-                        std::to_string(total) + " points");
+            if (req.resumeFrom > total)
+                fatal("resume_from " + std::to_string(req.resumeFrom) +
+                      " is past the sweep's " + std::to_string(total) +
+                      " points");
             // One frame per (core, kernel) grid point, sequentially,
             // mirroring the synth-sweep stream below. Single-thread
             // evaluation here is still byte-identical to the pooled
@@ -563,10 +562,10 @@ Server::streamTask(Task &task)
             const std::vector<CoreConfig> configs =
                 req.sweep.configs();
             const std::uint64_t total = configs.size();
-            fatalIf(req.resumeFrom > total,
-                    "resume_from " + std::to_string(req.resumeFrom) +
-                        " is past the sweep's " +
-                        std::to_string(total) + " points");
+            if (req.resumeFrom > total)
+                fatal("resume_from " + std::to_string(req.resumeFrom) +
+                      " is past the sweep's " + std::to_string(total) +
+                      " points");
             // Points are evaluated sequentially so the first frame
             // reaches the client while the rest still compute. Each
             // body is byte-identical to its entry in the monolithic
@@ -600,10 +599,10 @@ Server::streamTask(Task &task)
             // dedupe through the classify result cache.
             const std::uint64_t total =
                 req.classify.search.generations + 1;
-            fatalIf(req.resumeFrom > total,
-                    "resume_from " + std::to_string(req.resumeFrom) +
-                        " is past the classify's " +
-                        std::to_string(total) + " points");
+            if (req.resumeFrom > total)
+                fatal("resume_from " + std::to_string(req.resumeFrom) +
+                      " is past the classify's " + std::to_string(total) +
+                      " points");
             struct ClientGone {};
             ThreadPool local(1);
             try {

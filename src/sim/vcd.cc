@@ -99,7 +99,8 @@ VcdWriter::addPorts()
         classify(p.name, p.net);
     for (auto &[name, bus] : buses) {
         for (NetId n : bus)
-            panicIf(n == invalidNet, "VcdWriter: sparse bus " + name);
+            if (n == invalidNet)
+                panic("VcdWriter: sparse bus " + name);
         addBus(name, bus);
     }
 }

@@ -425,8 +425,8 @@ DiskCache::DiskCache(std::string dir, bool publishMetrics)
 
     std::error_code ec;
     fs::create_directories(dir_, ec);
-    fatalIf(ec || !fs::is_directory(dir_),
-            "disk cache: cannot create directory '" + dir_ + "'");
+    if (ec || !fs::is_directory(dir_))
+        fatal("disk cache: cannot create directory '" + dir_ + "'");
 
     // Remove writer tmp files left behind by a crash: they were
     // never renamed into place, so they are dead weight, never

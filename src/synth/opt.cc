@@ -1,7 +1,6 @@
 #include "opt.hh"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -179,15 +178,31 @@ collapseInvPairs(Netlist &nl)
 /**
  * Structural CSE: combinational gates with identical kind and inputs
  * (inputs normalized for commutative cells) share one instance.
+ *
+ * The first gate seen with a key keeps it. Distinct gates can share
+ * a key (the fields overlap for ids >= 2^29), so a hit is re-checked
+ * against the gate's current inputs before merging.
  */
 std::size_t
 shareDuplicates(Netlist &nl)
 {
-    std::unordered_map<std::uint64_t, GateId> seen;
-    std::size_t shared = 0;
     const auto order = nl.levelize();
+
+    // Flat open-addressing table, linear probing, at most half full.
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        GateId gate = invalidGate; ///< invalidGate: empty
+    };
+    unsigned bits = 4;
+    while ((std::size_t(1) << bits) < 2 * order.size())
+        ++bits;
+    std::vector<Slot> seen(std::size_t(1) << bits);
+    const std::size_t mask = seen.size() - 1;
+
+    std::size_t shared = 0;
     for (GateId gi : order) {
-        const Gate &g = nl.gate(gi);
+        const Gate g = nl.gate(gi);
         if (g.kind == CellKind::TSBUFX1)
             continue;
         NetId lo = g.in0, hi = g.in1;
@@ -197,10 +212,16 @@ shareDuplicates(Netlist &nl)
         const std::uint64_t key =
             (std::uint64_t(static_cast<unsigned>(g.kind)) << 58) ^
             (std::uint64_t(lo) << 29) ^ std::uint64_t(hi + 1);
-        auto [it, inserted] = seen.emplace(key, gi);
-        if (inserted)
+        // Fibonacci hashing: the top bits of key * 2^64/phi.
+        std::size_t i =
+            std::size_t((key * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+        while (seen[i].gate != invalidGate && seen[i].key != key)
+            i = (i + 1) & mask;
+        if (seen[i].gate == invalidGate) {
+            seen[i] = {key, gi};
             continue;
-        const Gate &prev = nl.gate(it->second);
+        }
+        const Gate prev = nl.gate(seen[i].gate);
         NetId plo = prev.in0, phi = prev.in1;
         if (phi != invalidNet && phi < plo)
             std::swap(plo, phi);

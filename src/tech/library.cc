@@ -55,10 +55,10 @@ CellLibrary::CellLibrary(TechKind kind, double vdd,
     for (std::size_t i = 0; i < numCellKinds; ++i) {
         panicIf(cells_[i].kind != static_cast<CellKind>(i),
                 "CellLibrary: cells out of order");
-        fatalIf(cells_[i].area_mm2 <= 0 || cells_[i].rise_us <= 0 ||
-                cells_[i].fall_us <= 0,
-                "CellLibrary: non-positive characterization for " +
-                cellName(cells_[i].kind));
+        if (cells_[i].area_mm2 <= 0 || cells_[i].rise_us <= 0 ||
+            cells_[i].fall_us <= 0)
+            fatal("CellLibrary: non-positive characterization for " +
+                  cellName(cells_[i].kind));
     }
 }
 

@@ -17,9 +17,9 @@ Workload::load(const Poke &poke,
     // Stream inputs bypass memory entirely.
     if (kind == Kernel::Crc8)
         return;
-    fatalIf(inputs.size() != inputAddrs.size(),
-            "Workload::load: expected " +
-            std::to_string(inputAddrs.size()) + " inputs");
+    if (inputs.size() != inputAddrs.size())
+        fatal("Workload::load: expected " +
+              std::to_string(inputAddrs.size()) + " inputs");
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         for (unsigned w = 0; w < wordsPerVar; ++w) {
             const std::uint64_t slice =

@@ -11,6 +11,7 @@
 
 #include "analysis/characterize.hh"
 #include "analysis/variation.hh"
+#include "common/logging.hh"
 #include "netlist/netlist.hh"
 #include "synth/blocks.hh"
 
@@ -175,6 +176,36 @@ TEST(Characterize, SequentialBlockUsesRegPath)
     // EGFET frequencies land in the paper's "few Hz to kHz" band.
     EXPECT_GT(ch.fmaxHz(), 1.0);
     EXPECT_LT(ch.fmaxHz(), 1000.0);
+}
+
+TEST(Characterize, RejectsUndrivenNetAndCycleByName)
+{
+    Netlist open("open");
+    const NetId a = open.addInput("a");
+    const NetId floating = open.addNet("floating");
+    open.addOutput("y", open.addGate(CellKind::AND2X1, a, floating));
+    try {
+        characterize(open, egfetLibrary());
+        FAIL() << "expected PanicError";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(),
+                     "Netlist 'open': net 1 (floating) is read but "
+                     "undriven");
+    }
+
+    Netlist loop("loop");
+    const NetId b = loop.addInput("b");
+    const NetId fb = loop.makeFeedback();
+    const NetId y = loop.addGate(CellKind::AND2X1, b, fb);
+    loop.resolveFeedback(fb, loop.addGate(CellKind::INVX1, y));
+    loop.addOutput("y", y);
+    try {
+        characterize(loop, egfetLibrary());
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "Netlist 'loop': combinational cycle "
+                               "detected (2 gates unschedulable)");
+    }
 }
 
 // ----------------------------------------------------------------

@@ -434,13 +434,14 @@ TEST(Dse, MetricsCountersAreThreadCountInvariant)
     ASSERT_FALSE(t1.empty());
     EXPECT_TRUE(t1 == t4);
     EXPECT_TRUE(t1 == t16);
-    if (t1 != t4 || t1 != t16)
+    if (t1 != t4 || t1 != t16) {
         for (std::size_t i = 0;
              i < t1.size() && i < t4.size() && i < t16.size(); ++i)
             EXPECT_TRUE(t1[i] == t4[i] && t1[i] == t16[i])
                 << t1[i].first << ": t1=" << t1[i].second
                 << " t4=" << t4[i].second
                 << " t16=" << t16[i].second;
+    }
 
     // Sanity: the slice actually exercised the layers under test.
     auto value = [&](const std::string &name) -> std::uint64_t {

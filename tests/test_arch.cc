@@ -319,6 +319,19 @@ TEST(Machine, MemoryBoundsEnforced)
     )");
     TpIsaMachine m(p, 4); // only 4 words
     EXPECT_THROW(m.run(), FatalError);
+
+    const Program read = prog(R"(
+        ADD [0], [10]
+        halt: BRN halt, #0
+    )");
+    TpIsaMachine r(read, 4);
+    try {
+        r.run();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "TP-ISA read of address 10 beyond the "
+                               "4-word data memory (program 'test')");
+    }
 }
 
 // ----------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -92,6 +93,18 @@ TEST(Logging, PanicThrowsPanicError)
     EXPECT_THROW(panicIf(true, "bug"), PanicError);
     EXPECT_NO_THROW(panicIf(false, "bug"));
 }
+
+// A passing check must not build its message: panicIf/fatalIf take
+// a const char *, and a computed std::string message does not compile.
+template <typename Msg>
+constexpr bool panicIfTakes = requires(Msg m) { panicIf(true, m); };
+template <typename Msg>
+constexpr bool fatalIfTakes = requires(Msg m) { fatalIf(true, m); };
+
+static_assert(panicIfTakes<const char *>);
+static_assert(fatalIfTakes<const char *>);
+static_assert(!panicIfTakes<std::string>);
+static_assert(!fatalIfTakes<std::string>);
 
 TEST(Rng, Deterministic)
 {

@@ -6,7 +6,10 @@
  * the values the seed + PR 2 toolchain produces. A diff here means
  * a change to synthesis, characterization, or the workload
  * programs shifted published results; update the snapshot only
- * deliberately, with the reason recorded in the commit.
+ * deliberately, with the reason recorded in the commit. The wiring
+ * fingerprints go beyond the counts: they pin which gates the
+ * optimizer keeps in the Figure 7 and Table 8 program-specific
+ * cores.
  *
  * Tolerances: counts and bit widths are exact integers. Analog
  * quantities (fmax, area, power) are deterministic doubles, but we
@@ -19,8 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "core/generator.hh"
 #include "dse/sweep.hh"
 #include "legacy/cores.hh"
 #include "progspec/analyze.hh"
@@ -110,6 +115,84 @@ TEST(Golden, Figure7DesignSpace)
         expectRel(g.cntFmaxHz, pt.cnt.fmaxHz(), label);
         expectRel(g.cntAreaCm2, pt.cnt.areaCm2(), label);
         expectRel(g.cntPowerMw, pt.cnt.powerMw(), label);
+    }
+}
+
+// ----------------------------------------------------------------
+// Wiring: which gates the optimizer keeps, not only how many
+// ----------------------------------------------------------------
+
+/**
+ * FNV-1a over an optimized core's gate columns (kind, in0, in1, out
+ * of every gate, in gate order, each as 8 little-endian bytes) and
+ * its net count. Fault-MC defects are drawn by gate id, so an
+ * optimizer change that keeps every count but keeps a different
+ * duplicate would silently move yields; this pins the wiring.
+ */
+std::uint64_t
+wiringFnv(const Netlist &nl)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (GateId g = 0; g < nl.gateCount(); ++g) {
+        mix(std::uint64_t(nl.gateKind(g)));
+        mix(nl.gateIn0(g));
+        mix(nl.gateIn1(g));
+        mix(nl.gateOut(g));
+    }
+    mix(nl.netCount());
+    return h;
+}
+
+/** Figure 7 cores, in figure7Configs() order. */
+const std::uint64_t fig7Wiring[] = {
+    0x89a384aa641cc187ull, 0xb3bbfac2ac5a24f4ull, 0x7043f832336c51efull,
+    0xa86b2df8da716f54ull, 0xa19d25cc87170ee3ull, 0x35c3d54fb855b514ull,
+    0x75a3fdeb2b9ce72cull, 0x680d5b76ba93df5cull, 0x485d3f41a6f77d1cull,
+    0x038adcc8ca8893b0ull, 0x2fc94850222e0b54ull, 0x39ecb9382f0e3f55ull,
+    0x625f34bb0d041f84ull, 0x36e278ad3b6bdaa2ull, 0x54aad16f3c96f630ull,
+    0x1b1c6d277c6aa6d5ull, 0x32f84bc3d7bbad32ull, 0x6183343972ce9fa8ull,
+    0x7872ba07c0a490a8ull, 0x1f28941e7929a0eaull, 0xeb7a3ad2d8092b89ull,
+    0x40c8921ab16727e2ull, 0x799706e24bd96efcull, 0xae1ed0c5568d4078ull,
+};
+
+TEST(Golden, Figure7Wiring)
+{
+    const std::vector<CoreConfig> configs = figure7Configs();
+    ASSERT_EQ(configs.size(), std::size(fig7Wiring));
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(wiringFnv(buildCore(configs[i])), fig7Wiring[i])
+            << configs[i].label();
+    }
+}
+
+/** Table 8 program-specific cores, in paperKernelPoints() order. */
+const std::uint64_t table8PsWiring[] = {
+    0x686e281e92e3f07aull, 0x2d126e8f3fb3d5ffull, 0x729f4286a81686cfull,
+    0xbeb21655992ebf89ull, 0xf9eaf8cc6d18d1a7ull, 0x32514d064f5c59c8ull,
+    0x35dd1a6891f2819full, 0x7bd62173c5b84604ull, 0x1c43f35d8b65fc67ull,
+    0x9aa750faca891d11ull, 0x57e5486409f5a0ddull, 0x55f68b6a6b125abdull,
+    0xf8d894928a94fd45ull, 0x69d8b898958adcd6ull, 0xbc376166623052b4ull,
+    0x270b5725e6013c2cull, 0x4fbb5c2eec7d4133ull, 0x9b30d802bf86158cull,
+    0xe3e897a76ac332bbull,
+};
+
+TEST(Golden, Table8ProgramSpecificWiring)
+{
+    const std::vector<KernelPoint> points = paperKernelPoints();
+    ASSERT_EQ(points.size(), std::size(table8PsWiring));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Workload wl = makeWorkload(
+            points[i].kind, points[i].dataWidth, points[i].dataWidth);
+        const CoreConfig cfg =
+            specializedConfig(wl.program, wl.dmemWords);
+        EXPECT_EQ(wiringFnv(buildCore(cfg)), table8PsWiring[i])
+            << wl.program.name;
     }
 }
 

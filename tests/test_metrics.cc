@@ -157,7 +157,7 @@ TEST(Trace, EnabledSpansProduceValidChromeTraceJson)
     trace::enable(); // buffer only, no output path
     trace::setThreadName("test-main");
     {
-        trace::Span outer("test.outer", "detail \"quoted\"");
+        trace::Span outer("test.outer", "detail \"quoted\"\x1f");
         trace::Span inner("test.inner");
     }
     trace::disable();
@@ -165,6 +165,9 @@ TEST(Trace, EnabledSpansProduceValidChromeTraceJson)
 
     std::ostringstream os;
     trace::write(os);
+    // Control characters are escaped as lowercase \u00XX.
+    EXPECT_NE(os.str().find(R"("detail": "detail \"quoted\"\u001f")"),
+              std::string::npos);
     const json::Value doc = json::parse(os.str());
     const json::Value *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);

@@ -397,12 +397,14 @@ TEST(MlEvolve, FrontIsCanonicalAndNonDominated)
     for (std::size_t i = 0; i < r.front.size(); ++i) {
         EXPECT_TRUE(r.front[i].feasible);
         EXPECT_GT(r.front[i].gates, 0u);
-        for (std::size_t j = 0; j < r.front.size(); ++j)
-            if (i != j)
+        for (std::size_t j = 0; j < r.front.size(); ++j) {
+            if (i != j) {
                 EXPECT_FALSE(r.front[j].accuracy >=
                                  r.front[i].accuracy &&
                              r.front[j].gates <= r.front[i].gates)
                     << "entry " << j << " dominates " << i;
+            }
+        }
     }
     // Non-dominated + gates-ascending forces accuracy-ascending.
     for (std::size_t i = 1; i < r.front.size(); ++i) {

@@ -222,7 +222,7 @@ TEST(ServiceProtocol, AdvertisedTypesWithV1Fallback)
 
     // Older workers (no "types" field, or an unparsable body)
     // degrade to the v1 baseline: everything but classify.
-    for (const std::string body :
+    for (const std::string &body :
          {std::string("{\"status\": \"ok\", \"proto\": 1}"),
           std::string("not json")}) {
         const std::vector<std::string> v1 = advertisedTypes(body);
@@ -378,7 +378,14 @@ TEST(ServiceServer, MalformedAndInvalidRequests)
     EXPECT_FALSE(bad.ok);
     EXPECT_EQ(bad.error, "bad_request");
 
-    // The connection survives both errors.
+    const Reply range = parseReply(client.call(
+        "{\"id\":\"r\",\"type\":\"synth\","
+        "\"config\":{\"width\":65}}"));
+    EXPECT_EQ(range.error, "bad_request");
+    EXPECT_EQ(range.message,
+              "request field 'width' out of range [1, 64]");
+
+    // The connection survives every error.
     EXPECT_TRUE(parseReply(client.call(
                     adminRequest("h", RequestType::Health)))
                     .ok);
