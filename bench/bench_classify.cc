@@ -16,7 +16,7 @@
  *             JSON report so CI can gate with --exact-key
  *
  * With --connect HOST:PORT the harness instead drives a live
- * printedd or printed-balancer: a monolithic classify request, a
+ * printedd: a monolithic classify request, a
  * streamed one whose assembled reply must be byte-identical to the
  * monolithic bytes, and a resume-mid-search probe (resume_from=2
  * must replay only frames 2..G, then the front, then done).
@@ -149,7 +149,7 @@ runConnected(int argc, char **argv, const std::string &connect)
               << (sr.reply.raw == reference ? "== monolithic"
                                             : "DIFFERS")
               << "\n";
-    if (!sr.streamed || seen.size() != total) {
+    if (sr.partials != total || seen.size() != total) {
         std::cout << "FAIL: expected a " << total
                   << "-frame stream\n";
         pass = false;

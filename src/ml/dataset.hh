@@ -5,7 +5,7 @@
  * The repository has no external training data (and must not fetch
  * any), so datasets are generated from a seeded SplitMix64 stream:
  * the same DatasetSpec always produces the same vectors, which is
- * what makes classify replies byte-identical across shards, thread
+ * what makes classify replies byte-identical across runs, thread
  * counts, and scoring engines.
  *
  * Two families cover the two classifier generators' sweet spots:

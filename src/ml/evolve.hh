@@ -10,7 +10,7 @@
  * the accuracy/area Pareto front of every feasible candidate seen.
  *
  * Determinism contract (the classify endpoint's replies are
- * byte-identical across shards, thread counts, and scoring
+ * byte-identical across runs, thread counts, and scoring
  * engines because of these rules):
  *
  *   1. Candidate (generation g, slot i) derives all randomness from

@@ -46,9 +46,6 @@ parseReply(const std::string &line)
             r && r->isNumber() && r->number >= 0)
             reply.retryAfterMs = r->number;
     }
-    if (const json::Value *d = root.find("degraded");
-        d && d->isBool())
-        reply.degraded = d->boolean;
     return reply;
 }
 
@@ -235,12 +232,7 @@ RetryingClient::call(const std::string &line, bool idempotent)
             } catch (const std::exception &) {
                 return raw; // not our reply shape; caller's problem
             }
-            // "unavailable" (the balancer's every-shard-down
-            // verdict) is overload-shaped: transient, safe to
-            // replay, worth backing off on.
-            if (!parsed.ok &&
-                (parsed.error == errc::queueFull ||
-                 parsed.error == errc::unavailable) &&
+            if (!parsed.ok && parsed.error == errc::queueFull &&
                 idempotent) {
                 if (overloadTries >= policy_.maxOverloadRetries)
                     fatal("request rejected queue_full " +
@@ -251,6 +243,11 @@ RetryingClient::call(const std::string &line, bool idempotent)
                 backoff(overloadTries - 1, parsed.retryAfterMs);
                 continue;
             }
+            // A draining server is a restart in progress: replay an
+            // idempotent request as if the connection were lost.
+            if (!parsed.ok && parsed.error == errc::shuttingDown &&
+                idempotent)
+                fatal("server is draining");
             return raw;
         } catch (const TimeoutError &) {
             // A late reply may still be in flight on this
@@ -322,7 +319,6 @@ RetryingClient::streamCall(
                               " points in hand");
                     out.points.push_back(frame.pointBody);
                     ++out.partials;
-                    out.streamed = true;
                     if (onPoint)
                         onPoint(frame.index, frame.total,
                                 out.points.back());
@@ -335,14 +331,13 @@ RetryingClient::streamCall(
                               std::to_string(frame.points) + " points but " +
                               std::to_string(out.points.size()) +
                               " are in hand");
-                    out.streamed = true;
                     out.reply = parseReply(
                         assembleStreamedReply(id, type, out.points));
                     return out;
                 }
 
-                // Final frame: a monolithic reply (v1 negotiation
-                // fallback) or an error.
+                // Final frame: an error (or a reply that is not a
+                // stream frame) ends the exchange.
                 Reply parsed;
                 try {
                     parsed = parseReply(raw);
@@ -350,9 +345,7 @@ RetryingClient::streamCall(
                     out.reply.raw = raw;
                     return out;
                 }
-                if (!parsed.ok &&
-                    (parsed.error == errc::queueFull ||
-                     parsed.error == errc::unavailable)) {
+                if (!parsed.ok && parsed.error == errc::queueFull) {
                     if (overloadTries >= policy_.maxOverloadRetries)
                         fatal("stream rejected " + parsed.error + " " +
                               std::to_string(overloadTries + 1) +
@@ -362,6 +355,9 @@ RetryingClient::streamCall(
                     backoff(overloadTries - 1, parsed.retryAfterMs);
                     break; // resend, resuming past held points
                 }
+                // Draining: reconnect and resume, as after a loss.
+                if (!parsed.ok && parsed.error == errc::shuttingDown)
+                    fatal("server is draining");
                 out.reply = parsed;
                 return out;
             }
@@ -397,23 +393,6 @@ RetryingClient::streamSweep(const std::string &id,
         id, RequestType::Sweep,
         [&](std::uint64_t resumeFrom) {
             return sweepStreamRequest(id, spec, resumeFrom,
-                                      deadlineMs);
-        },
-        onPoint);
-}
-
-StreamResult
-RetryingClient::streamYield(const std::string &id,
-                            const CoreConfig &config, unsigned trials,
-                            std::uint64_t seed, unsigned replicas,
-                            const PointCallback &onPoint,
-                            double deadlineMs)
-{
-    return streamCall(
-        id, RequestType::Yield,
-        [&](std::uint64_t resumeFrom) {
-            return yieldStreamRequest(id, config, trials, seed,
-                                      replicas, resumeFrom,
                                       deadlineMs);
         },
         onPoint);

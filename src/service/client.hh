@@ -20,13 +20,15 @@
  *                   function of its line, so it may be replayed
  *                   when the connection is lost (before or inside
  *                   a reply: partial frames are discarded on
- *                   reconnect) or when the server answers
- *                   queue_full with a retry_after_ms hint.
- *                   Non-idempotent requests (shutdown) are never
- *                   replayed. One successful call returns exactly
- *                   one reply: no reply is ever lost (the call
- *                   throws instead) and none duplicated (replays
- *                   replace, never append).
+ *                   reconnect), when the server answers
+ *                   shutting_down (a draining server is a restart
+ *                   in progress; replayed on the loss budget), or
+ *                   when it answers queue_full with a
+ *                   retry_after_ms hint. Non-idempotent requests
+ *                   (shutdown) are never replayed. One successful
+ *                   call returns exactly one reply: no reply is
+ *                   ever lost (the call throws instead) and none
+ *                   duplicated (replays replace, never append).
  */
 
 #ifndef PRINTED_SERVICE_CLIENT_HH
@@ -60,7 +62,6 @@ struct Reply
     std::string error;   ///< errc code when !ok
     std::string message; ///< human text when !ok
     double retryAfterMs = 0; ///< queue_full backoff hint (or 0)
-    bool degraded = false;   ///< balancer served from failover shard
     std::string raw;     ///< the exact reply line (no newline)
 };
 
@@ -141,21 +142,17 @@ struct RetryStats
 };
 
 /**
- * Outcome of a streamed call (protocol v2). When the server spoke
- * v2, `points` holds every point body in index order and `reply` is
- * the assembled monolithic equivalent — byte-identical to what a v1
- * exchange would have returned. When the server ignored "stream"
- * (v1 negotiation fallback), `streamed` is false, `points` is empty
- * and `reply` is the monolithic reply as received. Error replies
- * (deadline_exceeded, exhausted budgets surface as throws instead)
- * land in `reply` with ok == false either way.
+ * Outcome of a streamed call: `points` holds every point body in
+ * index order and `reply` is the assembled monolithic equivalent —
+ * byte-identical to the monolithic reply. An error reply
+ * (deadline_exceeded, bad_request; exhausted budgets surface as
+ * throws instead) lands in `reply` with ok == false.
  */
 struct StreamResult
 {
     Reply reply;
     std::vector<std::string> points; ///< point bodies, index order
     std::uint64_t partials = 0;      ///< partial frames consumed
-    bool streamed = false;           ///< v2 frames were received
 };
 
 /**
@@ -175,11 +172,11 @@ class RetryingClient
 
     /**
      * One request -> exactly one reply line. Transient failures
-     * (lost connection, per-call timeout, queue_full) are retried
-     * within the policy's budgets when `idempotent`; a
-     * non-idempotent call is never replayed once its bytes may have
-     * reached the server. Throws FatalError when the budgets are
-     * exhausted.
+     * (lost connection, per-call timeout, shutting_down,
+     * queue_full) are retried within the policy's budgets when
+     * `idempotent`; a non-idempotent call is never replayed once
+     * its bytes may have reached the server. Throws FatalError when
+     * the budgets are exhausted.
      */
     std::string call(const std::string &line,
                      bool idempotent = true);
@@ -190,22 +187,14 @@ class RetryingClient
 
     /**
      * Streamed sweep: partial frames invoke `onPoint` in strict
-     * index order; a lost connection or timeout mid-stream replays
-     * with "resume_from" set to the first missing index, so no
-     * point is ever duplicated or dropped. Streams are compute
-     * requests, hence idempotent, hence always replayable.
+     * index order; a lost connection, timeout or shutting_down
+     * mid-stream replays with "resume_from" set to the first
+     * missing index, so no point is ever duplicated or dropped.
+     * Streams are compute requests, hence idempotent, hence always
+     * replayable.
      */
     StreamResult streamSweep(const std::string &id,
                              const SweepSpec &spec,
-                             const PointCallback &onPoint = {},
-                             double deadlineMs = 0);
-
-    /** Streamed yield: a one-point stream (same resume rules). */
-    StreamResult streamYield(const std::string &id,
-                             const CoreConfig &config,
-                             unsigned trials,
-                             std::uint64_t seed = 1,
-                             unsigned replicas = 1,
                              const PointCallback &onPoint = {},
                              double deadlineMs = 0);
 

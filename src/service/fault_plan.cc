@@ -73,11 +73,6 @@ FaultPlan::parse(const std::string &spec)
             }
         } else if (key == "queue_full") {
             plan.queueFullRate = rateValue(key, value);
-        } else if (key == "corrupt") {
-            const double v = numberValue(key, value);
-            fatalIf(v < 0 || v > 1000,
-                    "fault plan: corrupt must be in [0, 1000]");
-            plan.corruptDiskEntries = unsigned(v);
         } else {
             fatal("fault plan: unknown key '" + key + "'");
         }
@@ -106,8 +101,6 @@ FaultPlan::describe() const
                std::to_string(unsigned(delayMs));
     if (queueFullRate > 0)
         out += ",queue_full=" + rate(queueFullRate);
-    if (corruptDiskEntries > 0)
-        out += ",corrupt=" + std::to_string(corruptDiskEntries);
     return out;
 }
 

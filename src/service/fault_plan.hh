@@ -3,7 +3,7 @@
  * Deterministic fault-injection harness for printedd.
  *
  * A FaultPlan describes a seeded schedule of server-side faults —
- * the failure modes a client of a real serving fleet must survive:
+ * the failure modes a client of printedd must survive:
  *
  *   drop        close the connection instead of sending a compute
  *               reply (the reply is lost after the work was done)
@@ -13,8 +13,6 @@
  *               client's poll-based call deadlines)
  *   queue_full  reject an admissible compute request with
  *               queue_full + retry_after_ms (forced overload)
- *   corrupt     flip a byte in N on-disk synthesis-cache entries at
- *               server start (exercises checksum + quarantine)
  *
  * Faults apply to *compute* traffic only: admin replies (metrics /
  * health / shutdown) and parse-error replies are exempt, so the
@@ -27,8 +25,7 @@
  *
  * Spec syntax (printedd --fault-plan / PRINTEDD_FAULT_PLAN):
  *
- *   seed=42,drop=0.05,truncate=0.05,delay=0.1:20,
- *   queue_full=0.1,corrupt=1
+ *   seed=42,drop=0.05,truncate=0.05,delay=0.1:20,queue_full=0.1
  *
  * where delay=RATE:MS and every RATE is a probability in [0, 1].
  */
@@ -55,13 +52,12 @@ struct FaultPlan
     double delayRate = 0;
     double delayMs = 10;
     double queueFullRate = 0;
-    unsigned corruptDiskEntries = 0;
 
     /** Does this plan inject anything at all? */
     bool enabled() const
     {
         return dropRate > 0 || truncateRate > 0 || delayRate > 0 ||
-               queueFullRate > 0 || corruptDiskEntries > 0;
+               queueFullRate > 0;
     }
 
     /**

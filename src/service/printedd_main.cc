@@ -52,11 +52,9 @@ usage()
         "  --max-queue N     admission queue capacity (default 64)\n"
         "  --cache-cap N     SynthCache entry cap, 0 = unbounded\n"
         "                    (default 256)\n"
-        "  --disk-cache DIR  persistent synthesis cache directory\n"
-        "                    (crash-safe; survives restarts)\n"
         "  --fault-plan SPEC seeded fault injection, e.g.\n"
         "                    seed=42,drop=0.05,truncate=0.05,\n"
-        "                    delay=0.1:20,queue_full=0.1,corrupt=1\n"
+        "                    delay=0.1:20,queue_full=0.1\n"
         "                    (env PRINTEDD_FAULT_PLAN as fallback)\n"
         "  --watchdog-ms N   deadline-overrun watchdog period\n"
         "                    (default 50, 0 = off)\n"
@@ -98,10 +96,6 @@ main(int argc, char **argv)
             } else if (arg == "--cache-cap") {
                 opts.cacheCapacity =
                     numberArg(argc, argv, i, "--cache-cap");
-            } else if (arg == "--disk-cache") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--disk-cache needs a value");
-                opts.diskCacheDir = argv[++i];
             } else if (arg == "--fault-plan") {
                 printed::fatalIf(i + 1 >= argc,
                                  "--fault-plan needs a value");

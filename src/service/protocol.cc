@@ -443,32 +443,6 @@ supportedTypesJson()
     return out;
 }
 
-std::vector<std::string>
-advertisedTypes(const std::string &healthBody)
-{
-    // Protocol-v1 workers predate the "types" field; they support
-    // every pre-classify request type, so absence degrades to that
-    // baseline instead of an empty (useless) capability set.
-    static const std::vector<std::string> kV1 = {
-        "synth", "yield", "sweep", "metrics", "health", "shutdown",
-    };
-    try {
-        const Value root = json::parse(healthBody);
-        if (!root.isObject())
-            return kV1;
-        const Value *types = root.find("types");
-        if (!types || !types->isArray())
-            return kV1;
-        std::vector<std::string> out;
-        for (const Value &t : types->array)
-            if (t.isString())
-                out.push_back(t.string);
-        return out;
-    } catch (const std::exception &) {
-        return kV1; // unparsable body: treat as a v1 worker
-    }
-}
-
 std::vector<CoreConfig>
 SweepSpec::configs() const
 {
@@ -587,32 +561,6 @@ parseRequest(const std::string &line)
 }
 
 std::string
-configKey(const CoreConfig &config)
-{
-    return configKeyText(config);
-}
-
-std::string
-routeKey(const Request &req)
-{
-    switch (req.type) {
-      case RequestType::Synth:
-      case RequestType::Yield:
-        // Deliberately type-blind: a synth and a yield on the same
-        // config share a shard, so one in-memory SynthCache entry
-        // serves both.
-        return "cfg|" + configKeyText(req.config);
-      case RequestType::Sweep:
-      case RequestType::Classify:
-        // The coalesce key omits stream/resume_from, so a resumed
-        // stream routes to the same shard as its first attempt.
-        return coalesceKey(req);
-      default:
-        return ""; // admin requests fan out instead of routing
-    }
-}
-
-std::string
 coalesceKey(const Request &req)
 {
     std::string key = requestTypeName(req.type);
@@ -687,19 +635,6 @@ yieldBody(const CoreConfig &config,
 }
 
 std::string
-sweepBody(const std::vector<DesignPoint> &points)
-{
-    std::string out = "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += synthBody(points[i]);
-    }
-    out += "]}";
-    return out;
-}
-
-std::string
 issPointBody(const IssSweepPoint &point)
 {
     std::string out = "{\"core\": ";
@@ -718,19 +653,6 @@ issPointBody(const IssSweepPoint &point)
     out += ", \"code_bytes\": " + std::to_string(point.codeBytes);
     out += ", \"outputs_fnv\": " + fnvHex(point.outputsFnv);
     out += "}";
-    return out;
-}
-
-std::string
-issSweepBody(const std::vector<IssSweepPoint> &points)
-{
-    std::string out = "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += issPointBody(points[i]);
-    }
-    out += "]}";
     return out;
 }
 
@@ -767,18 +689,33 @@ classifyFrontBody(const ml::ClassifyResult &result)
 std::string
 classifyBody(const ml::ClassifyResult &result)
 {
-    // Same shape as sweepBody(): the streamed points in order, so a
-    // reassembled classify stream is byte-identical to the
-    // monolithic reply. Points 0..G-1 are generation summaries; the
-    // final point is the Pareto front.
-    std::string out = "{\"points\": [";
-    for (const auto &gen : result.generations) {
-        out += classifyGenerationBody(gen);
-        out += ", ";
+    // Points 0..G-1 are generation summaries; the final point is the
+    // Pareto front.
+    std::vector<std::string> points;
+    for (const auto &gen : result.generations)
+        points.push_back(classifyGenerationBody(gen));
+    points.push_back(classifyFrontBody(result));
+    return resultBody(RequestType::Classify, points);
+}
+
+std::string
+resultBody(RequestType type, const std::vector<std::string> &points)
+{
+    if (type == RequestType::Synth || type == RequestType::Yield) {
+        fatalIf(points.size() != 1,
+                "a synth or yield reply carries exactly one point");
+        return points.front();
     }
-    out += classifyFrontBody(result);
-    out += "]}";
-    return out;
+    fatalIf(type != RequestType::Sweep && type != RequestType::Classify,
+            "only compute requests have points");
+    std::string body = "{\"points\": [";
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (i)
+            body += ", ";
+        body += points[i];
+    }
+    body += "]}";
+    return body;
 }
 
 std::string
@@ -912,34 +849,7 @@ std::string
 assembleStreamedReply(const std::string &id, RequestType type,
                       const std::vector<std::string> &points)
 {
-    if (type == RequestType::Yield) {
-        fatalIf(points.size() != 1,
-                "yield stream must carry exactly one point");
-        return okReply(id, type, points.front());
-    }
-    fatalIf(type != RequestType::Sweep &&
-                type != RequestType::Classify,
-            "only sweep, yield, and classify replies stream");
-    // Exactly sweepBody()/classifyBody(), over pre-rendered point
-    // bodies.
-    std::string body = "{\"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i)
-            body += ", ";
-        body += points[i];
-    }
-    body += "]}";
-    return okReply(id, type, body);
-}
-
-std::string
-markDegraded(const std::string &line)
-{
-    const std::size_t pos = line.find_last_of('}');
-    if (pos == std::string::npos)
-        return line;
-    return line.substr(0, pos) + ", \"degraded\": true" +
-           line.substr(pos);
+    return okReply(id, type, resultBody(type, points));
 }
 
 namespace
@@ -974,68 +884,56 @@ configBody(const CoreConfig &c)
     return out;
 }
 
-} // anonymous namespace
-
-std::string
-synthRequest(const std::string &id, const CoreConfig &config,
-             double deadlineMs)
-{
-    return requestHead(id, "synth", deadlineMs) +
-           ", \"config\": " + configBody(config) + "}";
-}
-
-std::string
-yieldRequest(const std::string &id, const CoreConfig &config,
-             unsigned trials, std::uint64_t seed, unsigned replicas,
-             double deadlineMs)
-{
-    std::string out = requestHead(id, "yield", deadlineMs);
-    out += ", \"config\": " + configBody(config);
-    out += ", \"trials\": " + std::to_string(trials);
-    out += ", \"seed\": " + std::to_string(seed);
-    out += ", \"replicas\": " + std::to_string(replicas);
-    out += "}";
-    return out;
-}
-
-std::string
-sweepRequest(const std::string &id, const SweepSpec &spec,
-             double deadlineMs)
-{
-    std::string out = requestHead(id, "sweep", deadlineMs);
-    out += ", \"stages\": " + joinAxis(spec.stages);
-    out += ", \"widths\": " + joinAxis(spec.widths);
-    out += ", \"bars\": " + joinAxis(spec.bars);
-    out += "}";
-    return out;
-}
-
-std::string
-issSweepRequest(const std::string &id, const IssSweepSpec &spec,
-                double deadlineMs)
+/** The members every rendered request sets. */
+Request
+requestOf(const std::string &id, RequestType type, double deadlineMs)
 {
     Request req;
     req.id = id;
-    req.type = RequestType::Sweep;
-    req.hasIss = true;
-    req.iss = spec;
+    req.type = type;
     req.deadlineMs = deadlineMs;
-    // Round-trip through the canonical renderer so defaults (empty
-    // core/kernel lists) are resolved the same way parseRequest
-    // resolves them.
-    if (req.iss.cores.empty())
-        req.iss.cores.assign(legacy::allLegacyCores.begin(),
-                             legacy::allLegacyCores.end());
-    if (req.iss.kernels.empty())
-        req.iss.kernels = {Kernel::Mult, Kernel::Div};
+    return req;
+}
+
+Request
+yieldOf(const std::string &id, const CoreConfig &config, unsigned trials,
+        std::uint64_t seed, unsigned replicas, double deadlineMs)
+{
+    Request req = requestOf(id, RequestType::Yield, deadlineMs);
+    req.config = config;
+    req.trials = trials;
+    req.seed = seed;
+    req.replicas = replicas;
+    return req;
+}
+
+Request
+sweepOf(const std::string &id, const SweepSpec &spec, double deadlineMs)
+{
+    Request req = requestOf(id, RequestType::Sweep, deadlineMs);
+    req.sweep = spec;
+    return req;
+}
+
+Request
+classifyOf(const std::string &id, const ml::ClassifySpec &spec,
+           double deadlineMs)
+{
+    Request req = requestOf(id, RequestType::Classify, deadlineMs);
+    req.classify = spec;
+    return req;
+}
+
+/** `req` rendered as a stream that starts at point `resumeFrom`. */
+std::string
+streamLine(Request req, std::uint64_t resumeFrom)
+{
+    req.stream = true;
+    req.resumeFrom = resumeFrom;
     return requestLine(req);
 }
 
-std::string
-adminRequest(const std::string &id, RequestType type)
-{
-    return requestHead(id, requestTypeName(type), 0) + "}";
-}
+} // anonymous namespace
 
 std::string
 requestLine(const Request &req)
@@ -1080,44 +978,48 @@ requestLine(const Request &req)
 }
 
 std::string
-classifyRequest(const std::string &id, const ml::ClassifySpec &spec,
-                double deadlineMs)
+synthRequest(const std::string &id, const CoreConfig &config,
+             double deadlineMs)
 {
-    Request req;
-    req.id = id;
-    req.type = RequestType::Classify;
-    req.classify = spec;
-    req.deadlineMs = deadlineMs;
+    Request req = requestOf(id, RequestType::Synth, deadlineMs);
+    req.config = config;
     return requestLine(req);
 }
 
 std::string
-classifyStreamRequest(const std::string &id,
-                      const ml::ClassifySpec &spec,
-                      std::uint64_t resumeFrom, double deadlineMs)
+yieldRequest(const std::string &id, const CoreConfig &config,
+             unsigned trials, std::uint64_t seed, unsigned replicas,
+             double deadlineMs)
 {
-    Request req;
-    req.id = id;
-    req.type = RequestType::Classify;
-    req.classify = spec;
-    req.deadlineMs = deadlineMs;
-    req.stream = true;
-    req.resumeFrom = resumeFrom;
-    return requestLine(req);
+    return requestLine(
+        yieldOf(id, config, trials, seed, replicas, deadlineMs));
+}
+
+std::string
+sweepRequest(const std::string &id, const SweepSpec &spec,
+             double deadlineMs)
+{
+    return requestLine(sweepOf(id, spec, deadlineMs));
+}
+
+std::string
+classifyRequest(const std::string &id, const ml::ClassifySpec &spec,
+                double deadlineMs)
+{
+    return requestLine(classifyOf(id, spec, deadlineMs));
+}
+
+std::string
+adminRequest(const std::string &id, RequestType type)
+{
+    return requestLine(requestOf(id, type, 0));
 }
 
 std::string
 sweepStreamRequest(const std::string &id, const SweepSpec &spec,
                    std::uint64_t resumeFrom, double deadlineMs)
 {
-    Request req;
-    req.id = id;
-    req.type = RequestType::Sweep;
-    req.sweep = spec;
-    req.deadlineMs = deadlineMs;
-    req.stream = true;
-    req.resumeFrom = resumeFrom;
-    return requestLine(req);
+    return streamLine(sweepOf(id, spec, deadlineMs), resumeFrom);
 }
 
 std::string
@@ -1126,17 +1028,17 @@ yieldStreamRequest(const std::string &id, const CoreConfig &config,
                    unsigned replicas, std::uint64_t resumeFrom,
                    double deadlineMs)
 {
-    Request req;
-    req.id = id;
-    req.type = RequestType::Yield;
-    req.config = config;
-    req.trials = trials;
-    req.seed = seed;
-    req.replicas = replicas;
-    req.deadlineMs = deadlineMs;
-    req.stream = true;
-    req.resumeFrom = resumeFrom;
-    return requestLine(req);
+    return streamLine(
+        yieldOf(id, config, trials, seed, replicas, deadlineMs),
+        resumeFrom);
+}
+
+std::string
+classifyStreamRequest(const std::string &id,
+                      const ml::ClassifySpec &spec,
+                      std::uint64_t resumeFrom, double deadlineMs)
+{
+    return streamLine(classifyOf(id, spec, deadlineMs), resumeFrom);
 }
 
 } // namespace printed::service

@@ -51,11 +51,9 @@
  *
  *   {"id":"r4","type":"metrics"} / {"id":"r5","type":"health"} /
  *   {"id":"r6","type":"shutdown"}
- *       Introspection and admin. Health replies carry a "types"
- *       array naming every request type the server understands, so
- *       clients and the balancer can feature-detect "classify" on a
- *       mixed-version fleet (v1 workers omit the field and are
- *       assumed to speak the v1 baseline set).
+ *       Introspection and admin. Health replies carry "proto": 2
+ *       and a "types" array naming every request type the server
+ *       understands.
  *
  * Optional request fields: "deadline_ms" (relative per-request
  * deadline; expired requests are answered with a
@@ -67,10 +65,9 @@
  * Replies: {"id":...,"ok":true,"type":...,"result":{...}} or
  * {"id":...,"ok":false,"error":CODE,"message":TEXT}.
  *
- * Protocol v2 — streaming (backward compatible). A sweep, yield, or
- * classify request may carry "stream": true; a v2 server then
- * answers with zero or more partial frames followed by one done
- * frame:
+ * Streaming. A sweep, yield, or classify request may carry
+ * "stream": true; the server then answers with zero or more partial
+ * frames followed by one done frame:
  *
  *   {"id":..,"ok":true,"type":"sweep",
  *    "partial":{"index":I,"total":N,"point":{...synth body...}}}
@@ -78,16 +75,10 @@
  *
  * Partials arrive in strict index order; concatenating the point
  * bodies of indices 0..N-1 reproduces the monolithic "result" body
- * byte-for-byte (assembleStreamedReply). "resume_from": K asks the
+ * byte-for-byte (assembleStreamedReply), because the server builds
+ * both from the same ordered points. "resume_from": K asks the
  * server to start at point index K — the replay rule after a
- * mid-stream disconnect. Negotiation is implicit: a v1 server
- * ignores the unknown "stream" field and sends the monolithic
- * reply, which clients must accept as a complete stream. Health
- * replies carry "proto": 2 so a balancer can tell which it got.
- *
- * A reply relayed by the balancer from a failover shard (primary
- * marked down) carries a trailing "degraded": true member — the
- * bytes of "result" are unchanged, only the envelope is annotated.
+ * mid-stream disconnect; a K past the last point is a bad_request.
  *
  * Determinism rule (DESIGN.md "Serving"): the reply to a compute
  * request (synth/yield/sweep) is a pure function of the request
@@ -123,8 +114,6 @@ inline constexpr const char *queueFull = "queue_full";
 inline constexpr const char *deadlineExceeded = "deadline_exceeded";
 inline constexpr const char *shuttingDown = "shutting_down";
 inline constexpr const char *internalError = "internal_error";
-/** Balancer: every shard that could serve the key is down. */
-inline constexpr const char *unavailable = "unavailable";
 } // namespace errc
 
 /** Wire protocol version advertised in health replies. */
@@ -149,14 +138,6 @@ const char *requestTypeName(RequestType type);
  * order — the "types" member of health replies.
  */
 std::string supportedTypesJson();
-
-/**
- * The request-type names a health body advertises. A body without a
- * "types" member is a v1 worker: it gets the v1 baseline set
- * (synth, yield, sweep, metrics, health, shutdown) so mixed-version
- * fleets degrade gracefully instead of mis-detecting.
- */
-std::vector<std::string> advertisedTypes(const std::string &healthBody);
 
 /** Axes of a bounded Figure-7 sub-sweep request. */
 struct SweepSpec
@@ -197,10 +178,10 @@ struct Request
     /** Relative deadline in ms; 0 = none. */
     double deadlineMs = 0;
 
-    /** v2: stream partial frames (sweep/yield/classify only). */
+    /** Stream partial frames (sweep/yield/classify only). */
     bool stream = false;
 
-    /** v2: first point index to emit (streamed resume). */
+    /** First point index to emit (streamed resume). */
     std::uint64_t resumeFrom = 0;
 };
 
@@ -220,21 +201,6 @@ Request parseRequest(const std::string &line);
  */
 std::string coalesceKey(const Request &req);
 
-/**
- * Canonical identity text of a CoreConfig: every field that keys a
- * synthesis (the SynthCache/DiskCache identity). Two configs with
- * equal keys produce byte-identical synth bodies.
- */
-std::string configKey(const CoreConfig &config);
-
-/**
- * The balancer's routing key: the canonical config key for synth
- * and yield (all work on one config lands on the shard whose
- * SynthCache holds it hot), the coalesce key for sweeps, and ""
- * for admin requests (fanned out instead of routed).
- */
-std::string routeKey(const Request &req);
-
 /** Shortest round-trip decimal rendering of a double. */
 std::string formatDouble(double v);
 
@@ -250,14 +216,8 @@ std::string synthBody(const DesignPoint &point);
 std::string yieldBody(const CoreConfig &config,
                       const FunctionalYieldReport &report);
 
-/** "result" body of a sweep reply. */
-std::string sweepBody(const std::vector<DesignPoint> &points);
-
 /** One point of an ISS sweep reply (also a stream point body). */
 std::string issPointBody(const IssSweepPoint &point);
-
-/** "result" body of an ISS sweep reply. */
-std::string issSweepBody(const std::vector<IssSweepPoint> &points);
 
 /** One generation summary of a classify reply (a stream point). */
 std::string classifyGenerationBody(const ml::GenerationReport &g);
@@ -270,10 +230,19 @@ std::string classifyFrontBody(const ml::ClassifyResult &result);
 
 /**
  * "result" body of a monolithic classify reply: the generation
- * summaries followed by the front point, wrapped sweep-style as
- * {"points": [...]} so stream reassembly shares the sweep rule.
+ * summaries followed by the front point, wrapped by resultBody().
  */
 std::string classifyBody(const ml::ClassifyResult &result);
+
+/**
+ * "result" body of a compute reply from its ordered point bodies: a
+ * synth or yield reply is its one point, a sweep or classify reply
+ * wraps its points as {"points": [...]}. The server renders every
+ * monolithic reply this way, and assembleStreamedReply() applies it
+ * to a finished stream, so the two agree byte for byte.
+ */
+std::string resultBody(RequestType type,
+                       const std::vector<std::string> &points);
 
 /** Full success reply line (no trailing newline). */
 std::string okReply(const std::string &id, RequestType type,
@@ -293,7 +262,7 @@ std::string queueFullReply(const std::string &id,
                            double retryAfterMs);
 
 // ---------------------------------------------------------------
-// Streaming frames (protocol v2).
+// Streaming frames.
 // ---------------------------------------------------------------
 
 /**
@@ -330,28 +299,20 @@ struct StreamFrame
  * Classify one reply line. Partial frames get their point body
  * extracted byte-exactly (so reassembly can't perturb rendering);
  * anything that is neither a partial nor a done frame — monolithic
- * replies from v1 servers, error replies — classifies as Final.
- * Throws json::ParseError on non-JSON input.
+ * replies, error replies — classifies as Final. Throws
+ * json::ParseError on non-JSON input.
  */
 StreamFrame classifyFrame(const std::string &line);
 
 /**
  * The monolithic reply equivalent to a completed stream: ordered
- * point bodies 0..N-1 wrapped exactly as the non-streaming server
- * path wraps them. Byte-identical to the v1 reply by construction.
- * Yield streams carry exactly one point (the full yield body).
+ * point bodies 0..N-1 wrapped by resultBody(), exactly as the
+ * server wraps a monolithic request's points. Yield streams carry
+ * exactly one point (the full yield body).
  */
 std::string assembleStreamedReply(const std::string &id,
                                   RequestType type,
                                   const std::vector<std::string> &points);
-
-/**
- * Annotate a reply line with ', "degraded": true' before the
- * closing brace: the balancer served it from a failover shard. The
- * "result" bytes are untouched; stripping the annotation restores
- * the original line.
- */
-std::string markDegraded(const std::string &line);
 
 // ---------------------------------------------------------------
 // Request building (the client side of the wire format).
@@ -373,11 +334,6 @@ std::string yieldRequest(const std::string &id,
 std::string sweepRequest(const std::string &id,
                          const SweepSpec &spec,
                          double deadlineMs = 0);
-
-/** Render a fleet ISS sweep request line. */
-std::string issSweepRequest(const std::string &id,
-                            const IssSweepSpec &spec,
-                            double deadlineMs = 0);
 
 /** Render a classify request line (canonical, all fields explicit). */
 std::string classifyRequest(const std::string &id,
@@ -413,9 +369,8 @@ std::string classifyStreamRequest(const std::string &id,
 
 /**
  * Canonical wire rendering of a parsed request: parses back to an
- * equal Request. The balancer uses it to rewrite "resume_from"
- * when re-routing a partially-delivered stream to a failover
- * shard.
+ * equal Request. The renderers above fill in a Request and render
+ * it with this.
  */
 std::string requestLine(const Request &req);
 

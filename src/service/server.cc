@@ -8,16 +8,15 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "common/json_min.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "common/rng.hh"
 #include "common/trace.hh"
 #include "dse/sweep.hh"
 #include "service/net_io.hh"
 #include "synth/cache.hh"
-#include "synth/disk_cache.hh"
 
 namespace printed::service
 {
@@ -49,6 +48,76 @@ nowNs()
         .count();
 }
 
+/** Internal: a stream's client hung up mid-plan. */
+struct ClientGone
+{
+};
+
+/**
+ * A compute request's point plan (see server.hh): its point count,
+ * whether a monolithic request runs it on the shared pool, and point
+ * i's body, evaluated on a pool (null: the calling thread alone). A
+ * classify plan has no evaluate; the search hands over its points.
+ */
+struct Plan
+{
+    std::uint64_t size = 1;
+    bool pooled = false;
+    std::function<std::string(std::uint64_t, ThreadPool *)> evaluate;
+};
+
+Plan
+planOf(const Request &req)
+{
+    switch (req.type) {
+      case RequestType::Synth:
+        return {1, false, [&req](std::uint64_t, ThreadPool *) {
+                    return synthBody(evaluateDesignPoint(req.config));
+                }};
+      case RequestType::Yield:
+        return {1, true, [&req](std::uint64_t, ThreadPool *pool) {
+                    FunctionalYieldConfig mc;
+                    mc.fault.deviceYield = req.deviceYield;
+                    mc.fault.seed = req.seed;
+                    mc.trials = req.trials;
+                    mc.replicas = req.replicas;
+                    mc.threads = 1;
+                    mc.pool = pool;
+                    const auto core = SynthCache::global().core(req.config);
+                    return yieldBody(
+                        req.config,
+                        measureFunctionalYield(*core, req.config, mc));
+                }};
+      case RequestType::Sweep:
+        if (req.hasIss) {
+            auto grid = req.iss.grid();
+            const std::uint64_t size = grid.size();
+            return {size, true,
+                    [&req, grid = std::move(grid)](std::uint64_t i,
+                                                   ThreadPool *pool) {
+                        SweepOptions opts;
+                        opts.pool = pool;
+                        const auto &[core, kernel] = grid[std::size_t(i)];
+                        return issPointBody(
+                            evaluateIssPoint(core, kernel, req.iss, opts));
+                    }};
+        } else {
+            auto configs = req.sweep.configs();
+            const std::uint64_t size = configs.size();
+            return {size, false,
+                    [configs = std::move(configs)](std::uint64_t i,
+                                                   ThreadPool *) {
+                        return synthBody(
+                            evaluateDesignPoint(configs[std::size_t(i)]));
+                    }};
+        }
+      case RequestType::Classify:
+        return {req.classify.search.generations + 1, true, nullptr};
+      default:
+        panic("planOf() on a request without points");
+    }
+}
+
 } // anonymous namespace
 
 /** One client connection: socket, reader thread, write lock. */
@@ -78,16 +147,6 @@ Server::start()
     started_ = Clock::now();
     if (opts_.cacheCapacity)
         SynthCache::global().setCapacity(opts_.cacheCapacity);
-
-    if (!opts_.diskCacheDir.empty()) {
-        installedDisk_ = std::make_shared<DiskCache>(
-            opts_.diskCacheDir, /*publishMetrics=*/true);
-        for (unsigned i = 0; i < opts_.faultPlan.corruptDiskEntries;
-             ++i)
-            installedDisk_->corruptOneEntry(
-                mixSeed(opts_.faultPlan.seed, i));
-        SynthCache::global().setDiskTier(installedDisk_);
-    }
     if (opts_.faultPlan.enabled())
         fault_ = std::make_unique<FaultInjector>(opts_.faultPlan);
 
@@ -203,14 +262,6 @@ Server::joinEverything()
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
-    }
-
-    // 4. Detach the disk tier we installed (only ours: a test may
-    //    have swapped in its own since).
-    if (installedDisk_) {
-        if (SynthCache::global().diskTier() == installedDisk_)
-            SynthCache::global().setDiskTier(nullptr);
-        installedDisk_.reset();
     }
 }
 
@@ -491,197 +542,103 @@ Server::execute(Task &task, unsigned slot)
     mySlot.startNs.store(nowNs(), std::memory_order_release);
 
     const Clock::time_point execStart = Clock::now();
-    if (task.req.stream) {
-        streamTask(task);
-    } else {
-        std::string reply;
-        try {
-            if (task.hasDeadline && Clock::now() > task.deadline)
-                throw DeadlineError();
-            reply = okReply(task.req.id, task.req.type,
-                            coalesced(task));
-            metrics::counter("service.replies_ok").add(1);
-        } catch (const DeadlineError &) {
-            metrics::counter("service.deadline_exceeded").add(1);
-            metrics::counter("service.replies_error").add(1);
-            reply = errorReply(task.req.id, errc::deadlineExceeded,
-                               "deadline of " +
-                                   formatDouble(task.req.deadlineMs) +
-                                   " ms expired");
-        } catch (const std::exception &e) {
-            metrics::counter("service.replies_error").add(1);
-            reply = errorReply(task.req.id, errc::internalError,
-                               e.what());
+    const Request &req = task.req;
+    // The line that ends the exchange: the monolithic reply, the
+    // stream's done frame, or an error. Every compute line is
+    // faultable.
+    std::string last;
+    try {
+        if (req.stream) {
+            // A stream runs on this executor thread alone, so the
+            // shared pool stays free for queued monolithic work.
+            metrics::counter("service.stream_requests").add(1);
+            const std::uint64_t total = runPoints(
+                task, [&](std::uint64_t i, std::uint64_t n, std::string body) {
+                    sendLine(task.conn,
+                             partialFrame(req.id, req.type, i, n, body),
+                             /*faultable=*/true);
+                    metrics::counter("service.stream_partials").add(1);
+                });
+            last = doneFrame(req.id, req.type, total);
+        } else {
+            last = okReply(req.id, req.type, coalesced(task));
         }
-        sendLine(task.conn, reply, /*faultable=*/true);
+        metrics::counter("service.replies_ok").add(1);
+    } catch (const ClientGone &) {
+        // Nobody is left to answer: stop computing, send nothing.
+    } catch (const DeadlineError &) {
+        metrics::counter("service.deadline_exceeded").add(1);
+        metrics::counter("service.replies_error").add(1);
+        last = errorReply(req.id, errc::deadlineExceeded,
+                          "deadline of " + formatDouble(req.deadlineMs) +
+                              " ms expired");
+    } catch (const FatalError &e) {
+        metrics::counter("service.replies_error").add(1);
+        last = errorReply(req.id, errc::badRequest, e.what());
+    } catch (const std::exception &e) {
+        metrics::counter("service.replies_error").add(1);
+        last = errorReply(req.id, errc::internalError, e.what());
     }
+    if (!last.empty())
+        sendLine(task.conn, last, /*faultable=*/true);
+
     metrics::distribution("service.exec_ms")
         .record(millisSince(execStart));
     mySlot.startNs.store(0, std::memory_order_release);
     mySlot.deadlineNs.store(0, std::memory_order_release);
 }
 
-void
-Server::streamTask(Task &task)
+std::uint64_t
+Server::runPoints(const Task &task, const PointSink &emit)
 {
-    metrics::counter("service.stream_requests").add(1);
     const Request &req = task.req;
-    try {
+    const Plan plan = planOf(req);
+    if (req.resumeFrom > plan.size)
+        fatal("resume_from " + std::to_string(req.resumeFrom) +
+              " is past the request's " + std::to_string(plan.size) +
+              " points");
+
+    // A monolithic request's pooled plan runs on the shared pool,
+    // one request at a time; anything else runs on this thread.
+    std::unique_lock<std::mutex> poolLock;
+    ThreadPool *pool = nullptr;
+    if (plan.pooled && !req.stream) {
+        poolLock = std::unique_lock(poolMutex_);
+        pool = &pool_;
+    }
+
+    // The body of the one loop, run for every point in index order
+    // before the point is evaluated.
+    const auto step = [&](std::uint64_t i, const auto &evaluate) {
         if (task.hasDeadline && Clock::now() > task.deadline)
             throw DeadlineError();
+        if (req.stream && !task.conn->open.load())
+            throw ClientGone{};
+        if (i >= req.resumeFrom)
+            emit(i, plan.size, evaluate());
+    };
 
-        if (req.type == RequestType::Sweep && req.hasIss) {
-            const auto grid = req.iss.grid();
-            const std::uint64_t total = grid.size();
-            if (req.resumeFrom > total)
-                fatal("resume_from " + std::to_string(req.resumeFrom) +
-                      " is past the sweep's " + std::to_string(total) +
-                      " points");
-            // One frame per (core, kernel) grid point, sequentially,
-            // mirroring the synth-sweep stream below. Single-thread
-            // evaluation here is still byte-identical to the pooled
-            // monolithic body: ISS results are engine- and
-            // thread-count-invariant by construction.
-            for (std::uint64_t i = req.resumeFrom; i < total; ++i) {
-                if (task.hasDeadline && Clock::now() > task.deadline)
-                    throw DeadlineError();
-                if (!task.conn->open.load())
-                    return; // client is gone: stop computing
-                const auto &[core, kernel] = grid[std::size_t(i)];
-                const std::string body = issPointBody(
-                    evaluateIssPoint(core, kernel, req.iss));
-                sendLine(task.conn,
-                         partialFrame(req.id, req.type, i, total,
-                                      body),
-                         /*faultable=*/true);
-                metrics::counter("service.stream_partials").add(1);
-            }
-            sendLine(task.conn, doneFrame(req.id, req.type, total),
-                     /*faultable=*/true);
-        } else if (req.type == RequestType::Sweep) {
-            const std::vector<CoreConfig> configs =
-                req.sweep.configs();
-            const std::uint64_t total = configs.size();
-            if (req.resumeFrom > total)
-                fatal("resume_from " + std::to_string(req.resumeFrom) +
-                      " is past the sweep's " + std::to_string(total) +
-                      " points");
-            // Points are evaluated sequentially so the first frame
-            // reaches the client while the rest still compute. Each
-            // body is byte-identical to its entry in the monolithic
-            // sweepBody() (evaluation is deterministic), which is
-            // what makes stream reassembly byte-exact. Streams skip
-            // request-level coalescing — each point still dedupes
-            // through the SynthCache.
-            for (std::uint64_t i = req.resumeFrom; i < total; ++i) {
-                if (task.hasDeadline && Clock::now() > task.deadline)
-                    throw DeadlineError();
-                if (!task.conn->open.load())
-                    return; // client is gone: stop computing
-                const std::string body = synthBody(
-                    evaluateDesignPoint(configs[std::size_t(i)]));
-                sendLine(task.conn,
-                         partialFrame(req.id, req.type, i, total,
-                                      body),
-                         /*faultable=*/true);
-                metrics::counter("service.stream_partials").add(1);
-            }
-            sendLine(task.conn, doneFrame(req.id, req.type, total),
-                     /*faultable=*/true);
-        } else if (req.type == RequestType::Classify) {
-            // Classify: points 0..G-1 are per-generation summaries,
-            // point G is the Pareto front. Search results are
-            // thread-count- and engine-invariant by construction, so
-            // a single-thread pool here emits frames byte-identical
-            // to the pooled monolithic classifyBody() while the
-            // shared pool stays free for queued compute. Streams
-            // skip request-level coalescing — repeated specs still
-            // dedupe through the classify result cache.
-            const std::uint64_t total =
-                req.classify.search.generations + 1;
-            if (req.resumeFrom > total)
-                fatal("resume_from " + std::to_string(req.resumeFrom) +
-                      " is past the classify's " + std::to_string(total) +
-                      " points");
-            struct ClientGone {};
-            ThreadPool local(1);
-            try {
-                const auto result = ml::runClassifyCached(
-                    req.classify, local,
-                    [&](const ml::GenerationReport &gen) {
-                        if (task.hasDeadline &&
-                            Clock::now() > task.deadline)
-                            throw DeadlineError();
-                        if (!task.conn->open.load())
-                            throw ClientGone{};
-                        if (gen.generation < req.resumeFrom)
-                            return;
-                        sendLine(task.conn,
-                                 partialFrame(
-                                     req.id, req.type,
-                                     gen.generation, total,
-                                     classifyGenerationBody(gen)),
-                                 /*faultable=*/true);
-                        metrics::counter("service.stream_partials")
-                            .add(1);
-                    });
-                if (task.hasDeadline && Clock::now() > task.deadline)
-                    throw DeadlineError();
-                if (!task.conn->open.load())
-                    return; // client is gone: stop computing
-                if (total - 1 >= req.resumeFrom) {
-                    sendLine(task.conn,
-                             partialFrame(req.id, req.type,
-                                          total - 1, total,
-                                          classifyFrontBody(*result)),
-                             /*faultable=*/true);
-                    metrics::counter("service.stream_partials")
-                        .add(1);
-                }
-                sendLine(task.conn,
-                         doneFrame(req.id, req.type, total),
-                         /*faultable=*/true);
-            } catch (const ClientGone &) {
-                return; // client is gone: stop computing
-            }
-        } else {
-            // Yield: a one-point stream carrying the full body, so
-            // the client's resume rule is uniform across streamed
-            // types. resume_from 1 means the client already holds
-            // the point — answer done without recomputing.
-            fatalIf(req.resumeFrom > 1,
-                    "resume_from is past the yield's single point");
-            if (req.resumeFrom == 0) {
-                const std::string body = coalesced(task);
-                sendLine(task.conn,
-                         partialFrame(req.id, req.type, 0, 1, body),
-                         /*faultable=*/true);
-                metrics::counter("service.stream_partials").add(1);
-            }
-            sendLine(task.conn, doneFrame(req.id, req.type, 1),
-                     /*faultable=*/true);
-        }
-        metrics::counter("service.replies_ok").add(1);
-    } catch (const DeadlineError &) {
-        metrics::counter("service.deadline_exceeded").add(1);
-        metrics::counter("service.replies_error").add(1);
-        sendLine(task.conn,
-                 errorReply(req.id, errc::deadlineExceeded,
-                            "deadline of " +
-                                formatDouble(req.deadlineMs) +
-                                " ms expired"),
-                 /*faultable=*/true);
-    } catch (const FatalError &e) {
-        metrics::counter("service.replies_error").add(1);
-        sendLine(task.conn,
-                 errorReply(req.id, errc::badRequest, e.what()),
-                 /*faultable=*/true);
-    } catch (const std::exception &e) {
-        metrics::counter("service.replies_error").add(1);
-        sendLine(task.conn,
-                 errorReply(req.id, errc::internalError, e.what()),
-                 /*faultable=*/true);
+    if (req.type == RequestType::Classify) {
+        // The search hands over each generation as it completes, so
+        // its points are stepped from the search's callback: the
+        // generations before resume_from are recomputed (or replayed
+        // from the classify cache) but not emitted. The Pareto front
+        // is the last point.
+        std::optional<ThreadPool> inlinePool;
+        if (!pool)
+            pool = &inlinePool.emplace(1);
+        const auto result = ml::runClassifyCached(
+            req.classify, *pool, [&](const ml::GenerationReport &gen) {
+                step(gen.generation,
+                     [&] { return classifyGenerationBody(gen); });
+            });
+        step(plan.size - 1, [&] { return classifyFrontBody(*result); });
+        return plan.size;
     }
+
+    for (std::uint64_t i = req.resumeFrom; i < plan.size; ++i)
+        step(i, [&] { return plan.evaluate(i, pool); });
+    return plan.size;
 }
 
 std::string
@@ -689,6 +646,11 @@ Server::coalesced(const Task &task)
 {
     const std::string key = coalesceKey(task.req);
     for (;;) {
+        // A request that expired in the queue, or while it waited on
+        // a leader that missed its own deadline, is answered now
+        // rather than after another request's computation.
+        if (task.hasDeadline && Clock::now() > task.deadline)
+            throw DeadlineError();
         std::shared_future<std::string> future;
         std::uint64_t id = 0;
         bool leader = false;
@@ -710,7 +672,7 @@ Server::coalesced(const Task &task)
         if (leader) {
             std::string body;
             try {
-                body = computeBody(task);
+                body = monolithicBody(task);
             } catch (...) {
                 // Same semantics as the SynthCache: store the
                 // exception first, then drop the entry (only if it
@@ -735,98 +697,19 @@ Server::coalesced(const Task &task)
             return future.get();
         } catch (const DeadlineError &) {
             // The *leader's* deadline expired, not necessarily
-            // ours. Retry as leader if we still have room.
-            if (task.hasDeadline && Clock::now() > task.deadline)
-                throw;
+            // ours: go round again, as leader if ours has room.
         }
     }
 }
 
 std::string
-Server::computeBody(const Task &task)
+Server::monolithicBody(const Task &task)
 {
-    const Request &req = task.req;
-    switch (req.type) {
-      case RequestType::Synth:
-        return synthBody(evaluateDesignPoint(req.config));
-
-      case RequestType::Yield: {
-        FunctionalYieldConfig mc;
-        mc.fault.deviceYield = req.deviceYield;
-        mc.fault.seed = req.seed;
-        mc.trials = req.trials;
-        mc.replicas = req.replicas;
-        mc.pool = &pool_;
-        auto core = SynthCache::global().core(req.config);
-        std::lock_guard lk(poolMutex_);
-        return yieldBody(
-            req.config,
-            measureFunctionalYield(*core, req.config, mc));
-      }
-
-      case RequestType::Sweep: {
-        if (req.hasIss) {
-            const auto grid = req.iss.grid();
-            if (task.hasDeadline) {
-                // Sequential, deadline-checked between points, same
-                // rule as the synth sweep below. ISS results are
-                // engine- and thread-count-invariant, so the reply
-                // bytes don't depend on which path ran.
-                std::vector<IssSweepPoint> points;
-                points.reserve(grid.size());
-                for (const auto &[core, kernel] : grid) {
-                    if (Clock::now() > task.deadline)
-                        throw DeadlineError();
-                    points.push_back(
-                        evaluateIssPoint(core, kernel, req.iss));
-                }
-                return issSweepBody(points);
-            }
-            SweepOptions opts;
-            opts.pool = &pool_;
-            std::lock_guard lk(poolMutex_);
-            return issSweepBody(sweepLegacyIss(req.iss, opts));
-        }
-        const std::vector<CoreConfig> configs =
-            req.sweep.configs();
-        if (task.hasDeadline) {
-            // Sequential, deadline-checked between points. Point
-            // results are identical to the pool path (evaluation
-            // is deterministic), so the reply bytes don't depend
-            // on which path ran.
-            std::vector<DesignPoint> points;
-            points.reserve(configs.size());
-            for (const CoreConfig &config : configs) {
-                if (Clock::now() > task.deadline)
-                    throw DeadlineError();
-                points.push_back(evaluateDesignPoint(config));
-            }
-            return sweepBody(points);
-        }
-        SweepOptions opts;
-        opts.pool = &pool_;
-        std::lock_guard lk(poolMutex_);
-        return sweepBody(sweepConfigs(configs, opts));
-      }
-
-      case RequestType::Classify: {
-        // Deadline is checked between generations through the
-        // progress callback; search results are thread-invariant,
-        // so the reply bytes don't depend on pool width.
-        ml::GenerationCallback cb;
-        if (task.hasDeadline)
-            cb = [&](const ml::GenerationReport &) {
-                if (Clock::now() > task.deadline)
-                    throw DeadlineError();
-            };
-        std::lock_guard lk(poolMutex_);
-        return classifyBody(
-            *ml::runClassifyCached(req.classify, pool_, cb));
-      }
-
-      default:
-        panic("computeBody() on a non-compute request");
-    }
+    std::vector<std::string> points;
+    runPoints(task, [&](std::uint64_t, std::uint64_t, std::string body) {
+        points.push_back(std::move(body));
+    });
+    return resultBody(task.req.type, points);
 }
 
 std::string

@@ -9,24 +9,43 @@
  *                 -> bounded request queue (admission control)
  *                 -> executor threads  -> shared compute ThreadPool
  *
- * Admission: compute requests (synth/yield/sweep) enter a bounded
- * FIFO queue; when it is full the request is answered immediately
- * with a "queue_full" error instead of being buffered without
- * limit. Introspection (metrics/health) and admin (shutdown) are
- * answered inline by the reader thread and never queue.
+ * Point plans: every compute request is an ordered list of points —
+ * a synth or a yield is one point, a sweep its configs, an ISS sweep
+ * its (core, kernel) grid, a classify its generation summaries and
+ * then the Pareto front. One loop (runPoints) evaluates them in
+ * index order from resume_from, with one deadline check per point
+ * and, for a stream, one client-gone check. A stream sends each
+ * point as a partial frame and then a done frame; a monolithic
+ * request collects the points and wraps them with resultBody(), the
+ * rule assembleStreamedReply() applies to a finished stream, so the
+ * two are byte-identical by construction. Monolithic yields, ISS
+ * sweeps and classify searches run on the shared pool, one request
+ * at a time; synth points never touch the pool, and a stream runs on
+ * its executor thread alone (a classify through a one-thread pool).
+ *
+ * Admission: compute requests enter a bounded FIFO queue; when it is
+ * full the request is answered immediately with a "queue_full" error
+ * instead of being buffered without limit. Introspection
+ * (metrics/health) and admin (shutdown) are answered inline by the
+ * reader thread and never queue.
  *
  * Deadlines: a request's optional "deadline_ms" is relative to
- * admission. It is checked when an executor dequeues the request
- * and between sweep points, so a deadline shorter than the queue
- * wait or a sweep's remaining work yields a "deadline_exceeded"
- * error without burning further compute.
+ * admission and checked before each point (and before a monolithic
+ * request joins an identical in-flight one), so a deadline shorter
+ * than the queue wait or a plan's remaining work yields a
+ * "deadline_exceeded" error without burning further compute.
  *
- * Coalescing: identical in-flight compute requests (equal
+ * Errors: a FatalError while running a plan (an invalid spec, a
+ * resume_from past the last point) answers "bad_request"; any other
+ * exception answers "internal_error".
+ *
+ * Coalescing: identical in-flight monolithic requests (equal
  * coalesceKey) share one execution via a promise/shared_future map
  * — the same idiom as the SynthCache, and the same failure
  * semantics (exception stored before the entry is dropped). A
+ * request whose own deadline has expired never joins a leader; a
  * follower woken by a *leader's* deadline abort retries as leader
- * if its own deadline still has room.
+ * if its own deadline still has room. Streams are not coalesced.
  *
  * Drain: shutdown (the request type, Server::~Server, or a signal
  * via beginShutdown()) stops admission — new compute requests get
@@ -49,13 +68,8 @@
  *
  * Fault injection: an optional seeded FaultPlan (fault_plan.hh)
  * makes the server misbehave on purpose — drop/truncate/delay
- * compute replies, force queue_full, corrupt disk-cache entries at
- * start — for chaos tests of the client retry path.
- *
- * Persistence: with ServerOptions::diskCacheDir set, start()
- * installs a crash-safe on-disk tier (synth/disk_cache.hh) under
- * the process-wide SynthCache, so synthesis results survive
- * restarts (including kill -9).
+ * compute replies, force queue_full — for chaos tests of the client
+ * retry path.
  *
  * Determinism: compute replies are byte-identical functions of the
  * request line (protocol.hh); the executor/coalescing machinery
@@ -72,6 +86,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -83,11 +98,6 @@
 #include "common/parallel.hh"
 #include "service/fault_plan.hh"
 #include "service/protocol.hh"
-
-namespace printed
-{
-class DiskCache;
-}
 
 namespace printed::service
 {
@@ -105,8 +115,8 @@ struct ServerOptions
     unsigned executors = 2;
 
     /**
-     * Threads of the shared compute pool (yield trials, sweep
-     * points); 0 = hardware concurrency.
+     * Threads of the shared compute pool (yield trials, ISS
+     * machines, classify candidates); 0 = hardware concurrency.
      */
     unsigned poolThreads = 0;
 
@@ -121,13 +131,6 @@ struct ServerOptions
      * the cache unbounded (the bench/test default).
      */
     std::size_t cacheCapacity = 0;
-
-    /**
-     * Directory of the persistent synthesis cache; empty = no disk
-     * tier. start() installs it under SynthCache::global(),
-     * joinEverything() uninstalls it.
-     */
-    std::string diskCacheDir;
 
     /** Injected-fault schedule; disabled by default. */
     FaultPlan faultPlan;
@@ -200,25 +203,32 @@ class Server
      * retryAfterMsOut carries the depth-scaled backoff hint.
      */
     Admit admit(Task task, double &retryAfterMsOut);
+    /** Run one compute request and send its answer. */
     void execute(Task &task, unsigned slot);
 
-    /**
-     * Serve a "stream": true request (protocol v2): partial frames
-     * in point order starting at resume_from, then a done frame.
-     * Sends its own frames; every frame is faultable like a
-     * monolithic compute reply.
-     */
-    void streamTask(Task &task);
+    /** Receives one evaluated point: (index, total, body). */
+    using PointSink = std::function<void(std::uint64_t, std::uint64_t,
+                                         std::string)>;
 
     /**
-     * Result body of a compute request, deduped against identical
-     * in-flight requests. Throws DeadlineError (internal) when the
-     * deadline expires mid-execution.
+     * The one loop (see file comment): evaluate the task's points
+     * from resume_from in index order and hand each to `emit`; a
+     * monolithic yield, ISS sweep or classify holds the shared pool
+     * meanwhile. Returns the plan's point count. Throws
+     * DeadlineError (internal) when the deadline expires, ClientGone
+     * (internal) when a stream's client hangs up, and FatalError
+     * when resume_from is past the plan.
+     */
+    std::uint64_t runPoints(const Task &task, const PointSink &emit);
+
+    /**
+     * Result body of a monolithic request, deduped against
+     * identical in-flight requests.
      */
     std::string coalesced(const Task &task);
 
-    /** Compute the result body of a task (no coalescing). */
-    std::string computeBody(const Task &task);
+    /** All of a monolithic request's points, wrapped (no coalescing). */
+    std::string monolithicBody(const Task &task);
 
     std::string metricsBody() const;
     std::string healthBody();
@@ -259,7 +269,6 @@ class Server
     bool watchdogStop_ = false;
 
     std::unique_ptr<FaultInjector> fault_;
-    std::shared_ptr<DiskCache> installedDisk_;
 
     std::mutex connMutex_;
     std::vector<std::shared_ptr<Connection>> conns_;

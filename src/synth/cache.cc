@@ -6,7 +6,6 @@
 #include "common/rng.hh"
 #include "common/trace.hh"
 #include "core/generator.hh"
-#include "synth/disk_cache.hh"
 
 namespace printed
 {
@@ -121,10 +120,8 @@ SynthCache::core(const CoreConfig &config)
     std::shared_future<std::shared_ptr<const Netlist>> future;
     bool builder = false;
     std::uint64_t entryId = 0;
-    std::shared_ptr<DiskCache> disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        disk = disk_;
         auto it = cores_.find(key);
         if (it == cores_.end()) {
             builder = true;
@@ -143,20 +140,8 @@ SynthCache::core(const CoreConfig &config)
     if (builder) {
         trace::Span span("cache.build_core", config.label());
         try {
-            // Read-through: a valid disk entry replaces synthesis;
-            // anything wrong with it (corrupt, stale version, hash
-            // collision) already degraded to nullptr inside the
-            // DiskCache, so the rebuild below re-persists it.
-            std::shared_ptr<const Netlist> built;
-            if (disk)
-                built = disk->loadNetlist(key);
-            const bool fromDisk = built != nullptr;
-            if (!built)
-                built = std::make_shared<const Netlist>(
-                    buildCore(config));
-            promise.set_value(built);
-            if (disk && !fromDisk)
-                disk->storeNetlist(key, *built);
+            promise.set_value(
+                std::make_shared<const Netlist>(buildCore(config)));
             // The entry was exempt from eviction while in flight;
             // now that it settled, stamp it fresh and re-enforce
             // the cap (inserts that raced with the build skipped
@@ -207,10 +192,8 @@ SynthCache::characterization(const CoreConfig &config, TechKind tech,
     std::shared_future<std::shared_ptr<const Characterization>> future;
     bool builder = false;
     std::uint64_t entryId = 0;
-    std::shared_ptr<DiskCache> disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        disk = disk_;
         auto it = chars_.find(key);
         if (it == chars_.end()) {
             builder = true;
@@ -229,24 +212,9 @@ SynthCache::characterization(const CoreConfig &config, TechKind tech,
     if (builder) {
         trace::Span span("cache.characterize", config.label());
         try {
-            // Read-through, as in core(). A disk hit here skips
-            // both the characterization *and* the netlist
-            // elaboration it would have needed.
-            std::shared_ptr<const Characterization> built;
-            if (disk)
-                built = disk->loadCharacterization(key.config, tech,
-                                                   activity);
-            const bool fromDisk = built != nullptr;
-            if (!built) {
-                const std::shared_ptr<const Netlist> nl =
-                    core(config);
-                built = std::make_shared<const Characterization>(
-                    characterize(*nl, libraryFor(tech), activity));
-            }
-            promise.set_value(built);
-            if (disk && !fromDisk)
-                disk->storeCharacterization(key.config, tech,
-                                            activity, *built);
+            const std::shared_ptr<const Netlist> nl = core(config);
+            promise.set_value(std::make_shared<const Characterization>(
+                characterize(*nl, libraryFor(tech), activity)));
             // Same post-settle refresh + cap re-enforcement as
             // core().
             std::lock_guard<std::mutex> lock(mutex_);
@@ -312,20 +280,6 @@ SynthCache::capacity() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return capacity_;
-}
-
-void
-SynthCache::setDiskTier(std::shared_ptr<DiskCache> disk)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    disk_ = std::move(disk);
-}
-
-std::shared_ptr<DiskCache>
-SynthCache::diskTier() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return disk_;
 }
 
 SynthCache &

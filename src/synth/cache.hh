@@ -68,8 +68,6 @@
 namespace printed
 {
 
-class DiskCache;
-
 /**
  * Canonical identity of a CoreConfig for caching: every field
  * buildCore() consumes, nothing else (the label is derived, not
@@ -155,20 +153,6 @@ class SynthCache
     /** Current per-map entry cap (0 = unbounded). */
     std::size_t capacity() const;
 
-    /**
-     * Attach (or with nullptr, detach) a persistent disk tier
-     * (synth/disk_cache.hh). With a tier attached the cache is
-     * read-through/write-through: a memory miss consults the disk
-     * before synthesizing, and freshly built results are persisted
-     * crash-safely, so a restarted process starts warm. Failure
-     * isolation: disk errors and corrupt entries degrade to plain
-     * misses and never fail a lookup.
-     */
-    void setDiskTier(std::shared_ptr<DiskCache> disk);
-
-    /** The attached disk tier, or nullptr. */
-    std::shared_ptr<DiskCache> diskTier() const;
-
     /** The process-wide cache used by sweeps and benches. */
     static SynthCache &global();
 
@@ -201,7 +185,6 @@ class SynthCache
     void enforceCap(Map &map, metrics::Counter &evictions);
 
     mutable std::mutex mutex_;
-    std::shared_ptr<DiskCache> disk_; ///< persistent tier (optional)
     std::map<CoreConfigKey, Entry<Netlist>> cores_;
     std::map<CharKey, Entry<Characterization>> chars_;
     std::size_t capacity_ = 0; ///< per-map entry cap; 0 = unbounded

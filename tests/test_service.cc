@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -33,6 +34,21 @@ CoreConfig
 smallConfig()
 {
     return CoreConfig::standard(1, 4, 2);
+}
+
+/**
+ * An ISS sweep request line: 3 cores x 3 kernels = 9 grid points,
+ * 100 machines each. `extra` is spliced in before the closing brace
+ * (", \"stream\": true", ...).
+ */
+std::string
+issSweepLine(const std::string &id, const std::string &extra = "")
+{
+    return "{\"id\": \"" + id +
+           "\", \"type\": \"sweep\", \"iss\": {\"cores\": "
+           "[\"msp430\", \"zpu\", \"z80\"], \"kernels\": [\"mult\", "
+           "\"div\", \"crc8\"], \"machines\": 100, \"seed\": 3}" +
+           extra + "}";
 }
 
 /** A classify spec small enough for sub-second end-to-end tests. */
@@ -166,8 +182,7 @@ TEST(ServiceProtocol, ClassifyRequestRoundTrip)
     EXPECT_DOUBLE_EQ(req.deadlineMs, 250);
 
     // requestLine() is the canonical renderer: parse -> render is
-    // identity on rendered lines (the balancer's resume rewrite
-    // depends on this).
+    // identity on rendered lines.
     EXPECT_EQ(requestLine(req), line);
 
     // Defaults resolve exactly like an empty request body.
@@ -193,9 +208,6 @@ TEST(ServiceProtocol, ClassifyCoalesceAndRouteKeys)
     const Request a = parseRequest(classifyRequest("a", spec, 0));
     const Request b = parseRequest(classifyRequest("b", spec, 500));
     EXPECT_EQ(coalesceKey(a), coalesceKey(b));
-    // Streams route where the monolithic request routes, so a
-    // resumed stream finds the shard that holds the cached search.
-    EXPECT_EQ(routeKey(a), coalesceKey(a));
 
     ml::ClassifySpec other = spec;
     other.search.seed += 1;
@@ -208,29 +220,69 @@ TEST(ServiceProtocol, ClassifyCoalesceAndRouteKeys)
     EXPECT_NE(coalesceKey(a), coalesceKey(d));
 }
 
-TEST(ServiceProtocol, AdvertisedTypesWithV1Fallback)
+TEST(ServiceProtocol, IssSweepRequestRoundTrip)
 {
-    // A v2 worker advertises its types in the health body.
-    const std::string v2 = "{\"status\": \"ok\", \"proto\": 2, "
-                           "\"types\": " +
-                           supportedTypesJson() + "}";
-    const std::vector<std::string> types = advertisedTypes(v2);
-    EXPECT_NE(std::find(types.begin(), types.end(), "classify"),
-              types.end());
-    EXPECT_NE(std::find(types.begin(), types.end(), "sweep"),
-              types.end());
+    const Request req = parseRequest(issSweepLine("i"));
+    EXPECT_EQ(req.type, RequestType::Sweep);
+    ASSERT_TRUE(req.hasIss);
+    EXPECT_EQ(req.iss.cores,
+              (std::vector<legacy::LegacyCore>{
+                  legacy::LegacyCore::OpenMsp430,
+                  legacy::LegacyCore::ZpuSmall,
+                  legacy::LegacyCore::Z80}));
+    EXPECT_EQ(req.iss.kernels,
+              (std::vector<Kernel>{Kernel::Mult, Kernel::Div,
+                                   Kernel::Crc8}));
+    EXPECT_EQ(req.iss.grid().size(), 9u);
+    EXPECT_EQ(req.iss.machines, 100u);
+    EXPECT_EQ(req.iss.seed, 3u);
 
-    // Older workers (no "types" field, or an unparsable body)
-    // degrade to the v1 baseline: everything but classify.
-    for (const std::string &body :
-         {std::string("{\"status\": \"ok\", \"proto\": 1}"),
-          std::string("not json")}) {
-        const std::vector<std::string> v1 = advertisedTypes(body);
-        EXPECT_EQ(std::find(v1.begin(), v1.end(), "classify"),
-                  v1.end());
-        EXPECT_NE(std::find(v1.begin(), v1.end(), "sweep"),
-                  v1.end());
-    }
+    // Defaults are resolved at parse time: the canonical line names
+    // the width, the step budget and the engine.
+    EXPECT_EQ(req.iss.width, 8u);
+    EXPECT_EQ(req.iss.maxSteps, 50'000'000u);
+    EXPECT_EQ(req.iss.engine, legacy::IssEngine::Batch);
+    const std::string line = requestLine(req);
+    EXPECT_NE(line.find("\"engine\": \"batch\""), std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"width\": 8"), std::string::npos) << line;
+
+    // parse -> requestLine -> parse is identity.
+    const Request again = parseRequest(line);
+    EXPECT_EQ(requestLine(again), line);
+    EXPECT_EQ(coalesceKey(again), coalesceKey(req));
+
+    // An empty "iss" object is the four-core {mult, div} grid.
+    const Request bare = parseRequest(
+        "{\"id\": \"b\", \"type\": \"sweep\", \"iss\": {}}");
+    ASSERT_TRUE(bare.hasIss);
+    EXPECT_EQ(bare.iss.cores.size(), 4u);
+    EXPECT_EQ(bare.iss.kernels,
+              (std::vector<Kernel>{Kernel::Mult, Kernel::Div}));
+    EXPECT_EQ(requestLine(parseRequest(requestLine(bare))),
+              requestLine(bare));
+}
+
+TEST(ServiceProtocol, IssSweepRejectsInvalidSpecs)
+{
+    const auto iss = [](const std::string &body) {
+        return "{\"id\": \"x\", \"type\": \"sweep\", \"iss\": " +
+               body + "}";
+    };
+    EXPECT_THROW(parseRequest(iss("{\"cores\": [\"pdp11\"]}")),
+                 FatalError);
+    EXPECT_THROW(parseRequest(iss("{\"kernels\": [\"fft\"]}")),
+                 FatalError);
+    EXPECT_THROW(parseRequest(iss(
+                     "{\"kernels\": [\"crc8\"], \"width\": 16}")),
+                 FatalError);
+    EXPECT_THROW(parseRequest(
+                     "{\"id\": \"x\", \"type\": \"sweep\", "
+                     "\"widths\": [8], \"iss\": {}}"),
+                 FatalError);
+    // The same crc8 grid is fine at width 8.
+    EXPECT_NO_THROW(parseRequest(
+        iss("{\"kernels\": [\"crc8\"], \"width\": 8}")));
 }
 
 TEST(ServiceProtocol, FormatDoubleRoundTrips)
@@ -342,6 +394,46 @@ TEST(ServiceServer, ClassifyOverTcp)
     EXPECT_GT(metrics::counter("ml.cache_hits").value(), hits);
 }
 
+TEST(ServiceServer, IssSweepMonolithicDeadlineAndStreamAgree)
+{
+    Server server;
+    server.start();
+    Client client("127.0.0.1", server.port());
+
+    const std::string monolithic = client.call(issSweepLine("i"));
+    const Reply reply = parseReply(monolithic);
+    ASSERT_TRUE(reply.ok) << monolithic;
+    const json::Value root = json::parse(monolithic);
+    const json::Value *points = root.find("result")->find("points");
+    ASSERT_NE(points, nullptr);
+    ASSERT_EQ(points->array.size(), 9u);
+    EXPECT_EQ(points->array[0].find("core")->string, "msp430");
+    EXPECT_EQ(points->array[8].find("kernel")->string, "crc8");
+    EXPECT_EQ(points->array[4].find("machines")->number, 100);
+
+    // A request with a deadline runs the same points.
+    EXPECT_EQ(client.call(issSweepLine("i", ", \"deadline_ms\": 600000")),
+              monolithic);
+
+    // So does a stream, reassembled.
+    client.send(issSweepLine("i", ", \"stream\": true"));
+    std::vector<std::string> bodies;
+    for (;;) {
+        const StreamFrame frame = classifyFrame(client.readLine());
+        if (frame.kind == StreamFrame::Kind::Partial) {
+            EXPECT_EQ(frame.index, bodies.size());
+            EXPECT_EQ(frame.total, 9u);
+            bodies.push_back(frame.pointBody);
+            continue;
+        }
+        ASSERT_EQ(frame.kind, StreamFrame::Kind::Done);
+        EXPECT_EQ(frame.points, 9u);
+        break;
+    }
+    EXPECT_EQ(assembleStreamedReply("i", RequestType::Sweep, bodies),
+              monolithic);
+}
+
 TEST(ServiceServer, HealthAdvertisesClassify)
 {
     Server server;
@@ -403,6 +495,39 @@ TEST(ServiceServer, DeadlineExceededAtAdmission)
         "d1", CoreConfig::standard(3, 32, 4), 1e-4)));
     EXPECT_FALSE(reply.ok);
     EXPECT_EQ(reply.error, "deadline_exceeded");
+}
+
+TEST(ServiceServer, ExpiredRequestDoesNotJoinAnInflightLeader)
+{
+    ServerOptions opts;
+    opts.executors = 2;
+    Server server(opts);
+    server.start();
+
+    // A slow leader, a yield no other test computes. It is in flight
+    // once an executor has dequeued it.
+    const auto yield = [](const std::string &id, double deadlineMs) {
+        return yieldRequest(id, smallConfig(), 10000, 4242, 1,
+                            deadlineMs);
+    };
+    metrics::Distribution &dequeued =
+        metrics::distribution("service.queue_wait_ms");
+    const std::uint64_t before = dequeued.summary().count;
+    Client leader("127.0.0.1", server.port());
+    leader.send(yield("lead", 0));
+    while (dequeued.summary().count == before)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    // The identical request, expired by dequeue time, is answered
+    // deadline_exceeded at once instead of waiting for the leader.
+    metrics::Counter &hits = metrics::counter("service.coalesce_hits");
+    const std::uint64_t hitsBefore = hits.value();
+    Client late("127.0.0.1", server.port());
+    const Reply reply = parseReply(late.call(yield("late", 1e-4)));
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(reply.error, errc::deadlineExceeded);
+    EXPECT_EQ(hits.value(), hitsBefore);
+    EXPECT_TRUE(parseReply(leader.readLine(60000)).ok);
 }
 
 TEST(ServiceServer, QueueFullRejection)
@@ -770,6 +895,88 @@ TEST(ServiceClient, RetryingClientReconnectsAcrossServerRestart)
     EXPECT_EQ(after, before); // determinism across restarts too
     EXPECT_GE(client.stats().reconnects, 2u);
     EXPECT_GE(client.stats().lossReplays, 1u);
+}
+
+TEST(ServiceClient, RetryingClientReplaysPastADrainingServer)
+{
+    auto a = std::make_unique<Server>();
+    a->start();
+    const std::uint16_t port = a->port();
+
+    const std::string req = synthRequest("d", smallConfig());
+    SweepSpec spec;
+    spec.stages = {1};
+    spec.widths = {4, 8};
+    spec.bars = {2};
+    Client raw("127.0.0.1", port);
+    const std::string expected = raw.call(req);
+    ASSERT_TRUE(parseReply(expected).ok) << expected;
+    const std::string expectedSweep = raw.call(sweepRequest("w", spec));
+    ASSERT_TRUE(parseReply(expectedSweep).ok) << expectedSweep;
+
+    RetryPolicy policy;
+    policy.baseBackoffMs = 1;
+    policy.maxBackoffMs = 10;
+    policy.maxLossRetries = 400; // the restart takes a few attempts
+    RetryingClient client("127.0.0.1", port, policy);
+    RetryingClient streamer("127.0.0.1", port, policy);
+    // Connect before the drain: a draining server accepts no new
+    // connections.
+    const std::string health = adminRequest("h", RequestType::Health);
+    ASSERT_TRUE(client.callParsed(health).ok);
+    ASSERT_TRUE(streamer.callParsed(health).ok);
+
+    // Server A drains but keeps answering its open connections.
+    a->beginShutdown();
+    const Reply draining = parseReply(raw.call(req));
+    EXPECT_FALSE(draining.ok);
+    EXPECT_EQ(draining.error, errc::shuttingDown);
+
+    // A non-idempotent call gets the answer as it is.
+    const Reply once =
+        parseReply(client.call(req, /*idempotent=*/false));
+    EXPECT_EQ(once.error, errc::shuttingDown);
+    EXPECT_EQ(client.stats().lossReplays, 0u);
+
+    // An idempotent call and a stream are replayed until server B,
+    // restarted on A's port, answers them.
+    metrics::Counter &requests = metrics::counter("service.requests");
+    const std::uint64_t before = requests.value();
+    std::string got, gotSweep;
+    std::thread caller([&] {
+        try {
+            got = client.call(req);
+        } catch (const std::exception &e) {
+            got = e.what();
+        }
+    });
+    std::thread streamCaller([&] {
+        try {
+            gotSweep = streamer.streamSweep("w", spec).reply.raw;
+        } catch (const std::exception &e) {
+            gotSweep = e.what();
+        }
+    });
+    // A has seen both (and answered shutting_down) once the counter
+    // has moved twice; only then is it torn down.
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (requests.value() < before + 2 &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::yield();
+    a->wait();
+    a.reset();
+    ServerOptions opts;
+    opts.port = port;
+    Server b(opts);
+    b.start();
+    caller.join();
+    streamCaller.join();
+
+    EXPECT_EQ(got, expected);
+    EXPECT_GE(client.stats().lossReplays, 1u);
+    EXPECT_EQ(gotSweep, expectedSweep);
+    EXPECT_GE(streamer.stats().lossReplays, 1u);
 }
 
 TEST(ServiceClient, NonIdempotentRequestsAreNotReplayed)
