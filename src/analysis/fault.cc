@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <span>
 
 #include "analysis/yield.hh"
 #include "common/logging.hh"
@@ -136,141 +137,133 @@ struct BatchWorker
     std::array<DefectMap, BatchGateSimulator::laneCount> maps;
 };
 
+/** Lane masks of one block's copies after all kernels. */
+struct BlockResult
+{
+    LaneMask fatal = 0;
+    LaneMask activated = 0;
+};
+
 /**
- * Run one block of up to 64 trials on the batch engine and classify
- * each into its outcome slot. Lane L carries trial firstTrial + L;
- * per-trial seeds depend only on the trial index, never the lane
- * (the determinism contract), so the classification is identical to
- * running each trial through runDefectMap() on the scalar engine:
+ * Run one block of up to 64 defective (trial, replica) copies on the
+ * batch engine: lane L carries copies[L]. Each lane settles exactly
+ * as runDefectMap() would settle its copy on the scalar engine:
  *
- *   - a lane whose map is empty for every replica is DefectFree;
- *   - a lane is Fatal the moment a kernel run kills it (illegal
+ *   - a lane is fatal the moment a kernel run kills it (illegal
  *     electrical state, wild RAM write — where the scalar engine
  *     throws), fails to halt in budget, or computes wrong results;
- *     fatal lanes skip the remaining kernels and replicas exactly
- *     as the scalar loops break early;
- *   - otherwise Masked if any fault activation was observed in any
- *     (replica, kernel) run, else Benign.
+ *     a fatal lane skips the remaining kernels, as the scalar loop
+ *     breaks early;
+ *   - a lane is activated if any fault activation was observed in
+ *     any kernel run it took part in.
  */
-void
-runTrialBlock(BatchWorker &w,
-              const std::vector<KernelHarness> &kernels,
-              const Netlist &core,
-              const FunctionalYieldConfig &cfg,
-              std::size_t firstTrial, unsigned nLanes,
-              std::vector<TrialClass> &outcome)
+BlockResult
+runCopyBlock(std::vector<std::unique_ptr<BatchCoreCosim>> &sims,
+             const std::vector<KernelHarness> &kernels,
+             std::span<const DefectMap> copies)
 {
+    static metrics::Counter &laneRuns =
+        metrics::counter("fault.lane_runs");
+    static metrics::Counter &lanesUsed =
+        metrics::counter("fault.lanes_used");
     constexpr unsigned L = BatchGateSimulator::laneCount;
-    const LaneMask inRange =
-        nLanes == L ? BatchGateSimulator::allLanes
-                    : (LaneMask(1) << nLanes) - 1;
-    LaneMask fatal = 0, everActivated = 0, anyDefect = 0;
-    for (unsigned r = 0; r < cfg.replicas; ++r) {
-        const LaneMask alive = inRange & ~fatal;
-        if (!alive)
+    const LaneMask inBlock = copies.size() == L
+                                 ? BatchGateSimulator::allLanes
+                                 : (LaneMask(1) << copies.size()) - 1;
+    BlockResult res;
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        const LaneMask part = inBlock & ~res.fatal;
+        if (!part)
             break;
-        LaneMask participating = 0;
-        for (LaneMask m = alive; m; m &= m - 1) {
+        BatchCoreCosim &cs = *sims[i];
+        BatchGateSimulator &sim = cs.simulator();
+        const KernelHarness &k = kernels[i];
+        sim.clearFaults();
+        for (LaneMask m = part; m; m &= m - 1) {
             const unsigned lane = unsigned(std::countr_zero(m));
-            drawDefectsInto(core, cfg.fault,
-                            faultTrialSeed(cfg.fault.seed,
-                                           firstTrial + lane, r),
-                            w.maps[lane]);
-            if (!w.maps[lane].empty())
-                participating |= LaneMask(1) << lane;
+            sim.setLaneFaults(lane, copies[lane].faults);
         }
-        anyDefect |= participating;
-        if (!participating)
-            continue;
-        for (std::size_t i = 0; i < kernels.size(); ++i) {
-            const LaneMask part = participating & ~fatal;
-            if (!part)
-                break;
-            BatchCoreCosim &cs = *w.sims[i];
-            BatchGateSimulator &sim = cs.simulator();
-            const KernelHarness &k = kernels[i];
-            sim.clearFaults();
-            for (LaneMask m = part; m; m &= m - 1) {
-                const unsigned lane =
-                    unsigned(std::countr_zero(m));
-                sim.setLaneFaults(lane, w.maps[lane].faults);
-            }
-            cs.reset();
-            sim.retireLanes(~part);
-            k.wl.load([&](std::size_t a, std::uint64_t v) {
-                cs.setMemAll(a, v);
-            }, k.inputs);
-            cs.run(k.cycleBudget);
-            // Killed (illegal state / wild write) or still running
-            // at the budget (lost halt): fatal, as the scalar
-            // engine's catch blocks classify the same trials.
-            LaneMask fatalNow =
-                part & (cs.killedLanes() | ~cs.haltedLanes());
-            for (LaneMask m = part & ~fatalNow; m; m &= m - 1) {
-                const unsigned lane =
-                    unsigned(std::countr_zero(m));
-                const auto got = k.wl.read([&](std::size_t a) {
-                    return cs.mem(lane, a);
-                });
-                if (got != k.golden)
-                    fatalNow |= LaneMask(1) << lane;
-            }
-            fatal |= fatalNow;
-            for (LaneMask m = part; m; m &= m - 1) {
-                const unsigned lane =
-                    unsigned(std::countr_zero(m));
-                if (sim.faultActivations(lane))
-                    everActivated |= LaneMask(1) << lane;
-            }
+        cs.reset();
+        sim.retireLanes(~part);
+        k.wl.load([&](std::size_t a, std::uint64_t v) {
+            cs.setMemAll(a, v);
+        }, k.inputs);
+        cs.run(k.cycleBudget);
+        laneRuns.add(1);
+        lanesUsed.add(std::uint64_t(std::popcount(part)));
+        // Killed (illegal state / wild write) or still running at
+        // the budget (lost halt): fatal, as the scalar engine's
+        // catch blocks classify the same copies.
+        LaneMask fatalNow =
+            part & (cs.killedLanes() | ~cs.haltedLanes());
+        for (LaneMask m = part & ~fatalNow; m; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            const auto got = k.wl.read(
+                [&](std::size_t a) { return cs.mem(lane, a); });
+            if (got != k.golden)
+                fatalNow |= LaneMask(1) << lane;
+        }
+        res.fatal |= fatalNow;
+        for (LaneMask m = part; m; m &= m - 1) {
+            const unsigned lane = unsigned(std::countr_zero(m));
+            if (sim.faultActivations(lane))
+                res.activated |= LaneMask(1) << lane;
         }
     }
-    for (unsigned lane = 0; lane < nLanes; ++lane) {
-        const LaneMask bit = LaneMask(1) << lane;
-        TrialClass c = TrialClass::Benign;
-        if (!(anyDefect & bit))
-            c = TrialClass::DefectFree;
-        else if (fatal & bit)
-            c = TrialClass::Fatal;
-        else if (everActivated & bit)
-            c = TrialClass::Masked;
-        outcome[firstTrial + lane] = c;
-    }
+    return res;
 }
 
-} // anonymous namespace
+/** Per-cell-kind failure probability 1 - y^devices. */
+using FailTable = std::array<double, numCellKinds>;
 
-std::uint64_t
-faultTrialSeed(std::uint64_t seed, std::uint64_t trial,
-               std::uint64_t replica)
-{
-    return mixSeed(mixSeed(seed, trial), replica);
-}
-
-void
-drawDefectsInto(const Netlist &netlist, const FaultModel &model,
-                std::uint64_t trialSeed, DefectMap &out)
+FailTable
+failProbabilities(const FaultModel &model)
 {
     fatalIf(model.deviceYield < 0 || model.deviceYield > 1,
             "drawDefects: device yield must be in [0, 1]");
     fatalIf(model.bridgeFraction < 0 || model.bridgeFraction > 1,
             "drawDefects: bridge fraction must be in [0, 1]");
-
-    // Per-cell-kind failure probability 1 - y^devices, shared with
-    // the analytic model through cellDeviceCount().
-    std::array<double, numCellKinds> failProb{};
+    // Shared with the analytic model through cellDeviceCount().
+    FailTable failProb{};
     for (std::size_t k = 0; k < numCellKinds; ++k)
         failProb[k] = 1.0 - std::pow(model.deviceYield,
                                      double(cellDeviceCount(
                                          static_cast<CellKind>(k))));
+    return failProb;
+}
 
-    out.seed = trialSeed;
+/**
+ * The first gate from `from` on that a draw finds defective (one
+ * uniform per gate from `rng`, left just past that gate's), or
+ * gateCount() if none is. A map is non-empty exactly when this
+ * returns a gate, so the batch engine can find a trial's next
+ * defective replica without drawing the rest of its map.
+ */
+GateId
+firstFailure(const Netlist &netlist, const FailTable &failProb,
+             Rng &rng, GateId from)
+{
+    for (GateId gi = from; gi < netlist.gateCount(); ++gi)
+        if (uniform(rng) <
+            failProb[static_cast<std::size_t>(netlist.gate(gi).kind)])
+            return gi;
+    return GateId(netlist.gateCount());
+}
+
+/**
+ * Finish a draw whose first defective gate `gi` firstFailure() has
+ * just returned from `rng`: the faults go into `out` (cleared first,
+ * the fault vector's capacity is reused).
+ */
+void
+drawFrom(const Netlist &netlist, const FaultModel &model,
+         const FailTable &failProb, Rng rng, GateId gi,
+         DefectMap &out)
+{
     out.faults.clear();
-    Rng rng(trialSeed);
-    for (GateId gi = 0; gi < netlist.gateCount(); ++gi) {
+    for (; gi < netlist.gateCount();
+         gi = firstFailure(netlist, failProb, rng, gi + 1)) {
         const Gate &g = netlist.gate(gi);
-        if (uniform(rng) >=
-            failProb[static_cast<std::size_t>(g.kind)])
-            continue;
         InjectedFault f;
         f.gate = gi;
         const bool canBridge = !cellIsSequential(g.kind) &&
@@ -287,12 +280,37 @@ drawDefectsInto(const Netlist &netlist, const FaultModel &model,
     }
 }
 
+/**
+ * Draw one defect map into `out` (cleared first, the fault vector's
+ * capacity is reused) with the failure table already computed.
+ */
+void
+drawWithTable(const Netlist &netlist, const FaultModel &model,
+              const FailTable &failProb, std::uint64_t trialSeed,
+              DefectMap &out)
+{
+    Rng rng(trialSeed);
+    const GateId first = firstFailure(netlist, failProb, rng, 0);
+    out.seed = trialSeed;
+    drawFrom(netlist, model, failProb, rng, first, out);
+}
+
+} // anonymous namespace
+
+std::uint64_t
+faultTrialSeed(std::uint64_t seed, std::uint64_t trial,
+               std::uint64_t replica)
+{
+    return mixSeed(mixSeed(seed, trial), replica);
+}
+
 DefectMap
 drawDefects(const Netlist &netlist, const FaultModel &model,
             std::uint64_t trialSeed)
 {
     DefectMap map;
-    drawDefectsInto(netlist, model, trialSeed, map);
+    drawWithTable(netlist, model, failProbabilities(model), trialSeed,
+                  map);
     return map;
 }
 
@@ -305,6 +323,8 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
             "measureFunctionalYield: need at least one replica");
     fatalIf(cfg.kernels.empty(),
             "measureFunctionalYield: need at least one kernel");
+    // One failure table per call, shared by every draw.
+    const FailTable failProb = failProbabilities(cfg.fault);
 
     trace::Span span("fault.measureFunctionalYield", config.label());
 
@@ -344,23 +364,36 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
     unsigned threads = cfg.threads ? cfg.threads
                                    : ThreadPool::defaultThreadCount();
 
-    // Each trial is fully determined by (seed, trial, replica) and
-    // classified into its own slot of `outcome`, so the report is
-    // bit-identical for any thread count and schedule (the
-    // determinism contract of common/parallel.hh). The gate-level
-    // cosims are expensive to construct, so each pool worker lazily
-    // builds one set and reuses it across the work it claims — sims
-    // carry no state between trials (faults are cleared, the core
-    // reset), so which worker runs a trial cannot matter.
+    // Every defective copy is fully determined by (seed, trial,
+    // replica), and each trial is classified into its own slot of
+    // `outcome`, so the report is bit-identical for any thread count
+    // and schedule (the determinism contract of common/parallel.hh).
+    // The gate-level cosims are expensive to construct, so each pool
+    // worker lazily builds one set and reuses it across the work it
+    // claims — sims carry no state between runs (faults are cleared,
+    // the core reset), so which worker runs a copy cannot matter.
+    //
+    // `fault.draws` counts replica maps drawn, one per (trial,
+    // replica) the MC reaches: equal for both engines.
+    static metrics::Counter &draws = metrics::counter("fault.draws");
     std::vector<TrialClass> outcome(cfg.trials);
     trace::Span mcSpan("fault.mc",
                        std::to_string(cfg.trials) + " trials");
     const auto mcStart = std::chrono::steady_clock::now();
     if (cfg.engine == SimEngine::Batch) {
-        // Workers claim trials in blocks of 64: lane L of block b
-        // carries trial 64*b + L, so the trial -> seed mapping (and
-        // with it every defect map) is byte-for-byte the scalar
-        // engine's.
+        // A lane carries one defective (trial, replica) copy, so a
+        // replica array fills its blocks with copies of many trials.
+        // Round k packs, 64 per block in trial order, the k-th
+        // defective replica of every trial that no earlier round
+        // found fatal: exactly the copies the scalar loop simulates
+        // (it stops a trial at its first fatal copy), packed by the
+        // outcomes alone, never by the schedule. Maps are drawn
+        // lazily, so the engine draws what the scalar loop draws and
+        // holds O(trials) state plus 64 maps per worker: each round
+        // opens with every open trial scanning its replicas from its
+        // cursor to the first defective gate of the next defective
+        // one, and the block worker finishes that draw into its own
+        // lane scratch.
         constexpr unsigned L = BatchGateSimulator::laneCount;
         const std::size_t nBlocks = (cfg.trials + L - 1) / L;
         threads = unsigned(
@@ -369,19 +402,98 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
         if (!cfg.pool)
             owned.emplace(threads);
         ThreadPool &pool = cfg.pool ? *cfg.pool : *owned;
+
+        const GateId noCopy = GateId(core.gateCount());
+        struct TrialState
+        {
+            Rng rng;               ///< this round's draw, past `first`
+            GateId first = 0;      ///< its first defective gate
+            unsigned next = 0;     ///< next replica to draw
+            bool defective = false; ///< some replica drew a defect
+            bool fatal = false;
+            bool activated = false;
+        };
+        std::vector<TrialState> state(cfg.trials);
+        std::vector<std::uint32_t> open(cfg.trials); // replicas left
+        for (std::size_t t = 0; t < cfg.trials; ++t)
+            open[t] = std::uint32_t(t);
+
         std::vector<BatchWorker> workers(pool.threadCount());
-        pool.parallelForWorkers(
-            nBlocks, [&](std::size_t b, unsigned worker) {
-                BatchWorker &w = workers[worker];
-                if (w.sims.empty())
-                    w.sims =
-                        buildBatchCosims(core, config, kernels);
-                const unsigned nLanes =
-                    unsigned(std::min<std::size_t>(
-                        L, cfg.trials - b * L));
-                runTrialBlock(w, kernels, core, cfg, b * L,
-                              nLanes, outcome);
-            });
+        std::vector<std::uint32_t> live; // this round's trials
+        std::vector<BlockResult> blocks;
+        for (std::size_t k = 0; !open.empty(); ++k) {
+            trace::Span round(
+                "fault.round",
+                trace::enabled()
+                    ? "round " + std::to_string(k) + ", " +
+                          std::to_string(open.size()) + " open trials"
+                    : std::string());
+            {
+                trace::Span draw("fault.draw");
+                pool.parallelFor(open.size(), [&](std::size_t i) {
+                    const std::size_t t = open[i];
+                    TrialState &s = state[t];
+                    const unsigned from = s.next;
+                    s.first = noCopy;
+                    while (s.first == noCopy &&
+                           s.next < cfg.replicas) {
+                        s.rng = Rng(faultTrialSeed(cfg.fault.seed, t,
+                                                   s.next++));
+                        s.first =
+                            firstFailure(core, failProb, s.rng, 0);
+                    }
+                    draws.add(s.next - from);
+                });
+            }
+            live.clear();
+            for (std::uint32_t t : open)
+                if (state[t].first != noCopy)
+                    live.push_back(t);
+            if (live.empty())
+                break;
+            blocks.assign((live.size() + L - 1) / L, BlockResult{});
+            pool.parallelForWorkers(
+                blocks.size(), [&](std::size_t b, unsigned worker) {
+                    BatchWorker &w = workers[worker];
+                    if (w.sims.empty())
+                        w.sims = buildBatchCosims(core, config, kernels);
+                    const std::size_t first = b * L;
+                    const std::size_t n =
+                        std::min<std::size_t>(L, live.size() - first);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const std::size_t t = live[first + i];
+                        const TrialState &s = state[t];
+                        w.maps[i].seed = faultTrialSeed(
+                            cfg.fault.seed, t, s.next - 1);
+                        drawFrom(core, cfg.fault, failProb, s.rng,
+                                 s.first, w.maps[i]);
+                    }
+                    blocks[b] = runCopyBlock(
+                        w.sims, kernels,
+                        std::span<const DefectMap>(w.maps.data(), n));
+                });
+            // Fold each copy's result into its trial, in index order;
+            // a trial stays open while it is not fatal and has
+            // replicas left.
+            open.clear();
+            for (std::size_t i = 0; i < live.size(); ++i) {
+                const LaneMask bit = LaneMask(1) << (i % L);
+                const BlockResult &r = blocks[i / L];
+                TrialState &s = state[live[i]];
+                s.defective = true;
+                s.fatal |= (r.fatal & bit) != 0;
+                s.activated |= (r.activated & bit) != 0;
+                if (!s.fatal && s.next < cfg.replicas)
+                    open.push_back(live[i]);
+            }
+        }
+        for (std::size_t t = 0; t < cfg.trials; ++t) {
+            const TrialState &s = state[t];
+            outcome[t] = !s.defective ? TrialClass::DefectFree
+                         : s.fatal    ? TrialClass::Fatal
+                         : s.activated ? TrialClass::Masked
+                                       : TrialClass::Benign;
+        }
     } else {
         threads = std::min(threads, cfg.trials);
         std::optional<ThreadPool> owned;
@@ -399,10 +511,11 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
                 DefectMap &map = workerMap[worker];
                 TrialOutcome out = TrialOutcome::FullyBenign;
                 bool anyDefect = false;
-                for (unsigned r = 0; r < cfg.replicas; ++r) {
-                    drawDefectsInto(
-                        core, cfg.fault,
-                        faultTrialSeed(cfg.fault.seed, t, r), map);
+                unsigned r = 0;
+                while (r < cfg.replicas) {
+                    drawWithTable(
+                        core, cfg.fault, failProb,
+                        faultTrialSeed(cfg.fault.seed, t, r++), map);
                     if (map.empty())
                         continue;
                     anyDefect = true;
@@ -415,6 +528,7 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
                     if (o == TrialOutcome::WorkloadMasked)
                         out = TrialOutcome::WorkloadMasked;
                 }
+                draws.add(r);
                 if (!anyDefect)
                     outcome[t] = TrialClass::DefectFree;
                 else if (out == TrialOutcome::Fatal)

@@ -88,15 +88,6 @@ std::uint64_t faultTrialSeed(std::uint64_t seed, std::uint64_t trial,
 DefectMap drawDefects(const Netlist &netlist, const FaultModel &model,
                       std::uint64_t trialSeed);
 
-/**
- * Draw a defect map into a caller-owned buffer (cleared first, the
- * fault vector's capacity is reused). The Monte-Carlo loops draw one
- * map per (trial, replica); reusing one buffer per worker keeps the
- * hot loop allocation-free.
- */
-void drawDefectsInto(const Netlist &netlist, const FaultModel &model,
-                     std::uint64_t trialSeed, DefectMap &out);
-
 /** Classification of one defect map against the workloads. */
 enum class TrialOutcome
 {
@@ -109,11 +100,11 @@ enum class TrialOutcome
 enum class SimEngine : std::uint8_t
 {
     /**
-     * 64-lane bit-parallel engine (sim/batch_simulator.hh): trials
-     * are claimed in blocks of 64 per worker and advance together
-     * through one shared netlist pass. Bit-identical to Scalar for
-     * the same seed (tests/test_fault.cc), ~an order of magnitude
-     * faster.
+     * 64-lane bit-parallel engine (sim/batch_simulator.hh): each
+     * lane carries one defective (trial, replica) copy, packed 64
+     * per block round by round, and a block advances through one
+     * shared netlist pass. Bit-identical to Scalar for the same seed
+     * (tests/test_fault.cc), ~an order of magnitude faster.
      */
     Batch,
     /** One GateSimulator trial at a time: the golden reference. */

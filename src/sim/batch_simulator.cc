@@ -14,16 +14,26 @@ BatchGateSimulator::BatchGateSimulator(const Netlist &netlist)
     : netlist_(netlist)
 {
     netlist_.validate();
-    order_ = netlist_.levelize();
+    auto opFor = [&](GateId gi) {
+        const Gate g = netlist_.gate(gi);
+        return Op{g.in0, g.in1 != invalidNet ? g.in1 : g.in0, g.out, gi,
+                  g.kind, false};
+    };
+    for (GateId gi : netlist_.levelize())
+        ops_.push_back(opFor(gi));
+    seqBegin_ = ops_.size();
     for (GateId gi = 0; gi < netlist_.gateCount(); ++gi) {
-        const Gate &g = netlist_.gate(gi);
-        if (cellIsSequential(g.kind))
-            seqGates_.push_back(gi);
-        if (g.kind == CellKind::DFFNRX1)
+        const CellKind kind = netlist_.gateKind(gi);
+        if (cellIsSequential(kind))
+            ops_.push_back(opFor(gi));
+        if (kind == CellKind::DFFNRX1)
             hasAsyncClear_ = true;
-        if (g.kind == CellKind::TSBUFX1)
-            busNets_.push_back(g.out);
+        if (kind == CellKind::TSBUFX1)
+            busNets_.push_back(netlist_.gateOut(gi));
     }
+    opOf_.assign(netlist_.gateCount(), 0);
+    for (std::size_t i = 0; i < ops_.size(); ++i)
+        opOf_[ops_[i].gate] = std::uint32_t(i);
     std::sort(busNets_.begin(), busNets_.end());
     busNets_.erase(std::unique(busNets_.begin(), busNets_.end()),
                    busNets_.end());
@@ -88,8 +98,7 @@ BatchGateSimulator::setLaneFaults(
     panicIf(lane >= laneCount, "setLaneFaults: bad lane");
     if (faults.empty())
         return;
-    if (faultAny_.empty()) {
-        faultAny_.assign(netlist_.gateCount(), 0);
+    if (faultM0_.empty()) {
         faultM0_.assign(netlist_.gateCount(), 0);
         faultM1_.assign(netlist_.gateCount(), 0);
         faultBridge_.resize(netlist_.gateCount());
@@ -103,11 +112,13 @@ BatchGateSimulator::setLaneFaults(
                 "setLaneFaults: bad bridge net");
         if (f.kind == FaultKind::None)
             continue;
-        if (!faultAny_[f.gate])
+        Op &op = ops_[opOf_[f.gate]];
+        if (!op.faulted) {
+            op.faulted = true;
             faultedGates_.push_back(f.gate);
+        }
         // Last fault wins per (gate, lane), as the scalar engine's
         // setFaults overwrites the per-gate overlay slot.
-        faultAny_[f.gate] |= bit;
         faultM0_[f.gate] &= ~bit;
         faultM1_[f.gate] &= ~bit;
         for (BridgeLanes &b : faultBridge_[f.gate])
@@ -137,20 +148,18 @@ BatchGateSimulator::setLaneFaults(
             break;
         }
     }
-    anyFaults_ = !faultedGates_.empty();
 }
 
 void
 BatchGateSimulator::clearFaults()
 {
     for (GateId gi : faultedGates_) {
-        faultAny_[gi] = 0;
+        ops_[opOf_[gi]].faulted = false;
         faultM0_[gi] = 0;
         faultM1_[gi] = 0;
         faultBridge_[gi].clear();
     }
     faultedGates_.clear();
-    anyFaults_ = false;
     activations_.fill(0);
 }
 
@@ -249,14 +258,12 @@ BatchGateSimulator::killLanes(LaneMask lanes, KillReason reason,
 }
 
 void
-BatchGateSimulator::evaluateGate(GateId gi)
+BatchGateSimulator::evaluateOp(const Op &op)
 {
-    const Gate &g = netlist_.gate(gi);
-    const LaneMask a = values_[g.in0];
-    const LaneMask b =
-        g.in1 != invalidNet ? values_[g.in1] : LaneMask(0);
+    const LaneMask a = values_[op.in0];
+    const LaneMask b = values_[op.in1];
     LaneMask out = 0;
-    switch (g.kind) {
+    switch (op.kind) {
       case CellKind::INVX1:   out = ~a; break;
       case CellKind::NAND2X1: out = ~(a & b); break;
       case CellKind::NOR2X1:  out = ~(a | b); break;
@@ -271,32 +278,32 @@ BatchGateSimulator::evaluateGate(GateId gi)
         // are killed (the scalar engine's bus-conflict throw).
         const LaneMask en = b;
         LaneMask driven = a;
-        if (anyFaults_ && faultAny_[gi])
-            driven = applyFault(gi, a, en & countMask_ & observed_);
-        const LaneMask conflict = busDriven_[g.out] & en &
-                                  (values_[g.out] ^ driven) &
+        if (op.faulted)
+            driven = applyFault(op.gate, a, en & countMask_ & observed_);
+        const LaneMask conflict = busDriven_[op.out] & en &
+                                  (values_[op.out] ^ driven) &
                                   observed_;
         if (conflict)
-            kill(conflict, KillReason::BusConflict, gi);
-        const LaneMask drive = en & ~busDriven_[g.out];
+            kill(conflict, KillReason::BusConflict, op.gate);
+        const LaneMask drive = en & ~busDriven_[op.out];
         const LaneMask neww =
-            (values_[g.out] & ~drive) | (driven & drive);
-        const LaneMask d = (values_[g.out] ^ neww) & observed_;
+            (values_[op.out] & ~drive) | (driven & drive);
+        const LaneMask d = (values_[op.out] ^ neww) & observed_;
         if (d)
-            toggles_[gi] += std::uint64_t(std::popcount(d));
-        values_[g.out] = neww;
-        busDriven_[g.out] |= en;
+            toggles_[op.gate] += std::uint64_t(std::popcount(d));
+        values_[op.out] = neww;
+        busDriven_[op.out] |= en;
         return;
       }
       default:
         panic("BatchGateSimulator: sequential cell in comb. order");
     }
-    if (anyFaults_ && faultAny_[gi])
-        out = applyFault(gi, out, countMask_ & observed_);
-    const LaneMask d = (values_[g.out] ^ out) & observed_;
+    if (op.faulted)
+        out = applyFault(op.gate, out, countMask_ & observed_);
+    const LaneMask d = (values_[op.out] ^ out) & observed_;
     if (d)
-        toggles_[gi] += std::uint64_t(std::popcount(d));
-    values_[g.out] = out;
+        toggles_[op.gate] += std::uint64_t(std::popcount(d));
+    values_[op.out] = out;
 }
 
 void
@@ -312,8 +319,8 @@ BatchGateSimulator::combPass(LaneMask countLanes)
     countMask_ = countLanes;
     for (NetId n : busNets_)
         busDriven_[n] = 0;
-    for (GateId gi : order_)
-        evaluateGate(gi);
+    for (const Op &op : combOps())
+        evaluateOp(op);
     countMask_ = allLanes;
     ++settles_;
 }
@@ -324,14 +331,13 @@ BatchGateSimulator::evaluate()
     // Publish sequential state onto Q nets, honouring the
     // asynchronous clear of DFFNRX1 (Q forced low while RN is 0).
     // A defective Q trace overrides even the async clear.
-    for (GateId gi : seqGates_) {
-        const Gate &g = netlist_.gate(gi);
-        LaneMask q = seqState_[gi];
-        if (g.kind == CellKind::DFFNRX1)
-            q &= values_[g.in1];
-        if (anyFaults_ && faultAny_[gi])
-            q = applyFault(gi, q, observed_);
-        values_[g.out] = q;
+    for (const Op &op : seqOps()) {
+        LaneMask q = seqState_[op.gate];
+        if (op.kind == CellKind::DFFNRX1)
+            q &= values_[op.in1];
+        if (op.faulted)
+            q = applyFault(op.gate, q, observed_);
+        values_[op.out] = q;
     }
     combPass();
     if (!hasAsyncClear_)
@@ -339,18 +345,17 @@ BatchGateSimulator::evaluate()
     // The async clear can depend on combinational logic (rare but
     // legal); settle once more so RN computed above is honoured.
     LaneMask changed = 0;
-    for (GateId gi : seqGates_) {
-        const Gate &g = netlist_.gate(gi);
-        if (g.kind != CellKind::DFFNRX1)
+    for (const Op &op : seqOps()) {
+        if (op.kind != CellKind::DFFNRX1)
             continue;
-        const LaneMask m = ~values_[g.in1] & values_[g.out];
+        const LaneMask m = ~values_[op.in1] & values_[op.out];
         if (!m)
             continue;
         LaneMask q = 0;
-        if (anyFaults_ && faultAny_[gi])
-            q = applyFault(gi, 0, m & observed_);
-        changed |= (values_[g.out] ^ q) & m;
-        values_[g.out] = (values_[g.out] & ~m) | (q & m);
+        if (op.faulted)
+            q = applyFault(op.gate, 0, m & observed_);
+        changed |= (values_[op.out] ^ q) & m;
+        values_[op.out] = (values_[op.out] & ~m) | (q & m);
     }
     if (changed)
         combPass(changed);
@@ -359,37 +364,36 @@ BatchGateSimulator::evaluate()
 void
 BatchGateSimulator::step()
 {
-    for (GateId gi : seqGates_) {
-        const Gate &g = netlist_.gate(gi);
+    for (const Op &op : seqOps()) {
         LaneMask next = 0;
-        switch (g.kind) {
+        switch (op.kind) {
           case CellKind::DFFX1:
-            next = values_[g.in0];
+            next = values_[op.in0];
             break;
           case CellKind::DFFNRX1:
-            next = values_[g.in0] & values_[g.in1];
+            next = values_[op.in0] & values_[op.in1];
             break;
           case CellKind::LATCHX1: {
             // in0 = S, in1 = R. Lanes with S = R = 1 are killed
             // (the scalar engine's illegal-input throw).
-            const LaneMask s = values_[g.in0];
-            const LaneMask r = values_[g.in1];
+            const LaneMask s = values_[op.in0];
+            const LaneMask r = values_[op.in1];
             const LaneMask bad = s & r & observed_;
             if (bad)
-                kill(bad, KillReason::LatchSetReset, gi);
-            next = s | (~r & seqState_[gi]);
+                kill(bad, KillReason::LatchSetReset, op.gate);
+            next = s | (~r & seqState_[op.gate]);
             break;
           }
           default:
             panic("BatchGateSimulator: non-sequential cell in seq "
                   "list");
         }
-        if (anyFaults_ && faultAny_[gi])
-            next = applyFault(gi, next, observed_);
-        const LaneMask d = (seqState_[gi] ^ next) & observed_;
+        if (op.faulted)
+            next = applyFault(op.gate, next, observed_);
+        const LaneMask d = (seqState_[op.gate] ^ next) & observed_;
         if (d)
-            toggles_[gi] += std::uint64_t(std::popcount(d));
-        seqState_[gi] = next;
+            toggles_[op.gate] += std::uint64_t(std::popcount(d));
+        seqState_[op.gate] = next;
     }
     ++cycles_;
 }

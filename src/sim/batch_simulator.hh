@@ -26,9 +26,9 @@
  *     the batch.
  *
  * Determinism rule: the lane index never feeds an RNG. Lane L's
- * trial seed comes from the trial index it carries (the caller maps
- * trial -> lane), so results are independent of lane packing and of
- * how many lanes a block actually fills.
+ * defect map comes from the (trial, replica) copy the caller packs
+ * into it, so results are independent of lane packing and of how
+ * many lanes a block actually fills.
  */
 
 #ifndef PRINTED_SIM_BATCH_SIMULATOR_HH
@@ -36,6 +36,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -250,6 +251,20 @@ class BatchGateSimulator
     double activityFactor() const;
 
   private:
+    /**
+     * One gate of the flat op list: everything a settle walk reads
+     * per gate, in one record.
+     */
+    struct Op
+    {
+        NetId in0 = invalidNet;
+        NetId in1 = invalidNet; ///< = in0 for one-input cells (unread)
+        NetId out = invalidNet;
+        GateId gate = invalidGate;
+        CellKind kind = CellKind::INVX1;
+        bool faulted = false; ///< some lane has a fault on this gate
+    };
+
     /** One bridged-input fault: the affected lanes and aggressor. */
     struct BridgeLanes
     {
@@ -257,7 +272,21 @@ class BatchGateSimulator
         NetId net = invalidNet;
     };
 
-    void evaluateGate(GateId gi);
+    /** Combinational ops in levelized order. */
+    std::span<const Op>
+    combOps() const
+    {
+        return std::span<const Op>(ops_).first(seqBegin_);
+    }
+
+    /** Sequential ops in gate-id order. */
+    std::span<const Op>
+    seqOps() const
+    {
+        return std::span<const Op>(ops_).subspan(seqBegin_);
+    }
+
+    void evaluateOp(const Op &op);
 
     /** One walk of the levelized order; fault-activation counting
      *  restricted to countLanes (see the second-settle note). */
@@ -276,8 +305,14 @@ class BatchGateSimulator
     void flushMetrics() const;
 
     const Netlist &netlist_;
-    std::vector<GateId> order_;    ///< levelized comb. gates
-    std::vector<GateId> seqGates_; ///< sequential cell instances
+    /**
+     * Flat op list: the combinational gates in levelized order, then
+     * (from seqBegin_) the sequential cells in gate-id order.
+     * setLaneFaults() and clearFaults() keep Op::faulted current.
+     */
+    std::vector<Op> ops_;
+    std::size_t seqBegin_ = 0;
+    std::vector<std::uint32_t> opOf_; ///< per gate: its index in ops_
     std::vector<NetId> busNets_;   ///< distinct TSBUF output nets
     bool hasAsyncClear_ = false;   ///< any DFFNRX1 present
     std::vector<LaneMask> values_;     ///< per-net lane word
@@ -293,8 +328,6 @@ class BatchGateSimulator
     std::array<KillReason, laneCount> killReason_{};
     std::array<GateId, laneCount> killGate_{};
 
-    bool anyFaults_ = false;
-    std::vector<LaneMask> faultAny_; ///< per-gate: lanes with a fault
     std::vector<LaneMask> faultM0_;  ///< per-gate stuck-at-0 lanes
     std::vector<LaneMask> faultM1_;  ///< per-gate stuck-at-1 lanes
     std::vector<std::vector<BridgeLanes>> faultBridge_;

@@ -15,6 +15,7 @@
 
 #include "analysis/fault.hh"
 #include "analysis/yield.hh"
+#include "common/metrics.hh"
 #include "core/generator.hh"
 #include "netlist/netlist.hh"
 #include "sim/simulator.hh"
@@ -328,36 +329,51 @@ TEST(FunctionalYield, DeterministicAcrossThreadCounts)
     const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
     const Netlist core = buildCore(cfg);
 
-    FunctionalYieldConfig mc;
-    mc.fault.deviceYield = 0.999; // frequent defects on few trials
-    mc.fault.seed = 42;
-    mc.trials = 24;
-    mc.kernels = {Kernel::Mult};
+    // The replicated case packs defective copies over several
+    // rounds, the first two blocks wide, so workers race for blocks.
+    struct Case
+    {
+        unsigned trials;
+        unsigned replicas;
+    };
+    for (const Case c : {Case{24, 1}, Case{80, 6}}) {
+        FunctionalYieldConfig mc;
+        mc.fault.deviceYield = 0.999; // frequent defects on few trials
+        mc.fault.seed = 42;
+        mc.trials = c.trials;
+        mc.replicas = c.replicas;
+        mc.kernels = {Kernel::Mult};
 
-    mc.threads = 1;
-    const FunctionalYieldReport serial =
-        measureFunctionalYield(core, cfg, mc);
-    mc.threads = 4;
-    const FunctionalYieldReport parallel =
-        measureFunctionalYield(core, cfg, mc);
+        mc.threads = 1;
+        const FunctionalYieldReport serial =
+            measureFunctionalYield(core, cfg, mc);
+        mc.threads = 4;
+        const FunctionalYieldReport parallel =
+            measureFunctionalYield(core, cfg, mc);
 
-    EXPECT_EQ(serial.fatalTrials, parallel.fatalTrials);
-    EXPECT_EQ(serial.maskedTrials, parallel.maskedTrials);
-    EXPECT_EQ(serial.benignTrials, parallel.benignTrials);
-    EXPECT_EQ(serial.defectFreeTrials, parallel.defectFreeTrials);
+        const std::string label = "trials " + std::to_string(c.trials) +
+                                  " replicas " +
+                                  std::to_string(c.replicas);
+        EXPECT_EQ(serial.fatalTrials, parallel.fatalTrials) << label;
+        EXPECT_EQ(serial.maskedTrials, parallel.maskedTrials) << label;
+        EXPECT_EQ(serial.benignTrials, parallel.benignTrials) << label;
+        EXPECT_EQ(serial.defectFreeTrials, parallel.defectFreeTrials)
+            << label;
 
-    // Accounting: every trial lands in exactly one bucket.
-    EXPECT_EQ(serial.trials, mc.trials);
-    EXPECT_EQ(serial.fatalTrials + serial.maskedTrials +
-                  serial.benignTrials + serial.defectFreeTrials,
-              serial.trials);
+        // Accounting: every trial lands in exactly one bucket.
+        EXPECT_EQ(serial.trials, mc.trials);
+        EXPECT_EQ(serial.fatalTrials + serial.maskedTrials +
+                      serial.benignTrials + serial.defectFreeTrials,
+                  serial.trials);
 
-    // Functional yield can only be *better* than defect-free rate.
-    EXPECT_GE(serial.functionalYield() + 1e-12,
-              serial.defectFreeRate());
-    EXPECT_EQ(serial.devicesPerReplica, deviceCount(core));
-    EXPECT_GT(serial.analyticYield, 0.0);
-    EXPECT_LT(serial.analyticYield, 1.0);
+        // Functional yield can only be *better* than defect-free rate.
+        EXPECT_GE(serial.functionalYield() + 1e-12,
+                  serial.defectFreeRate());
+        EXPECT_EQ(serial.devicesPerReplica, deviceCount(core));
+        EXPECT_EQ(serial.replicas, c.replicas);
+        EXPECT_GT(serial.analyticYield, 0.0);
+        EXPECT_LT(serial.analyticYield, 1.0);
+    }
 }
 
 TEST(FunctionalYield, PerfectDeviceYieldIsAllDefectFree)
@@ -385,18 +401,26 @@ TEST(FunctionalYield, BatchEngineMatchesScalarBitExactly)
     // scalar golden reference: same (seed, trial, replica) -> same
     // defect maps -> same fatal/masked/benign/defect-free buckets.
     // 70 trials spans two lane blocks (and a partial one); the
-    // replicated run exercises the per-replica early-exit paths.
+    // replicated runs exercise the per-replica early exit. The
+    // 12-replica array takes three packing rounds (69, 17 and 2
+    // copies), its blocks mix trials at different replica indices,
+    // and at 99.98 % it still lands trials in all four buckets.
+    // Both engines must also draw the same replica maps.
     const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
     const Netlist core = buildCore(cfg);
+    metrics::Counter &draws = metrics::counter("fault.draws");
+    metrics::Counter &laneRuns = metrics::counter("fault.lane_runs");
 
     struct Case
     {
         unsigned trials;
         unsigned replicas;
+        double deviceYield;
     };
-    for (const Case c : {Case{70, 1}, Case{40, 2}}) {
+    for (const Case c : {Case{70, 1, 0.999}, Case{40, 2, 0.999},
+                         Case{80, 12, 0.9998}}) {
         FunctionalYieldConfig mc;
-        mc.fault.deviceYield = 0.999; // frequent defects
+        mc.fault.deviceYield = c.deviceYield; // frequent defects
         mc.fault.seed = 7;
         mc.trials = c.trials;
         mc.threads = 2;
@@ -404,25 +428,72 @@ TEST(FunctionalYield, BatchEngineMatchesScalarBitExactly)
         mc.kernels = {Kernel::Mult, Kernel::THold};
 
         mc.engine = SimEngine::Scalar;
+        const std::uint64_t draws0 = draws.value();
         const FunctionalYieldReport scalar =
             measureFunctionalYield(core, cfg, mc);
+        const std::uint64_t scalarDraws = draws.value() - draws0;
         mc.engine = SimEngine::Batch;
+        const std::uint64_t draws1 = draws.value();
+        const std::uint64_t runs1 = laneRuns.value();
         const FunctionalYieldReport batch =
             measureFunctionalYield(core, cfg, mc);
+        const std::uint64_t batchDraws = draws.value() - draws1;
+        const std::uint64_t batchRuns = laneRuns.value() - runs1;
 
-        EXPECT_EQ(scalar.fatalTrials, batch.fatalTrials)
-            << "trials " << c.trials << " replicas " << c.replicas;
+        SCOPED_TRACE("trials " + std::to_string(c.trials) +
+                     " replicas " + std::to_string(c.replicas));
+        EXPECT_EQ(scalar.fatalTrials, batch.fatalTrials);
         EXPECT_EQ(scalar.maskedTrials, batch.maskedTrials);
         EXPECT_EQ(scalar.benignTrials, batch.benignTrials);
         EXPECT_EQ(scalar.defectFreeTrials, batch.defectFreeTrials);
         EXPECT_EQ(scalar.trials, batch.trials);
         EXPECT_DOUBLE_EQ(scalar.analyticYield, batch.analyticYield);
+        EXPECT_EQ(scalarDraws, batchDraws);
+        EXPECT_GE(batchDraws, std::uint64_t(c.trials));
 
         // At this defect rate the buckets must not be degenerate,
         // or the equivalence check would prove nothing.
         EXPECT_GT(batch.fatalTrials + batch.maskedTrials +
                       batch.benignTrials,
                   0u);
+        if (c.replicas == 12) {
+            EXPECT_GT(batch.fatalTrials, 0u);
+            EXPECT_GT(batch.maskedTrials, 0u);
+            EXPECT_GT(batch.benignTrials, 0u);
+            EXPECT_GT(batch.defectFreeTrials, 0u);
+            // One round runs at most ceil(trials / 64) blocks of
+            // every kernel; more runs than that take several rounds.
+            const std::uint64_t oneRound =
+                (c.trials + 63) / 64 * mc.kernels.size();
+            EXPECT_GT(batchRuns, oneRound);
+        }
+    }
+}
+
+TEST(FunctionalYield, StopsDrawingAtTheFirstFatalCopy)
+{
+    // At 90 % device yield every copy of p1_8_2 carries dozens of
+    // defects and is fatal, so each trial of a replica array ends
+    // at replica 0: neither engine may draw the other replicas.
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    const Netlist core = buildCore(cfg);
+    metrics::Counter &draws = metrics::counter("fault.draws");
+
+    FunctionalYieldConfig mc;
+    mc.fault.deviceYield = 0.9;
+    mc.fault.seed = 5;
+    mc.trials = 96;
+    mc.replicas = 26;
+    mc.threads = 2;
+    mc.kernels = {Kernel::Mult};
+    for (const SimEngine engine : {SimEngine::Scalar, SimEngine::Batch}) {
+        mc.engine = engine;
+        const std::uint64_t before = draws.value();
+        const FunctionalYieldReport r =
+            measureFunctionalYield(core, cfg, mc);
+        SCOPED_TRACE(engine == SimEngine::Batch ? "batch" : "scalar");
+        EXPECT_EQ(r.fatalTrials, mc.trials);
+        EXPECT_EQ(draws.value() - before, std::uint64_t(mc.trials));
     }
 }
 

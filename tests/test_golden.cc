@@ -2,7 +2,8 @@
  * @file
  * Golden-snapshot regression tests: the headline numbers of the
  * reproduced artifacts — Table 4 (legacy cores), Figure 7 (design
- * space), and Table 7 (program-specific ISA analysis) — locked to
+ * space), Table 7 (program-specific ISA analysis), and the
+ * functional-yield Monte Carlo of bench_fault_yield — locked to
  * the values the seed + PR 2 toolchain produces. A diff here means
  * a change to synthesis, characterization, or the workload
  * programs shifted published results; update the snapshot only
@@ -25,10 +26,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/fault.hh"
 #include "core/generator.hh"
 #include "dse/sweep.hh"
 #include "legacy/cores.hh"
 #include "progspec/analyze.hh"
+#include "synth/harden.hh"
 #include "workloads/kernels.hh"
 
 namespace printed
@@ -273,6 +276,84 @@ TEST(Golden, Table7ProgramAnalysis)
         EXPECT_EQ(a.op1Bits, g.op1Bits) << label;
         EXPECT_EQ(a.op2Bits, g.op2Bits) << label;
         EXPECT_EQ(a.instructionBits(), g.instructionBits) << label;
+    }
+}
+
+// ----------------------------------------------------------------
+// Functional yield: bench_fault_yield's six designs (exact counts)
+// ----------------------------------------------------------------
+
+struct FaultYieldGolden
+{
+    double deviceYield;
+    unsigned design; ///< index into the design list of the test
+    unsigned fatal, masked, benign, defectFree;
+};
+
+/** 128 trials, seed 1, batch engine (equal to the scalar engine). */
+const FaultYieldGolden faultYieldGolden[] = {
+    {0.9999, 0u, 6u, 2u, 2u, 118u},
+    {0.9999, 1u, 8u, 9u, 1u, 110u},
+    {0.9999, 2u, 1u, 25u, 8u, 94u},
+    {0.9999, 3u, 5u, 3u, 6u, 114u},
+    {0.9999, 4u, 55u, 12u, 9u, 52u},
+    {0.9999, 5u, 98u, 12u, 6u, 12u},
+    {0.999, 0u, 66u, 8u, 10u, 44u},
+    {0.999, 1u, 50u, 40u, 10u, 28u},
+    {0.999, 2u, 25u, 89u, 8u, 6u},
+    {0.999, 3u, 57u, 14u, 17u, 40u},
+    {0.999, 4u, 128u, 0u, 0u, 0u},
+    {0.999, 5u, 128u, 0u, 0u, 0u},
+};
+
+TEST(Golden, FunctionalYieldReports)
+{
+    // The engine-equivalence tests draw the oracle's defect maps
+    // with the same code as the batch engine, so only pinned reports
+    // can see a change in the draws themselves.
+    struct Design
+    {
+        const char *name;
+        const Netlist &netlist;
+        CoreConfig config;
+        std::vector<Kernel> kernels;
+        unsigned replicas;
+    };
+    const CoreConfig p1 = CoreConfig::standard(1, 8, 2);
+    const CoreConfig p2 = CoreConfig::standard(2, 8, 2);
+    const Netlist p1nl = buildCore(p1);
+    const Netlist p1seq =
+        synth::harden(p1nl, synth::HardenStrategy::TmrSequential);
+    const Netlist p1full =
+        synth::harden(p1nl, synth::HardenStrategy::TmrFull);
+    const Netlist p2nl = buildCore(p2);
+    const std::vector<Kernel> both = {Kernel::Mult, Kernel::THold};
+    // Z80- and openMSP430-class device counts as p1_8_2 arrays.
+    const Design designs[] = {
+        {"p1_8_2", p1nl, p1, both, 1},
+        {"p1_8_2 +TMR-seq", p1seq, p1, both, 1},
+        {"p1_8_2 +TMR-full", p1full, p1, both, 1},
+        {"p2_8_2", p2nl, p2, {Kernel::Mult}, 1},
+        {"Z80-class array", p1nl, p1, both, 11},
+        {"openMSP430-class array", p1nl, p1, both, 26},
+    };
+
+    for (const FaultYieldGolden &g : faultYieldGolden) {
+        const Design &d = designs[g.design];
+        FunctionalYieldConfig mc;
+        mc.fault.deviceYield = g.deviceYield;
+        mc.fault.seed = 1;
+        mc.trials = 128;
+        mc.replicas = d.replicas;
+        mc.kernels = d.kernels;
+        const FunctionalYieldReport r =
+            measureFunctionalYield(d.netlist, d.config, mc);
+        const std::string label =
+            std::string(d.name) + " @ " + std::to_string(g.deviceYield);
+        EXPECT_EQ(r.fatalTrials, g.fatal) << label;
+        EXPECT_EQ(r.maskedTrials, g.masked) << label;
+        EXPECT_EQ(r.benignTrials, g.benign) << label;
+        EXPECT_EQ(r.defectFreeTrials, g.defectFree) << label;
     }
 }
 
