@@ -35,6 +35,13 @@ using namespace printed;
 namespace
 {
 
+/**
+ * False-alarm rate per design of the binomial check on the MC
+ * defect-free count: with six designs a correct build fails it about
+ * once in 170,000 runs.
+ */
+constexpr double binomialAlpha = 1e-6;
+
 struct DesignResult
 {
     std::string name;
@@ -42,7 +49,41 @@ struct DesignResult
     std::size_t devices = 0; ///< total, all replicas
     double wallMs = 0;       ///< Monte-Carlo wall clock
     FunctionalYieldReport r;
+
+    /** Wilson 95 % interval of the MC defect-free rate. */
+    ProportionInterval
+    defectFreeCi() const
+    {
+        return wilsonInterval(r.defectFreeTrials, r.trials);
+    }
+
+    /** Wilson 95 % interval of the functional yield. */
+    ProportionInterval
+    functionalCi() const
+    {
+        return wilsonInterval(r.trials - r.fatalTrials, r.trials);
+    }
+
+    /**
+     * Two-sided exact binomial test of the defect-free count: a
+     * trial is defect-free with exactly the analytic probability,
+     * so the count is Binomial(trials, analytic yield).
+     */
+    double
+    binomialP() const
+    {
+        return binomialTestP(r.defectFreeTrials, r.trials,
+                             r.analyticYield);
+    }
 };
+
+/** "0.9140 [0.8960, 0.9293]": a rate with its interval. */
+std::string
+withCi(double rate, const ProportionInterval &ci)
+{
+    return TableWriter::num(rate, 4) + " [" + TableWriter::num(ci.lo, 4) +
+           ", " + TableWriter::num(ci.hi, 4) + "]";
+}
 
 DesignResult
 runDesign(const std::string &name, const Netlist &nl,
@@ -151,9 +192,12 @@ main(int argc, char **argv)
     // Re-run the first design on the scalar golden-reference engine:
     // the report must be bit-identical (same seeds, same trial
     // classification), and the wall-clock ratio is the measured
-    // speedup of the 64-lane batch engine.
+    // speedup of the 64-lane batch engine. The batch run verified
+    // the fault-free core; forget that so the scalar time includes
+    // the verification too.
     mc.kernels = {Kernel::Mult, Kernel::THold};
     mc.engine = SimEngine::Scalar;
+    goldenVerifyMemoClear();
     const DesignResult scalarRef =
         runDesign(results[0].name, p1nl, p1, mc);
     mc.engine = SimEngine::Batch;
@@ -167,19 +211,22 @@ main(int argc, char **argv)
 
     // --- Report --------------------------------------------------
     TableWriter t({"Design", "Gates", "Devices", "analytic yield",
-                   "MC defect-free", "functional yield", "masked",
-                   "benign", "fatal"});
+                   "MC defect-free [95% CI]",
+                   "functional yield [95% CI]", "masked", "benign",
+                   "fatal"});
     for (const DesignResult &d : results) {
         t.addRow({d.name, std::to_string(d.gates),
                   std::to_string(d.devices),
                   TableWriter::num(d.r.analyticYield, 4),
-                  TableWriter::num(d.r.defectFreeRate(), 4),
-                  TableWriter::num(d.r.functionalYield(), 4),
+                  withCi(d.r.defectFreeRate(), d.defectFreeCi()),
+                  withCi(d.r.functionalYield(), d.functionalCi()),
                   std::to_string(d.r.maskedTrials),
                   std::to_string(d.r.benignTrials),
                   std::to_string(d.r.fatalTrials)});
     }
     t.print(std::cout);
+    std::cout << "(Wilson 95% intervals over " << trials
+              << " trials)\n";
 
     std::cout << "\nHardening cost (p1_8_2): TMR-seq "
               << seqRep.gatesBefore << " -> " << seqRep.gatesAfter
@@ -200,11 +247,26 @@ main(int argc, char **argv)
               << (enginesAgree ? "bit-identical" : "DIFFER") << "\n";
 
     // --- Invariant checks (the point of the experiment) ----------
+    // A defect-free trial is never fatal, so functional yield is at
+    // least the MC defect-free rate, exactly and per trial. The
+    // analytic yield is a probability, not a bound on a finite
+    // sample: the MC defect-free count is Binomial(trials, analytic
+    // yield), tested two-sided so a draw that is too optimistic
+    // fails as well as one too pessimistic.
     bool ok = true;
     for (const DesignResult &d : results) {
-        if (d.r.functionalYield() + 1e-12 < d.r.analyticYield) {
-            std::cout << "FAIL: functional yield below analytic "
-                         "bound for " << d.name << "\n";
+        if (d.r.trials - d.r.fatalTrials < d.r.defectFreeTrials) {
+            std::cout << "FAIL: functional yield below the MC "
+                         "defect-free rate for " << d.name << "\n";
+            ok = false;
+        }
+        if (d.binomialP() < binomialAlpha) {
+            std::cout << "FAIL: " << d.r.defectFreeTrials << " of "
+                      << d.r.trials << " trials defect-free for "
+                      << d.name << " is implausible at analytic yield "
+                      << d.r.analyticYield << " (two-sided binomial p = "
+                      << d.binomialP() << " < " << binomialAlpha
+                      << ")\n";
             ok = false;
         }
     }
@@ -250,6 +312,7 @@ main(int argc, char **argv)
         jr.meta("batch_check_wall_ms", results[0].wallMs);
         jr.meta("speedup_vs_scalar", speedup);
         jr.meta("engines_agree", enginesAgree);
+        jr.meta("binomial_alpha", binomialAlpha);
         for (const DesignResult &d : results) {
             jr.add("designs",
                    {{"name", d.name},
@@ -259,7 +322,12 @@ main(int argc, char **argv)
                     {"wall_ms", d.wallMs},
                     {"analytic_yield", d.r.analyticYield},
                     {"defect_free_rate", d.r.defectFreeRate()},
+                    {"defect_free_ci95_lo", d.defectFreeCi().lo},
+                    {"defect_free_ci95_hi", d.defectFreeCi().hi},
+                    {"defect_free_binomial_p", d.binomialP()},
                     {"functional_yield", d.r.functionalYield()},
+                    {"functional_yield_ci95_lo", d.functionalCi().lo},
+                    {"functional_yield_ci95_hi", d.functionalCi().hi},
                     {"masked_trials", d.r.maskedTrials},
                     {"benign_trials", d.r.benignTrials},
                     {"fatal_trials", d.r.fatalTrials}});

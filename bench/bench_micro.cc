@@ -259,13 +259,17 @@ runSimComparison(const std::string &json_path)
     mc.threads = 1;
     mc.kernels = {Kernel::Mult};
 
+    // The fault-free verification is memoized per process: forget it
+    // before each timed MC so both engines' times include it.
     mc.engine = SimEngine::Scalar;
+    goldenVerifyMemoClear();
     WallTimer smc;
     const FunctionalYieldReport scalarRep =
         measureFunctionalYield(nl, cfg, mc);
     const double scalarMcMs = smc.elapsedMs();
 
     mc.engine = SimEngine::Batch;
+    goldenVerifyMemoClear();
     WallTimer bmc;
     const FunctionalYieldReport batchRep =
         measureFunctionalYield(nl, cfg, mc);

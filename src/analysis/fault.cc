@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <span>
 
 #include "analysis/yield.hh"
@@ -100,6 +101,157 @@ runDefectMap(std::vector<std::unique_ptr<CoreCosim>> &sims,
         return TrialOutcome::Fatal;
     return activations ? TrialOutcome::WorkloadMasked
                        : TrialOutcome::FullyBenign;
+}
+
+/**
+ * Everything the fault-free verification reads: the wiring (gate
+ * columns, net sources, port bindings), the full core configuration
+ * and the kernel list. Equal keys verify identically.
+ */
+struct VerifyKey
+{
+    std::vector<Gate> gates;
+    std::vector<NetSource> sources;
+    std::vector<PortBinding> inputs;
+    std::vector<PortBinding> outputs;
+    CoreConfig config;
+    std::vector<Kernel> kernels;
+
+    bool operator==(const VerifyKey &) const = default;
+};
+
+VerifyKey
+verifyKey(const Netlist &core, const CoreConfig &config,
+          const std::vector<Kernel> &kernels)
+{
+    VerifyKey key{core.gateArray(), {}, core.inputs(), core.outputs(),
+                  config, kernels};
+    key.sources.reserve(core.netCount());
+    for (NetId n = 0; n < core.netCount(); ++n)
+        key.sources.push_back(core.netSource(n));
+    return key;
+}
+
+/**
+ * Process-wide memo of verified per-kernel cycle budgets. The
+ * wiring fingerprint (wiringFnv) picks the candidates and full-key
+ * equality decides, so a fingerprint collision can never skip a
+ * verification. Holds at most `capacity` keys, replacing the oldest;
+ * a failed verification is never stored.
+ */
+class VerifyMemo
+{
+  public:
+    static constexpr std::size_t capacity = 32;
+
+    static VerifyMemo &
+    global()
+    {
+        static VerifyMemo memo;
+        return memo;
+    }
+
+    /** The budgets verified for `key`, if any. */
+    std::optional<std::vector<std::uint64_t>>
+    find(std::uint64_t fp, const VerifyKey &key)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const Entry &e : entries_)
+            if (e.fp == fp && e.key == key)
+                return e.budgets;
+        return std::nullopt;
+    }
+
+    void
+    insert(std::uint64_t fp, VerifyKey key,
+           std::vector<std::uint64_t> budgets)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const Entry &e : entries_)
+            if (e.fp == fp && e.key == key)
+                return; // a concurrent caller verified it first
+        Entry e{fp, std::move(key), std::move(budgets)};
+        if (entries_.size() < capacity) {
+            entries_.push_back(std::move(e));
+        } else {
+            entries_[oldest_] = std::move(e);
+            oldest_ = (oldest_ + 1) % capacity;
+        }
+    }
+
+    void
+    clear()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        entries_.clear();
+        oldest_ = 0;
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t fp = 0;
+        VerifyKey key;
+        std::vector<std::uint64_t> budgets;
+    };
+
+    std::mutex mu_;
+    std::vector<Entry> entries_;
+    std::size_t oldest_ = 0; ///< next slot to replace once full
+};
+
+/**
+ * Instantiate the kernels at the core's native width and verify them
+ * on the fault-free netlist; the clean cycle counts set the per-trial
+ * budget (a fault that quadruples the runtime has de facto killed
+ * the core). A key verified before is not run again.
+ */
+std::vector<KernelHarness>
+verifiedKernels(const Netlist &core, const CoreConfig &config,
+                const std::vector<Kernel> &kinds)
+{
+    static metrics::Counter &hits =
+        metrics::counter("fault.golden_verify_hits");
+    const unsigned w = config.isa.datawidth;
+    std::vector<KernelHarness> kernels;
+    for (Kernel kind : kinds) {
+        KernelHarness k;
+        k.wl = makeWorkload(kind, w, w, config.isa.barCount);
+        k.inputs = defaultInputs(kind, w);
+        k.golden = goldenOutputs(kind, w, k.inputs);
+        kernels.push_back(std::move(k));
+    }
+
+    const std::uint64_t fp = wiringFnv(core);
+    VerifyKey key = verifyKey(core, config, kinds);
+    if (const auto budgets = VerifyMemo::global().find(fp, key)) {
+        hits.add(1);
+        for (std::size_t i = 0; i < kernels.size(); ++i)
+            kernels[i].cycleBudget = (*budgets)[i];
+        return kernels;
+    }
+
+    trace::Span gv("fault.golden_verify");
+    std::vector<std::uint64_t> budgets;
+    auto sims = buildCosims(core, config, kernels);
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        KernelHarness &k = kernels[i];
+        CoreCosim &cs = *sims[i];
+        cs.reset();
+        k.wl.load([&](std::size_t a, std::uint64_t v) {
+            cs.setMem(a, v);
+        }, k.inputs);
+        const std::uint64_t cycles = cs.run();
+        const auto got = k.wl.read(
+            [&](std::size_t a) { return cs.mem(a); });
+        if (got != k.golden)
+            fatal("measureFunctionalYield: fault-free core fails "
+                  "workload " + k.wl.program.name);
+        k.cycleBudget = 4 * cycles + 64;
+        budgets.push_back(k.cycleBudget);
+    }
+    VerifyMemo::global().insert(fp, std::move(key), std::move(budgets));
+    return kernels;
 }
 
 /** Classification of one full trial (all replicas). */
@@ -297,6 +449,12 @@ drawWithTable(const Netlist &netlist, const FaultModel &model,
 
 } // anonymous namespace
 
+void
+goldenVerifyMemoClear()
+{
+    VerifyMemo::global().clear();
+}
+
 std::uint64_t
 faultTrialSeed(std::uint64_t seed, std::uint64_t trial,
                std::uint64_t replica)
@@ -328,38 +486,8 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
 
     trace::Span span("fault.measureFunctionalYield", config.label());
 
-    // Instantiate the kernels at the core's native width and verify
-    // them on the fault-free netlist; the clean cycle counts set
-    // the per-trial budget (a fault that quadruples the runtime has
-    // de facto killed the core).
-    const unsigned w = config.isa.datawidth;
-    std::vector<KernelHarness> kernels;
-    for (Kernel kind : cfg.kernels) {
-        KernelHarness k;
-        k.wl = makeWorkload(kind, w, w, config.isa.barCount);
-        k.inputs = defaultInputs(kind, w);
-        k.golden = goldenOutputs(kind, w, k.inputs);
-        kernels.push_back(std::move(k));
-    }
-    {
-        trace::Span gv("fault.golden_verify");
-        auto sims = buildCosims(core, config, kernels);
-        for (std::size_t i = 0; i < kernels.size(); ++i) {
-            KernelHarness &k = kernels[i];
-            CoreCosim &cs = *sims[i];
-            cs.reset();
-            k.wl.load([&](std::size_t a, std::uint64_t v) {
-                cs.setMem(a, v);
-            }, k.inputs);
-            const std::uint64_t cycles = cs.run();
-            const auto got = k.wl.read(
-                [&](std::size_t a) { return cs.mem(a); });
-            if (got != k.golden)
-                fatal("measureFunctionalYield: fault-free core fails "
-                      "workload " + k.wl.program.name);
-            k.cycleBudget = 4 * cycles + 64;
-        }
-    }
+    const std::vector<KernelHarness> kernels =
+        verifiedKernels(core, config, cfg.kernels);
 
     unsigned threads = cfg.threads ? cfg.threads
                                    : ThreadPool::defaultThreadCount();

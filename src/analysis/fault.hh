@@ -188,6 +188,14 @@ struct FunctionalYieldReport
  * defect maps for cfg.replicas copies of the core and executing
  * cfg.kernels on every defective copy at gate level.
  *
+ * The kernels are first verified on the fault-free core, which sets
+ * each kernel's cycle budget (fatal() if a kernel fails). Verified
+ * budgets are memoized process-wide by everything that run reads —
+ * the netlist's gate columns, net sources and port bindings, the
+ * full CoreConfig and the kernel list — so a content-equal call
+ * skips it (counted in "fault.golden_verify_hits"); a failure is
+ * never memoized.
+ *
  * @param core a netlist built by buildCore(config) - or a hardened
  *             derivative with identical ports (synth::harden)
  * @param config the core configuration the netlist implements
@@ -195,6 +203,13 @@ struct FunctionalYieldReport
 FunctionalYieldReport
 measureFunctionalYield(const Netlist &core, const CoreConfig &config,
                        const FunctionalYieldConfig &cfg);
+
+/**
+ * Forget every memoized fault-free verification, so the next call
+ * of each key verifies again (tests that compare counters between
+ * runs in one process, benches whose timed runs include it).
+ */
+void goldenVerifyMemoClear();
 
 } // namespace printed
 

@@ -68,6 +68,31 @@ YieldReport analyzeYield(const Netlist &netlist,
 YieldReport yieldForDevices(std::size_t devices,
                             const YieldModel &model = {});
 
+/** A two-sided confidence interval of a proportion. */
+struct ProportionInterval
+{
+    double lo = 0;
+    double hi = 1;
+};
+
+/**
+ * Wilson score 95 % interval of `successes` out of `trials`
+ * Bernoulli draws. Unlike the normal approximation it stays inside
+ * [0, 1] and is not empty at 0 or `trials` successes, where
+ * Monte-Carlo yields often sit.
+ */
+ProportionInterval wilsonInterval(std::size_t successes,
+                                  std::size_t trials);
+
+/**
+ * Two-sided exact binomial test: the probability under
+ * Binomial(trials, p) of an outcome no more likely than `successes`
+ * (the minimum-likelihood rule, as R's binom.test). Small values
+ * mean `successes` is implausible in either direction.
+ */
+double binomialTestP(std::size_t successes, std::size_t trials,
+                     double p);
+
 } // namespace printed
 
 #endif // PRINTED_ANALYSIS_YIELD_HH

@@ -33,7 +33,6 @@ BatchCoreCosim::reset()
     sim_.reset();
     std::fill(ram_.begin(), ram_.end(), 0);
     halted_ = 0;
-    lastPc_.fill(0);
     samePcStreak_.fill(0);
     spinAnchor_.fill(~0u);
     drain_.fill(0);
@@ -228,7 +227,6 @@ BatchCoreCosim::cycle()
         } else {
             samePcStreak_[lane] = 0;
         }
-        lastPc_[lane] = npc;
     }
 }
 

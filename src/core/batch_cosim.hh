@@ -133,7 +133,6 @@ class BatchCoreCosim
     std::uint32_t drainInstr_ = 0; ///< harmless never-taken branch
 
     LaneMask halted_ = 0;
-    std::array<unsigned, laneCount> lastPc_{};
     std::array<unsigned, laneCount> samePcStreak_{};
     std::array<unsigned, laneCount> spinAnchor_{};
     std::array<unsigned, laneCount> drain_{};

@@ -72,6 +72,8 @@ struct CoreConfig
     /** Validate; fatal() on inconsistent settings. */
     void check() const;
 
+    bool operator==(const CoreConfig &) const = default;
+
     /** Standard (non-program-specific) core, as in Figure 7. */
     static CoreConfig
     standard(unsigned stages, unsigned datawidth, unsigned bar_count)

@@ -25,7 +25,6 @@ CoreCosim::reset()
     sim_.reset();
     std::fill(ram_.begin(), ram_.end(), 0);
     halted_ = false;
-    lastPc_ = 0;
     samePcStreak_ = 0;
     spinAnchor_ = ~0u;
     streamPos_ = 0;
@@ -175,7 +174,6 @@ CoreCosim::cycle()
     } else {
         samePcStreak_ = 0;
     }
-    lastPc_ = npc;
 }
 
 std::uint64_t

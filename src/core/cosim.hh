@@ -93,7 +93,6 @@ class CoreCosim
     std::vector<std::uint32_t> rom_;
     std::vector<std::uint64_t> ram_;
     bool halted_ = false;
-    unsigned lastPc_ = 0;
     unsigned samePcStreak_ = 0;
     unsigned spinAnchor_ = ~0u; ///< candidate spin branch address
     unsigned drain_ = 0; ///< pipeline-drain cycles past the end

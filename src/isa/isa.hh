@@ -182,6 +182,8 @@ struct IsaConfig
 
     /** Validate ranges; fatal() on nonsense. */
     void check() const;
+
+    bool operator==(const IsaConfig &) const = default;
 };
 
 /** One decoded TP-ISA instruction. */

@@ -793,4 +793,24 @@ Netlist::compact()
     return remap;
 }
 
+std::uint64_t
+wiringFnv(const Netlist &nl)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (GateId g = 0; g < nl.gateCount(); ++g) {
+        mix(std::uint64_t(nl.gateKind(g)));
+        mix(nl.gateIn0(g));
+        mix(nl.gateIn1(g));
+        mix(nl.gateOut(g));
+    }
+    mix(nl.netCount());
+    return h;
+}
+
 } // namespace printed

@@ -91,6 +91,8 @@ struct PortBinding
 {
     std::string name;
     NetId net = invalidNet;
+
+    bool operator==(const PortBinding &) const = default;
 };
 
 /**
@@ -414,6 +416,15 @@ class Netlist
 
 /** A bus is simply an ordered list of nets, LSB first. */
 using Bus = std::vector<NetId>;
+
+/**
+ * FNV-1a over a netlist's gate columns (kind, in0, in1, out of every
+ * gate, in gate order, each as 8 little-endian bytes) and its net
+ * count: a fingerprint of the wiring. Fault-MC defects are drawn by
+ * gate id, so two netlists with the same fingerprint and the same
+ * ports see the same defect maps; the golden tests pin it per core.
+ */
+std::uint64_t wiringFnv(const Netlist &nl);
 
 } // namespace printed
 

@@ -4,13 +4,15 @@
  * power analysis, verified against hand-computed values from the
  * Table 2 cell data — plus thread-count determinism of the
  * variation Monte Carlo (the test_fault.cc pattern extended to
- * analysis code running on common/parallel.hh).
+ * analysis code running on common/parallel.hh) and the yield
+ * statistics bench_fault_yield checks its Monte Carlo with.
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/characterize.hh"
 #include "analysis/variation.hh"
+#include "analysis/yield.hh"
 #include "common/logging.hh"
 #include "netlist/netlist.hh"
 #include "synth/blocks.hh"
@@ -270,6 +272,52 @@ TEST(Variation, SamplesAreIndependentOfSampleCount)
     // Worst of the superset can only grow.
     EXPECT_GE(rb.worstUs, rs.worstUs);
     EXPECT_EQ(rs.nominalPeriodUs, rb.nominalPeriodUs);
+}
+
+// ----------------------------------------------------------------
+// Yield statistics (reference values: exact rational arithmetic)
+// ----------------------------------------------------------------
+
+TEST(YieldStats, WilsonIntervalMatchesClosedForm)
+{
+    // 0 of n: [0, z^2 / (n + z^2)], not the empty normal interval.
+    const ProportionInterval none = wilsonInterval(0, 128);
+    EXPECT_EQ(none.lo, 0.0);
+    EXPECT_NEAR(none.hi, 0.029137995898108032, 1e-12);
+    const ProportionInterval half = wilsonInterval(50, 100);
+    EXPECT_NEAR(half.lo, 0.40382982859014716, 1e-12);
+    EXPECT_NEAR(half.hi, 0.5961701714098528, 1e-12);
+    const ProportionInterval all = wilsonInterval(128, 128);
+    EXPECT_NEAR(all.lo, 1 - none.hi, 1e-12);
+    EXPECT_NEAR(all.hi, 1.0, 1e-12);
+    for (std::size_t k = 0; k <= 40; ++k) {
+        const ProportionInterval ci = wilsonInterval(k, 40);
+        EXPECT_LE(ci.lo, double(k) / 40);
+        EXPECT_GE(ci.hi, double(k) / 40);
+    }
+    EXPECT_THROW(wilsonInterval(0, 0), FatalError);
+}
+
+TEST(YieldStats, ExactBinomialTestIsTwoSided)
+{
+    // Symmetric: P(X <= 3) + P(X >= 17) for Binomial(20, 1/2).
+    EXPECT_NEAR(binomialTestP(3, 20, 0.5), 0.0025768280029296875,
+                1e-12);
+    EXPECT_NEAR(binomialTestP(17, 20, 0.5), 0.0025768280029296875,
+                1e-12);
+    EXPECT_NEAR(binomialTestP(10, 20, 0.5), 1.0, 1e-12);
+    // Skewed: every outcome no likelier than the observed one, on
+    // both tails.
+    EXPECT_NEAR(binomialTestP(7, 20, 0.1), 0.0023860894089661167,
+                1e-12);
+    EXPECT_NEAR(binomialTestP(0, 20, 0.1), 0.25452997802490435, 1e-12);
+    // A tiny analytic yield: no defect-free trial is the likeliest
+    // outcome, one is already implausible.
+    EXPECT_NEAR(binomialTestP(0, 128, 4.1e-5), 1.0, 1e-12);
+    EXPECT_LT(binomialTestP(1, 1000, 4e-11), 1e-6);
+    EXPECT_DOUBLE_EQ(binomialTestP(0, 5, 0.0), 1.0);
+    EXPECT_DOUBLE_EQ(binomialTestP(1, 5, 0.0), 0.0);
+    EXPECT_DOUBLE_EQ(binomialTestP(5, 5, 1.0), 1.0);
 }
 
 } // anonymous namespace

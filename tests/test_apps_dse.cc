@@ -388,6 +388,7 @@ std::vector<std::pair<std::string, std::uint64_t>>
 countersForThreadCount(unsigned threads)
 {
     SynthCache::global().clear();
+    goldenVerifyMemoClear();
     metrics::Registry::global().resetAll();
 
     std::vector<CoreConfig> configs = figure7Configs();

@@ -3,19 +3,24 @@
  * Unit tests for gate-level fault injection (analysis/fault.hh,
  * sim fault overlay) and the redundancy-hardening passes
  * (synth/harden.hh): defect-draw determinism, voter correctness,
- * TMR single-fault tolerance, and functional-yield Monte-Carlo
- * determinism across thread counts.
+ * TMR single-fault tolerance, functional-yield Monte-Carlo
+ * determinism across thread counts, and the fault-free verification
+ * memo (the CI TSan job runs this binary for its concurrent calls).
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/fault.hh"
 #include "analysis/yield.hh"
+#include "common/logging.hh"
 #include "common/metrics.hh"
+#include "common/trace.hh"
 #include "core/generator.hh"
 #include "netlist/netlist.hh"
 #include "sim/simulator.hh"
@@ -495,6 +500,184 @@ TEST(FunctionalYield, StopsDrawingAtTheFirstFatalCopy)
         EXPECT_EQ(r.fatalTrials, mc.trials);
         EXPECT_EQ(draws.value() - before, std::uint64_t(mc.trials));
     }
+}
+
+// ----------------------------------------------------------------
+// Fault-free verification memo
+// ----------------------------------------------------------------
+
+/** A small MC whose fault-free verification the memo keys. */
+FunctionalYieldConfig
+smallMc()
+{
+    FunctionalYieldConfig mc;
+    mc.fault.deviceYield = 0.999;
+    mc.fault.seed = 3;
+    mc.trials = 16;
+    mc.threads = 1;
+    mc.kernels = {Kernel::Mult, Kernel::THold};
+    return mc;
+}
+
+/** Run `fn` with tracing on; the Chrome trace it recorded. */
+template <typename Fn>
+std::string
+traced(Fn &&fn)
+{
+    trace::clear();
+    trace::enable();
+    fn();
+    trace::disable();
+    std::ostringstream os;
+    trace::write(os);
+    trace::clear();
+    return os.str();
+}
+
+const std::string verifySpan = "\"fault.golden_verify\"";
+
+bool
+sameReport(const FunctionalYieldReport &a, const FunctionalYieldReport &b)
+{
+    return a.trials == b.trials && a.fatalTrials == b.fatalTrials &&
+           a.maskedTrials == b.maskedTrials &&
+           a.benignTrials == b.benignTrials &&
+           a.defectFreeTrials == b.defectFreeTrials;
+}
+
+TEST(VerifyMemo, ContentEqualNetlistHits)
+{
+    goldenVerifyMemoClear();
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    const Netlist first = buildCore(cfg);
+    const Netlist second = buildCore(cfg); // built apart, same content
+    metrics::Counter &hits = metrics::counter("fault.golden_verify_hits");
+
+    FunctionalYieldReport r1, r2;
+    const std::uint64_t h0 = hits.value();
+    const std::string t1 = traced(
+        [&] { r1 = measureFunctionalYield(first, cfg, smallMc()); });
+    EXPECT_EQ(hits.value(), h0);
+    EXPECT_NE(t1.find(verifySpan), std::string::npos);
+
+    const std::string t2 = traced(
+        [&] { r2 = measureFunctionalYield(second, cfg, smallMc()); });
+    EXPECT_EQ(hits.value(), h0 + 1);
+    EXPECT_EQ(t2.find(verifySpan), std::string::npos);
+    EXPECT_NE(t2.find("\"fault.mc\""), std::string::npos);
+    EXPECT_TRUE(sameReport(r1, r2));
+}
+
+TEST(VerifyMemo, RewiredGateOrOtherKernelsMiss)
+{
+    goldenVerifyMemoClear();
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    const Netlist core = buildCore(cfg);
+    metrics::Counter &hits = metrics::counter("fault.golden_verify_hits");
+    measureFunctionalYield(core, cfg, smallMc());
+
+    // Swap the inputs of one two-input gate: the same function, but
+    // not the same wiring, so it must be verified on its own.
+    Netlist rewired = core;
+    GateId g = 0;
+    while (cellInputCount(rewired.gateKind(g)) != 2 ||
+           cellIsSequential(rewired.gateKind(g)) ||
+           rewired.gateKind(g) == CellKind::TSBUFX1 ||
+           rewired.gateIn0(g) == rewired.gateIn1(g))
+        ++g;
+    rewired.setGate(g, rewired.gateKind(g), rewired.gateIn1(g),
+                    rewired.gateIn0(g));
+    ASSERT_NE(wiringFnv(rewired), wiringFnv(core));
+
+    const std::uint64_t h0 = hits.value();
+    const std::string t = traced(
+        [&] { measureFunctionalYield(rewired, cfg, smallMc()); });
+    EXPECT_EQ(hits.value(), h0);
+    EXPECT_NE(t.find(verifySpan), std::string::npos);
+
+    FunctionalYieldConfig mult = smallMc();
+    mult.kernels = {Kernel::Mult};
+    measureFunctionalYield(core, cfg, mult);
+    EXPECT_EQ(hits.value(), h0);
+
+    // Both are memoized now, next to the first key.
+    measureFunctionalYield(rewired, cfg, smallMc());
+    measureFunctionalYield(core, cfg, mult);
+    measureFunctionalYield(core, cfg, smallMc());
+    EXPECT_EQ(hits.value(), h0 + 3);
+}
+
+TEST(VerifyMemo, FailedVerificationIsNeverMemoized)
+{
+    goldenVerifyMemoClear();
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    Netlist broken = buildCore(cfg);
+    // Feed every PC flop its own output: the PC stays at 0, the
+    // spin detector halts the program at once, and Mult's product
+    // is never written.
+    for (NetId pc : corePorts(broken, cfg).pc) {
+        const GateId flop = broken.netSoleDriver(pc);
+        ASSERT_TRUE(cellIsSequential(broken.gateKind(flop)));
+        broken.setGate(flop, broken.gateKind(flop), pc,
+                       broken.gateIn1(flop));
+    }
+    metrics::Counter &hits = metrics::counter("fault.golden_verify_hits");
+    const std::uint64_t h0 = hits.value();
+    for (int call = 0; call < 3; ++call) {
+        try {
+            measureFunctionalYield(broken, cfg, smallMc());
+            ADD_FAILURE() << "call " << call << " did not fail";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "fault-free core fails workload"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(hits.value(), h0);
+}
+
+TEST(VerifyMemo, ConcurrentCallsAgree)
+{
+    // Callers on several threads look up, verify, insert and clear
+    // at once; every report matches the serial one, and afterwards
+    // the memo still answers both keys.
+    goldenVerifyMemoClear();
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    const Netlist core = buildCore(cfg);
+    FunctionalYieldConfig mult = smallMc();
+    mult.kernels = {Kernel::Mult};
+    const FunctionalYieldReport both =
+        measureFunctionalYield(core, cfg, smallMc());
+    const FunctionalYieldReport one =
+        measureFunctionalYield(core, cfg, mult);
+    goldenVerifyMemoClear();
+
+    constexpr unsigned threads = 4;
+    std::vector<FunctionalYieldReport> got(2 * threads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back([&, t] {
+            const Netlist copy = core;
+            got[2 * t] = measureFunctionalYield(copy, cfg, smallMc());
+            got[2 * t + 1] = measureFunctionalYield(copy, cfg, mult);
+            if (t == 0)
+                goldenVerifyMemoClear(); // races the other lookups
+        });
+    for (std::thread &th : pool)
+        th.join();
+    for (unsigned t = 0; t < threads; ++t) {
+        EXPECT_TRUE(sameReport(got[2 * t], both)) << "thread " << t;
+        EXPECT_TRUE(sameReport(got[2 * t + 1], one)) << "thread " << t;
+    }
+
+    metrics::Counter &hits = metrics::counter("fault.golden_verify_hits");
+    measureFunctionalYield(core, cfg, smallMc());
+    measureFunctionalYield(core, cfg, mult);
+    const std::uint64_t h0 = hits.value();
+    measureFunctionalYield(core, cfg, smallMc());
+    measureFunctionalYield(core, cfg, mult);
+    EXPECT_EQ(hits.value(), h0 + 2);
 }
 
 } // anonymous namespace

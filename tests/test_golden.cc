@@ -125,32 +125,9 @@ TEST(Golden, Figure7DesignSpace)
 // Wiring: which gates the optimizer keeps, not only how many
 // ----------------------------------------------------------------
 
-/**
- * FNV-1a over an optimized core's gate columns (kind, in0, in1, out
- * of every gate, in gate order, each as 8 little-endian bytes) and
- * its net count. Fault-MC defects are drawn by gate id, so an
- * optimizer change that keeps every count but keeps a different
- * duplicate would silently move yields; this pins the wiring.
- */
-std::uint64_t
-wiringFnv(const Netlist &nl)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (8 * byte)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    for (GateId g = 0; g < nl.gateCount(); ++g) {
-        mix(std::uint64_t(nl.gateKind(g)));
-        mix(nl.gateIn0(g));
-        mix(nl.gateIn1(g));
-        mix(nl.gateOut(g));
-    }
-    mix(nl.netCount());
-    return h;
-}
+// wiringFnv (netlist/netlist.hh) fingerprints the gate columns: an
+// optimizer change that keeps every count but keeps a different
+// duplicate would silently move the fault-MC yields.
 
 /** Figure 7 cores, in figure7Configs() order. */
 const std::uint64_t fig7Wiring[] = {

@@ -853,10 +853,13 @@ TEST(ServiceServer, WatchdogFlagsDeadlineOverruns)
     // A yield big enough to outlive its own 50 ms deadline once it
     // starts computing (the server is idle, so admission-to-dequeue
     // is far under 50 ms and the deadline is still live when the
-    // executor picks it up).
+    // executor picks it up). 20,000 trials of one replica took
+    // 26 ms on an idle 4-vCPU machine, so the test passed only when
+    // other tests loaded it; 8 replicas draw and simulate 8x the
+    // copies.
     Client client("127.0.0.1", server.port());
     const Reply r = parseReply(client.call(yieldRequest(
-        "slow", CoreConfig::standard(1, 8, 2), 20000, 77, 1, 50)));
+        "slow", CoreConfig::standard(1, 8, 2), 20000, 77, 8, 50)));
     // The reply itself may be ok or deadline_exceeded depending on
     // where the overrun was noticed; the watchdog observation is
     // the invariant.
