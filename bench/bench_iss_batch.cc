@@ -1,27 +1,27 @@
 /**
  * @file
- * Fleet-scale ISS throughput: the struct-of-arrays batch engine vs
- * the scalar oracle loop, per legacy core (Table 4 cores, Section 8
- * workloads).
+ * Fleet-scale ISS throughput per legacy core (Table 4 cores,
+ * Section 8 workloads).
  *
  * For each core, M machines of the 8-bit multiply kernel (machine m
- * seeded with defaultInputs(mult, 8, 1 + m)) run once under each
- * engine. The run is repeated --reps times per engine and the best
- * wall-clock is kept (shared machines stall; the best rep is the
- * least-disturbed one). Both engines must agree bit-exactly —
- * instruction and cycle totals, per-machine statuses, outputs, and
- * the order-sensitive FNV fingerprint; any mismatch prints FAIL and
- * exits 1, so CI smoke runs gate hard on batch-vs-scalar identity.
+ * seeded with defaultInputs(mult, 8, 1 + m)) run on the core's
+ * interpreter with --threads T. The run is repeated --reps times and
+ * the best wall-clock is kept (shared machines stall; the best rep
+ * is the least-disturbed one). Every rep, and with T > 1 an untimed
+ * 1-thread run, must be bit-identical — instruction and cycle
+ * totals, per-machine statuses, outputs, and the order-sensitive
+ * FNV fingerprint; any mismatch prints FAIL and exits 1.
  *
  *   bench_iss_batch [--machines N] [--threads T] [--reps R]
  *                   [--max-steps S] [--json out.json]
  *
  * The --json report carries the CI perf-gate key "iss.insns_per_s"
- * (aggregate batch instructions/s across all cores) plus per-core
- * scalar/batch throughput and speedups (bench_compare gates the
+ * (aggregate instructions/s across all cores) plus per-core counts,
+ * throughput and output fingerprints (bench_compare gates the
  * median of 3 against bench/baselines/BENCH_iss.json).
  */
 
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -44,34 +44,12 @@ struct CoreResult
     legacy::LegacyCore core = legacy::LegacyCore::OpenMsp430;
     std::uint64_t instructions = 0; ///< total over all machines
     std::uint64_t cycles = 0;
-    double scalarMs = 0;
-    double batchMs = 0;
+    double ms = 0;
     std::uint64_t fnv = 0;
-    bool agree = false;
+    bool identical = false;
 };
 
-/** Best-of-reps wall clock of one engine over the whole batch. */
-double
-timeEngine(legacy::LegacyCore core, const legacy::IrProgram &prog,
-           const std::vector<std::vector<std::uint64_t>> &inputs,
-           legacy::IssBatchOptions opts, unsigned reps,
-           legacy::IssBatchResult &out)
-{
-    double best = 0;
-    for (unsigned r = 0; r < reps; ++r) {
-        WallTimer timer;
-        legacy::IssBatchResult res =
-            legacy::runLegacyBatch(core, prog, inputs, opts);
-        const double ms = timer.elapsedMs();
-        if (r == 0 || ms < best) {
-            best = ms;
-            out = std::move(res);
-        }
-    }
-    return best;
-}
-
-/** Bit-exact comparison of two engine results. */
+/** Bit-exact comparison of two fleet results. */
 bool
 resultsAgree(const legacy::IssBatchResult &a,
              const legacy::IssBatchResult &b)
@@ -101,16 +79,15 @@ main(int argc, char **argv)
     const unsigned threads =
         unsigned(uintFromArgs(argc, argv, "threads", 1));
     const unsigned reps =
-        unsigned(uintFromArgs(argc, argv, "reps", 3));
+        std::max(1u, unsigned(uintFromArgs(argc, argv, "reps", 3)));
     const std::uint64_t maxSteps =
         uintFromArgs(argc, argv, "max-steps", 50'000'000);
     const std::string jsonPath =
         jsonPathFromArgs(argc, argv, "BENCH_iss.json");
 
-    banner("Fleet ISS: batch vs scalar engine",
+    banner("Fleet ISS throughput",
            "M machines of the 8-bit multiply kernel per legacy "
-           "core, struct-of-arrays lock-step batches against the "
-           "scalar oracle loop (best of " +
+           "core (best of " +
                std::to_string(reps) + " reps, " +
                std::to_string(threads) + " thread(s), M=" +
                std::to_string(machines) + ")");
@@ -121,69 +98,74 @@ main(int argc, char **argv)
     for (std::size_t m = 0; m < machines; ++m)
         inputs.push_back(defaultInputs(Kernel::Mult, 8, 1 + m));
 
-    legacy::IssBatchOptions base;
-    base.maxSteps = maxSteps;
-    base.threads = threads;
+    legacy::IssBatchOptions opts;
+    opts.maxSteps = maxSteps;
+    opts.threads = threads;
 
-    bool allAgree = true;
-    std::uint64_t batchInsns = 0;
-    double batchMsTotal = 0;
+    bool allIdentical = true;
+    std::uint64_t totalInsns = 0;
+    double totalMs = 0;
     std::vector<CoreResult> rows;
     for (legacy::LegacyCore core : legacy::allLegacyCores) {
         CoreResult row;
         row.core = core;
-
-        legacy::IssBatchOptions opts = base;
-        opts.engine = legacy::IssEngine::Scalar;
-        legacy::IssBatchResult scalarRes;
-        row.scalarMs = timeEngine(core, prog, inputs, opts, reps,
-                                  scalarRes);
-        opts.engine = legacy::IssEngine::Batch;
-        legacy::IssBatchResult batchRes;
-        row.batchMs =
-            timeEngine(core, prog, inputs, opts, reps, batchRes);
-
-        row.instructions = batchRes.totalInstructions;
-        row.cycles = batchRes.totalCycles;
-        row.fnv = legacy::issResultFnv(batchRes);
-        row.agree = resultsAgree(scalarRes, batchRes);
-        allAgree = allAgree && row.agree;
-        batchInsns += row.instructions;
-        batchMsTotal += row.batchMs;
+        row.identical = true;
+        legacy::IssBatchResult first;
+        for (unsigned r = 0; r < reps; ++r) {
+            WallTimer timer;
+            legacy::IssBatchResult res =
+                legacy::runLegacyBatch(core, prog, inputs, opts);
+            const double ms = timer.elapsedMs();
+            if (r == 0) {
+                row.ms = ms;
+                first = std::move(res);
+                continue;
+            }
+            row.ms = std::min(row.ms, ms);
+            row.identical = row.identical && resultsAgree(first, res);
+        }
+        if (threads != 1) {
+            legacy::IssBatchOptions serial = opts;
+            serial.threads = 1;
+            row.identical =
+                row.identical &&
+                resultsAgree(first, legacy::runLegacyBatch(
+                                        core, prog, inputs, serial));
+        }
+        row.instructions = first.totalInstructions;
+        row.cycles = first.totalCycles;
+        row.fnv = legacy::issResultFnv(first);
+        allIdentical = allIdentical && row.identical;
+        totalInsns += row.instructions;
+        totalMs += row.ms;
         rows.push_back(row);
     }
 
     std::cout << std::left << std::setw(12) << "core"
               << std::right << std::setw(14) << "insns"
-              << std::setw(16) << "scalar ins/s"
-              << std::setw(16) << "batch ins/s"
-              << std::setw(10) << "speedup"
-              << std::setw(8) << "agree" << "\n";
-    for (const CoreResult &row : rows) {
-        const double scalarPs =
-            row.instructions / (row.scalarMs / 1e3);
-        const double batchPs =
-            row.instructions / (row.batchMs / 1e3);
+              << std::setw(14) << "cycles"
+              << std::setw(16) << "ins/s"
+              << std::setw(11) << "identical" << "\n";
+    for (const CoreResult &row : rows)
         std::cout << std::left << std::setw(12)
                   << legacy::issCoreId(row.core) << std::right
                   << std::setw(14) << row.instructions
+                  << std::setw(14) << row.cycles
                   << std::setw(16) << std::setprecision(4)
-                  << std::scientific << scalarPs << std::setw(16)
-                  << batchPs << std::defaultfloat
-                  << std::setw(9) << std::setprecision(3)
-                  << (scalarPs > 0 ? batchPs / scalarPs : 0) << "x"
-                  << std::setw(8) << (row.agree ? "yes" : "FAIL")
-                  << "\n";
-    }
+                  << std::scientific
+                  << row.instructions / (row.ms / 1e3)
+                  << std::defaultfloat << std::setw(11)
+                  << (row.identical ? "yes" : "FAIL") << "\n";
     const double aggregatePs =
-        batchMsTotal > 0 ? batchInsns / (batchMsTotal / 1e3) : 0;
-    std::cout << "\naggregate batch throughput "
+        totalMs > 0 ? totalInsns / (totalMs / 1e3) : 0;
+    std::cout << "\naggregate throughput "
               << std::setprecision(4) << std::scientific
               << aggregatePs << std::defaultfloat
               << " insns/s over " << rows.size() << " cores\n";
 
-    if (!allAgree)
-        std::cout << "\nFAIL: batch and scalar engines disagree\n";
+    if (!allIdentical)
+        std::cout << "\nFAIL: runs differ across reps or thread "
+                     "counts\n";
 
     if (!jsonPath.empty()) {
         JsonReport report("iss_batch");
@@ -192,8 +174,7 @@ main(int argc, char **argv)
         report.meta("reps", reps);
         report.meta("kernel", "mult");
         report.meta("width", 8);
-        report.meta("engines_agree", allAgree);
-        // The CI perf-gate key: aggregate batch instructions/s.
+        // The CI perf-gate key: aggregate instructions/s.
         report.meta("iss.insns_per_s", aggregatePs);
         for (const CoreResult &row : rows) {
             char fnv[19];
@@ -204,15 +185,11 @@ main(int argc, char **argv)
                 {{"core", legacy::issCoreId(row.core)},
                  {"instructions", row.instructions},
                  {"cycles", row.cycles},
-                 {"scalar_insns_per_s",
-                  row.instructions / (row.scalarMs / 1e3)},
                  {"batch_insns_per_s",
-                  row.instructions / (row.batchMs / 1e3)},
-                 {"batch_speedup_x", row.scalarMs / row.batchMs},
-                 {"engines_agree", row.agree},
+                  row.instructions / (row.ms / 1e3)},
                  {"outputs_fnv", fnv}});
         }
         report.writeTo(jsonPath);
     }
-    return allAgree ? 0 : 1;
+    return allIdentical ? 0 : 1;
 }

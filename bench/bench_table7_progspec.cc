@@ -6,12 +6,11 @@
  * (8-bit variants written for the 2-BAR ISA, as in the paper).
  *
  * A second, *dynamic* table runs every Table 7 benchmark on a
- * legacy-core ISS — M machines with distinct inputs on the batch
- * engine (or the scalar oracle, --engine scalar) — and reports
+ * legacy-core ISS — M machines with distinct inputs — and reports
  * golden-validated instruction/cycle counts. Everything printed to
- * stdout is engine- and thread-count-invariant, so
- * `bench_table7_progspec --engine batch` and `--engine scalar`
- * must be byte-identical (the chosen engine goes to stderr).
+ * stdout is thread-count-invariant, so `--threads 1` and
+ * `--threads 4` must be byte-identical (the thread count goes to
+ * stderr).
  */
 
 #include <cstdio>
@@ -86,27 +85,19 @@ main(int argc, char **argv)
 
     // Dynamic leg: golden-validated execution profiles on a legacy
     // ISS fleet. The table is a pure function of (core, machines),
-    // never of the engine or thread count.
+    // never of the thread count.
     const std::size_t machines =
         bench::uintFromArgs(argc, argv, "machines", 64);
     const std::string coreId =
         argString(argc, argv, "--core", "msp430");
-    const std::string engineName =
-        argString(argc, argv, "--engine", "batch");
     const auto core = legacy::issCoreFromId(coreId);
-    const auto engine = legacy::issEngineFromName(engineName);
     if (!core)
         fatal("unknown --core " + coreId);
-    if (!engine)
-        fatal("unknown --engine " + engineName);
 
     legacy::IssBatchOptions opts;
-    opts.engine = *engine;
     opts.threads =
         unsigned(bench::uintFromArgs(argc, argv, "threads", 1));
-    std::cerr << "[dynamic leg: engine "
-              << legacy::issEngineName(*engine) << ", "
-              << opts.threads << " thread(s)]\n";
+    std::cerr << "[dynamic leg: " << opts.threads << " thread(s)]\n";
 
     std::cout << "\nDynamic profile on " << coreId << " ("
               << machines << " machines per benchmark, outputs "

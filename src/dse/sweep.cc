@@ -90,7 +90,6 @@ evaluateIssPoint(legacy::LegacyCore core, Kernel kernel,
             defaultInputs(kernel, spec.width, spec.seed + m));
 
     legacy::IssBatchOptions bopts;
-    bopts.engine = spec.engine;
     bopts.maxSteps = spec.maxSteps;
     bopts.threads = opts.threads;
     bopts.pool = opts.pool;

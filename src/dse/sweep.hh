@@ -102,8 +102,8 @@ sweepFunctionalYield(const std::vector<CoreConfig> &configs,
 /**
  * Spec of a fleet-scale legacy-ISS sweep: run every kernel of the
  * grid on every selected legacy core, M machines per point, on the
- * batch engine (legacy/batch_iss.hh). Machine m of a point gets
- * defaultInputs(kernel, width, seed + m).
+ * core's interpreter (legacy/batch_iss.hh). Machine m of a point
+ * gets defaultInputs(kernel, width, seed + m).
  */
 struct IssSweepSpec
 {
@@ -117,7 +117,6 @@ struct IssSweepSpec
     std::size_t machines = 64;   ///< machines per grid point
     std::uint64_t seed = 1;      ///< base input seed
     std::uint64_t maxSteps = 50'000'000;
-    legacy::IssEngine engine = legacy::IssEngine::Batch;
 
     /** The (core, kernel) grid with defaults applied, in order. */
     std::vector<std::pair<legacy::LegacyCore, Kernel>> grid() const;
@@ -126,9 +125,9 @@ struct IssSweepSpec
 /**
  * One (core, kernel) grid point: aggregate retirement tallies and
  * an order-sensitive FNV-1a checksum of every machine's outputs and
- * status. The point is a pure function of the spec — engine choice
- * and thread count never change any field (the batch-vs-scalar
- * differential tests pin this).
+ * status. The point is a pure function of the spec: the thread
+ * count never changes any field (Golden.LegacyIssCounts pins the
+ * values, the IssBatch tests the thread-count identity).
  */
 struct IssSweepPoint
 {
@@ -153,7 +152,7 @@ IssSweepPoint evaluateIssPoint(legacy::LegacyCore core, Kernel kernel,
 /**
  * The full ISS sweep: one IssSweepPoint per grid entry, in grid
  * order. Points run sequentially; each point's machines are
- * distributed over the pool in deterministic 64-machine blocks.
+ * distributed over the pool in 64-machine chunks.
  */
 std::vector<IssSweepPoint>
 sweepLegacyIss(const IssSweepSpec &spec,

@@ -42,21 +42,6 @@ struct LegacySize
     std::size_t dataBytes = 0;
 };
 
-/**
- * Which ISS engine executes a (batch of) machine(s).
- *
- * Batch is the struct-of-arrays lock-step engine over a shared
- * predecoded code image; Scalar is the original one-machine-at-a-
- * time interpreter, kept as the bit-exact oracle. Both must produce
- * identical instruction/cycle counts, outputs, and statuses for any
- * program (the batch-vs-scalar differential tests enforce this).
- */
-enum class IssEngine
-{
-    Batch,
-    Scalar,
-};
-
 /** How a simulated machine finished. */
 enum class MachineStatus : std::uint8_t
 {
@@ -66,15 +51,14 @@ enum class MachineStatus : std::uint8_t
 };
 
 /**
- * Options for a batch ISS run.
+ * Options for a fleet ISS run.
  *
  * Results are a pure function of (program, inputs, maxSteps,
- * timing): the engine choice and the thread count never change
- * counts, outputs, or statuses, only throughput.
+ * timing): the thread count never changes counts, outputs, or
+ * statuses, only throughput.
  */
 struct IssBatchOptions
 {
-    IssEngine engine = IssEngine::Batch;
     std::uint64_t maxSteps = 50'000'000;
     unsigned threads = 1;          ///< 0 = hardware concurrency
     ThreadPool *pool = nullptr;    ///< optional shared pool

@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "common/parallel.hh"
 #include "legacy/i8080.hh"
 #include "legacy/msp430.hh"
 #include "legacy/zpu.hh"
@@ -31,48 +30,28 @@ issCoreFromId(const std::string &id)
     return std::nullopt;
 }
 
-const char *
-issEngineName(IssEngine engine)
+IssBatchResult
+issNewResult(std::size_t machines, std::size_t codeBytes,
+             std::size_t dataBytes)
 {
-    return engine == IssEngine::Batch ? "batch" : "scalar";
-}
-
-std::optional<IssEngine>
-issEngineFromName(const std::string &name)
-{
-    if (name == "batch")
-        return IssEngine::Batch;
-    if (name == "scalar")
-        return IssEngine::Scalar;
-    return std::nullopt;
-}
-
-void
-issForEachBlock(const IssBatchOptions &opts, std::size_t machines,
-                const std::function<void(std::size_t, std::size_t)> &fn)
-{
-    const std::size_t blocks =
-        (machines + issBlockMachines - 1) / issBlockMachines;
-    auto runBlock = [&](std::size_t b) {
-        const std::size_t lo = b * issBlockMachines;
-        fn(lo, std::min(machines, lo + issBlockMachines));
-    };
-    if (blocks <= 1) {
-        if (blocks == 1)
-            runBlock(0);
-        return;
+    IssBatchResult result;
+    result.codeBytes = codeBytes;
+    result.dataBytes = dataBytes;
+    result.runs.resize(machines);
+    for (LegacyRun &run : result.runs) {
+        run.codeBytes = codeBytes;
+        run.dataBytes = dataBytes;
     }
-    if (opts.pool)
-        opts.pool->parallelFor(blocks, runBlock);
-    else if (opts.threads == 1)
-        for (std::size_t b = 0; b < blocks; ++b)
-            runBlock(b);
-    else
-        parallelFor(opts.threads, blocks, runBlock);
+    result.status.resize(machines, MachineStatus::Halted);
+    return result;
 }
 
+namespace
+{
+
+/** Fill the per-fleet totals and emit iss.* metrics. */
 void
-issFinishResult(IssBatchResult &result, IssEngine engine)
+finishResult(IssBatchResult &result)
 {
     std::uint64_t halted = 0, budget = 0, killed = 0;
     result.totalInstructions = 0;
@@ -87,9 +66,6 @@ issFinishResult(IssBatchResult &result, IssEngine engine)
         }
     }
     metrics::counter("iss.batches").add(1);
-    metrics::counter(engine == IssEngine::Batch ? "iss.batch_runs"
-                                                : "iss.scalar_runs")
-        .add(1);
     metrics::counter("iss.machines").add(result.runs.size());
     metrics::counter("iss.instructions").add(result.totalInstructions);
     metrics::counter("iss.cycles").add(result.totalCycles);
@@ -97,6 +73,26 @@ issFinishResult(IssBatchResult &result, IssEngine engine)
     metrics::counter("iss.out_of_budget").add(budget);
     metrics::counter("iss.killed").add(killed);
 }
+
+IssBatchResult
+runCore(LegacyCore core, const IrProgram &prog,
+        const std::vector<std::vector<std::uint64_t>> &inputs,
+        const IssBatchOptions &opts)
+{
+    switch (core) {
+      case LegacyCore::Light8080:
+        return batchRun8080(prog, inputs, I8080Timing::I8080, opts);
+      case LegacyCore::Z80:
+        return batchRun8080(prog, inputs, I8080Timing::Z80, opts);
+      case LegacyCore::OpenMsp430:
+        return batchRunMsp430(prog, inputs, opts);
+      case LegacyCore::ZpuSmall:
+        return batchRunZpu(prog, inputs, opts);
+    }
+    panic("runLegacyBatch: bad core");
+}
+
+} // anonymous namespace
 
 std::uint64_t
 issResultFnv(const IssBatchResult &result)
@@ -121,17 +117,9 @@ runLegacyBatch(LegacyCore core, const IrProgram &prog,
                const std::vector<std::vector<std::uint64_t>> &inputs,
                const IssBatchOptions &opts)
 {
-    switch (core) {
-      case LegacyCore::Light8080:
-        return batchRun8080(prog, inputs, I8080Timing::I8080, opts);
-      case LegacyCore::Z80:
-        return batchRun8080(prog, inputs, I8080Timing::Z80, opts);
-      case LegacyCore::OpenMsp430:
-        return batchRunMsp430(prog, inputs, opts);
-      case LegacyCore::ZpuSmall:
-        return batchRunZpu(prog, inputs, opts);
-    }
-    panic("runLegacyBatch: bad core");
+    IssBatchResult result = runCore(core, prog, inputs, opts);
+    finishResult(result);
+    return result;
 }
 
 } // namespace printed::legacy

@@ -1,59 +1,45 @@
 /**
  * @file
- * Fleet-scale batch instruction-set simulation over the legacy
- * cores (Table 4): run M machines of one program in lock-step.
+ * Fleet-scale instruction-set simulation over the legacy cores
+ * (Table 4): run M machines of one program.
  *
- * The batch engine keeps machine state struct-of-arrays over M
- * machines — one column per architectural field (registers, flags,
- * PC, status, instruction and cycle counters) plus a compact
- * per-machine memory arena — while all machines share one
- * read-only, *predecoded* code image. Machines are grouped into
- * 64-machine blocks, each with a retirement mask word: every round
- * steps each still-active machine one instruction, and a machine's
- * bit retires when it halts, traps, or exhausts the step budget.
- * Blocks are distributed over the deterministic ThreadPool
- * (machine results depend only on the machine index, so any thread
- * count is bit-identical).
+ * Each core has one interpreter. A program is compiled and
+ * *predecoded* once into a read-only image that every machine
+ * shares; a Machine holds only what a run writes (the 8080's three
+ * pages, the MSP430's RAM window, the ZPU's word RAM) and keeps its
+ * registers in locals while it runs one program to completion. A
+ * fleet is split into issChunkMachines-machine chunks spread over
+ * the deterministic ThreadPool; each pool worker reuses one Machine,
+ * reset per machine. A machine's result depends only on its index,
+ * so any thread count is bit-identical.
  *
- * The original scalar Machine interpreters remain as the bit-exact
- * oracle (IssEngine::Scalar): for any program both engines must
- * agree on instruction counts, cycle counts, outputs, memory
- * effects, and per-machine statuses. The engines also share one
- * trap contract so kill masks agree: a machine is Killed on an
- * undecodable or unimplemented opcode, a PC leaving the code
- * region, or a write outside its writable window (i8080: the
- * register/data/stack pages; MSP430: RAM below 0x2000; ZPU: its
- * word RAM, reads included). A killing instruction is not counted
- * on the 8080 and MSP430 (their loops count after a successful
- * step) but is counted on the ZPU (its loop counts at fetch),
- * mirroring the scalar interpreters exactly.
+ * Trap contract: a machine is Killed on an undecodable or
+ * unimplemented opcode, a PC leaving the code region, or a write
+ * outside its writable window (i8080: the register/data/stack
+ * pages; MSP430: RAM below 0x2000; ZPU: its word RAM, reads
+ * included). A killing instruction is not counted on the 8080 and
+ * MSP430 (their loops count after a successful step) but is counted
+ * on the ZPU (its loop counts at fetch).
  */
 
 #ifndef PRINTED_LEGACY_BATCH_ISS_HH
 #define PRINTED_LEGACY_BATCH_ISS_HH
 
+#include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "common/parallel.hh"
 #include "legacy/backend.hh"
 #include "legacy/cores.hh"
 
 namespace printed::legacy
 {
 
-/** Machines per retirement-mask word (one lock-step block). */
-constexpr std::size_t issBlockMachines = 64;
-
-/**
- * Instructions one machine executes per lock-step round. Machines
- * never interact, so results are independent of the quantum; its
- * size only trades retirement-mask granularity against speed (the
- * per-core engines keep a machine's architectural state in locals
- * for the quantum's duration and write the columns back once).
- */
-constexpr unsigned issQuantum = 1024;
+/** Machines per chunk a pool worker claims in a fleet run. */
+constexpr std::size_t issChunkMachines = 64;
 
 /**
  * Compile `prog` once for `core` and run one machine per entry of
@@ -70,28 +56,53 @@ const char *issCoreId(LegacyCore core);
 /** Parse an issCoreId back; nullopt for unknown ids. */
 std::optional<LegacyCore> issCoreFromId(const std::string &id);
 
-/** "batch" / "scalar". */
-const char *issEngineName(IssEngine engine);
-
-/** Parse an engine name; nullopt for unknown names. */
-std::optional<IssEngine> issEngineFromName(const std::string &name);
+/**
+ * A result for `machines` machines of one program, every run
+ * carrying the program's code and data sizes (internal helper of
+ * the per-core fleet entries).
+ */
+IssBatchResult issNewResult(std::size_t machines,
+                            std::size_t codeBytes,
+                            std::size_t dataBytes);
 
 /**
- * Partition [0, machines) into issBlockMachines-sized blocks and
- * run fn(lo, hi) for each, over opts.pool / opts.threads (internal
- * helper shared by the per-core batch engines).
+ * Run body(machine, m) for every m in [0, machines) in
+ * issChunkMachines-machine chunks over opts.pool (or a transient
+ * pool of opts.threads). Each worker reuses one copy of `proto`,
+ * so body resets it before each run. A fleet of one chunk, or one
+ * thread without a pool, runs inline on the caller.
  */
-void issForEachBlock(
-    const IssBatchOptions &opts, std::size_t machines,
-    const std::function<void(std::size_t, std::size_t)> &fn);
-
-/** Fill the per-batch totals/status tallies and emit iss.* metrics. */
-void issFinishResult(IssBatchResult &result, IssEngine engine);
+template <typename Machine, typename Body>
+void
+issRunFleet(const IssBatchOptions &opts, std::size_t machines,
+            const Machine &proto, Body &&body)
+{
+    const std::size_t chunks =
+        (machines + issChunkMachines - 1) / issChunkMachines;
+    const auto runChunk = [&](Machine &mach, std::size_t c) {
+        const std::size_t lo = c * issChunkMachines;
+        const std::size_t hi = std::min(machines, lo + issChunkMachines);
+        for (std::size_t m = lo; m < hi; ++m)
+            body(mach, m);
+    };
+    if (chunks <= 1 || (!opts.pool && opts.threads == 1)) {
+        Machine mach = proto;
+        for (std::size_t c = 0; c < chunks; ++c)
+            runChunk(mach, c);
+        return;
+    }
+    std::optional<ThreadPool> own;
+    ThreadPool &pool = opts.pool ? *opts.pool : own.emplace(opts.threads);
+    std::vector<Machine> perWorker(pool.threadCount(), proto);
+    pool.parallelForWorkers(chunks, [&](std::size_t c, unsigned w) {
+        runChunk(perWorker[w], c);
+    });
+}
 
 /**
  * Order-sensitive FNV-1a (64-bit) over every machine's status and
- * outputs — the cross-engine/cross-thread-count fingerprint the
- * sweep, profile, and service layers compare and render.
+ * outputs — the cross-thread-count fingerprint the sweep, profile,
+ * and service layers compare and render.
  */
 std::uint64_t issResultFnv(const IssBatchResult &result);
 

@@ -65,17 +65,15 @@ struct I8080ImageRun
 /**
  * Execute one raw 8080 image on M machines (no compiler, no IR):
  * machine m starts with data_pages[m] copied to the start of its
- * data page (0x9000). Used by the cycle-accounting and trap-parity
- * tests; both engines must agree exactly.
+ * data page (0x9000). Used by the cycle-accounting and trap tests.
  */
 std::vector<I8080ImageRun> run8080Image(
     const std::vector<std::uint8_t> &code,
     const std::vector<std::vector<std::uint8_t>> &data_pages,
     I8080Timing timing = I8080Timing::I8080,
-    IssEngine engine = IssEngine::Scalar,
     std::uint64_t max_steps = i8080DefaultMaxSteps);
 
-/** Batch entry: compile once, run one machine per input set. */
+/** Fleet entry: compile once, run one machine per input set. */
 IssBatchResult batchRun8080(
     const IrProgram &prog,
     const std::vector<std::vector<std::uint64_t>> &inputs,

@@ -33,7 +33,7 @@ enum class Jcc : std::uint16_t
     JMP = 7,
 };
 
-// SR flag bits (shared by the scalar oracle and the batch engine).
+// SR flag bits.
 constexpr std::uint16_t flagC = 1 << 0;
 constexpr std::uint16_t flagZ = 1 << 1;
 constexpr std::uint16_t flagN = 1 << 2;
@@ -369,327 +369,7 @@ class Compiler
     std::vector<std::pair<std::size_t, std::string>> fixups_;
 };
 
-/**
- * MSP430 core state + interpreter for the emitted subset. This is
- * the scalar oracle of the batch engine: both engines share the
- * trap contract (undecodable/unimplemented instruction words or a
- * PC leaving the code region kill the machine before it is
- * charged; a write outside the low RAM window kills it after) and
- * must agree bit for bit on registers, memory, flags, and counts.
- */
-class Machine
-{
-  public:
-    explicit Machine(const std::vector<std::uint16_t> &code)
-        : mem_(0x10000, 0),
-          codeEnd_(std::uint16_t(codeBase + 2 * code.size()))
-    {
-        for (std::size_t i = 0; i < code.size(); ++i) {
-            // Loader stores bypass the writable-window check.
-            mem_[codeBase + 2 * i] = std::uint8_t(code[i] & 0xff);
-            mem_[codeBase + 2 * i + 1] = std::uint8_t(code[i] >> 8);
-        }
-        regs_[0] = codeBase; // PC
-    }
-
-    std::uint8_t &byteAt(std::uint16_t a) { return mem_[a]; }
-
-    std::uint16_t reg(unsigned r) const { return regs_[r]; }
-    void setReg(unsigned r, std::uint16_t v) { regs_[r] = v; }
-
-    std::uint16_t
-    read16(std::uint16_t a) const
-    {
-        return std::uint16_t(mem_[a] |
-                             (mem_[std::uint16_t(a + 1)] << 8));
-    }
-
-    MachineStatus
-    run(std::uint64_t max_steps, std::uint64_t &instructions,
-        std::uint64_t &cycles)
-    {
-        instructions = 0;
-        cycles = 0;
-        // The halt flag wins at the boundary: a program whose HALT
-        // is exactly the max_steps-th instruction is Halted.
-        while (!halted_) {
-            if (instructions >= max_steps)
-                return MachineStatus::OutOfBudget;
-            if (regs_[0] < codeBase || regs_[0] >= codeEnd_ ||
-                (regs_[0] & 1))
-                return MachineStatus::Killed;
-            if (!step(cycles))
-                return MachineStatus::Killed;
-            ++instructions;
-        }
-        return MachineStatus::Halted;
-    }
-
-  private:
-    /** Checked byte write: only the low RAM window is writable. */
-    [[nodiscard]] bool
-    write8(std::uint16_t a, std::uint8_t v)
-    {
-        if (a >= msp430RamWindow)
-            return false;
-        mem_[a] = v;
-        return true;
-    }
-
-    [[nodiscard]] bool
-    write16(std::uint16_t a, std::uint16_t v)
-    {
-        return write8(a, std::uint8_t(v & 0xff)) &&
-               write8(std::uint16_t(a + 1), std::uint8_t(v >> 8));
-    }
-    bool carry() const { return regs_[2] & flagC; }
-
-    void
-    setFlag(std::uint16_t bit, bool v)
-    {
-        if (v)
-            regs_[2] |= bit;
-        else
-            regs_[2] &= std::uint16_t(~bit);
-    }
-
-    std::uint16_t
-    fetch()
-    {
-        const std::uint16_t w = read16(regs_[0]);
-        regs_[0] = std::uint16_t(regs_[0] + 2);
-        return w;
-    }
-
-    /** @return false when the instruction trapped (machine dies). */
-    bool
-    step(std::uint64_t &cycles)
-    {
-        const std::uint16_t iw = fetch();
-        if (iw == 0xFFFF) {
-            halted_ = true;
-            ++cycles;
-            return true;
-        }
-
-        const unsigned top = iw >> 13;
-        if (top == 1) { // 001x: jumps
-            const auto cond = Jcc((iw >> 10) & 7);
-            const int off = int(signExtend(iw & 0x3ff, 10));
-            bool take = false;
-            switch (cond) {
-              case Jcc::JNE: take = !(regs_[2] & flagZ); break;
-              case Jcc::JEQ: take = regs_[2] & flagZ; break;
-              case Jcc::JNC: take = !(regs_[2] & flagC); break;
-              case Jcc::JC: take = regs_[2] & flagC; break;
-              case Jcc::JMP: take = true; break;
-              default:
-                return false; // JN/JGE/JL not emitted
-            }
-            if (take)
-                regs_[0] = std::uint16_t(regs_[0] + 2 * off);
-            cycles += 2;
-            return true;
-        }
-
-        if ((iw >> 10) == 0b000100) { // format II: RRC/RRA family
-            const unsigned opc = (iw >> 7) & 7;
-            const bool byte_mode = (iw >> 6) & 1;
-            const unsigned ad = (iw >> 4) & 3;
-            const unsigned reg = iw & 0xf;
-            if (opc != 0)
-                return false; // only RRC emitted
-            if (ad == 0) { // register
-                rrcValue(regs_[reg], byte_mode, &regs_[reg]);
-                cycles += 1;
-            } else { // absolute (reg == SR)
-                if (ad != 1 || reg != 2)
-                    return false;
-                const std::uint16_t addr = fetch();
-                std::uint16_t v = byte_mode ? mem_[addr]
-                                            : read16(addr);
-                rrcValue(v, byte_mode, nullptr);
-                if (byte_mode) {
-                    if (!write8(addr, std::uint8_t(v_)))
-                        return false;
-                } else {
-                    if (!write16(addr, v_))
-                        return false;
-                }
-                cycles += 4;
-            }
-            return true;
-        }
-
-        // Format I.
-        const auto op = Op2(iw >> 12);
-        const unsigned sreg = (iw >> 8) & 0xf;
-        const unsigned ad = (iw >> 7) & 1;
-        const bool byte_mode = (iw >> 6) & 1;
-        const unsigned as = (iw >> 4) & 3;
-        const unsigned dreg = iw & 0xf;
-
-        // Source operand.
-        std::uint16_t src = 0;
-        unsigned src_cycles = 0;
-        if (sreg == 3) { // constant generator R3
-            switch (as) {
-              case 0: src = 0; break;
-              case 1: src = 1; break;
-              case 2: src = 2; break;
-              case 3: src = 0xffff; break;
-            }
-        } else if (as == 0) {
-            src = regs_[sreg];
-        } else if (as == 1 && sreg == 2) { // absolute
-            const std::uint16_t a = fetch();
-            src = byte_mode ? mem_[a] : read16(a);
-            src_cycles = 3;
-        } else if (as == 1) { // indexed
-            // Fetch the offset first so X(R0) sees the post-fetch
-            // PC - the order the batch engine mirrors.
-            const std::uint16_t off = fetch();
-            const std::uint16_t a =
-                std::uint16_t(off + regs_[sreg]);
-            src = byte_mode ? mem_[a] : read16(a);
-            src_cycles = 3;
-        } else if (as == 3 && sreg == 0) { // immediate @PC+
-            src = fetch();
-            src_cycles = 2;
-        } else {
-            return false; // unimplemented source mode
-        }
-
-        // Destination operand.
-        std::uint16_t daddr = 0;
-        bool dst_mem = false;
-        std::uint16_t dst = 0;
-        unsigned dst_cycles = 0;
-        if (ad == 0) {
-            dst = regs_[dreg];
-        } else {
-            dst_mem = true;
-            if (dreg == 2) { // absolute
-                daddr = fetch();
-            } else { // indexed (offset first, as in the src path)
-                const std::uint16_t off = fetch();
-                daddr = std::uint16_t(off + regs_[dreg]);
-            }
-            dst = byte_mode ? mem_[daddr] : read16(daddr);
-            dst_cycles = 3;
-        }
-
-        const std::uint16_t mask = byte_mode ? 0xff : 0xffff;
-        const std::uint16_t msb = byte_mode ? 0x80 : 0x8000;
-        std::uint16_t result = 0;
-        bool write_back = true;
-        switch (op) {
-          case Op2::MOV:
-            result = src;
-            break;
-          case Op2::ADD:
-          case Op2::ADDC: {
-            const unsigned cin =
-                (op == Op2::ADDC && carry()) ? 1 : 0;
-            const unsigned full =
-                (dst & mask) + (src & mask) + cin;
-            result = std::uint16_t(full & mask);
-            setFlag(flagC, full > mask);
-            setFlag(flagZ, result == 0);
-            setFlag(flagN, result & msb);
-            setFlag(flagV, ((dst ^ result) & (src ^ result) & msb));
-            break;
-          }
-          case Op2::SUB:
-          case Op2::SUBC:
-          case Op2::CMP: {
-            const unsigned cin =
-                op == Op2::SUBC ? (carry() ? 1 : 0) : 1;
-            const unsigned full =
-                (dst & mask) + ((~src) & mask) + cin;
-            result = std::uint16_t(full & mask);
-            setFlag(flagC, full > mask);
-            setFlag(flagZ, result == 0);
-            setFlag(flagN, result & msb);
-            setFlag(flagV,
-                    ((dst ^ src) & (dst ^ result) & msb));
-            write_back = op != Op2::CMP;
-            break;
-          }
-          case Op2::AND:
-            result = dst & src & mask;
-            setFlag(flagZ, result == 0);
-            setFlag(flagN, result & msb);
-            setFlag(flagC, result != 0);
-            setFlag(flagV, false);
-            break;
-          case Op2::XOR:
-            result = (dst ^ src) & mask;
-            setFlag(flagZ, result == 0);
-            setFlag(flagN, result & msb);
-            setFlag(flagC, result != 0);
-            // SLAU049: XOR sets V when both operands are negative
-            // (the old always-false here diverged from the manual;
-            // found by the batch-vs-scalar differential fuzz).
-            setFlag(flagV, dst & src & msb);
-            break;
-          case Op2::BIS:
-            result = (dst | src) & mask;
-            break;
-          case Op2::BIC:
-            result = dst & std::uint16_t(~src) & mask;
-            break;
-          default:
-            return false; // unimplemented format-I opcode
-        }
-
-        if (write_back) {
-            if (dst_mem) {
-                if (byte_mode) {
-                    if (!write8(daddr, std::uint8_t(result)))
-                        return false;
-                } else {
-                    if (!write16(daddr, result))
-                        return false;
-                }
-            } else {
-                regs_[dreg] =
-                    byte_mode ? std::uint16_t(result & 0xff)
-                              : result;
-            }
-        }
-
-        cycles += 1 + src_cycles + dst_cycles;
-        return true;
-    }
-
-    void
-    rrcValue(std::uint16_t v, bool byte_mode, std::uint16_t *reg_out)
-    {
-        // SLAU049: byte-mode RRC rotates the low byte only (the
-        // old code shifted the full register first, leaking bit 8
-        // into bit 7), and RRC always resets V. Both divergences
-        // were flushed out by the batch-vs-scalar fuzz.
-        v &= byte_mode ? 0xff : 0xffff;
-        const std::uint16_t msb_in =
-            carry() ? (byte_mode ? 0x80 : 0x8000) : 0;
-        setFlag(flagC, v & 1);
-        v_ = std::uint16_t((v >> 1) | msb_in);
-        setFlag(flagZ, v_ == 0);
-        setFlag(flagN, v_ & (byte_mode ? 0x80 : 0x8000));
-        setFlag(flagV, false);
-        if (reg_out)
-            *reg_out = v_;
-    }
-
-    std::vector<std::uint8_t> mem_;
-    std::uint16_t codeEnd_;
-    std::array<std::uint16_t, 16> regs_{};
-    std::uint16_t v_ = 0;
-    bool halted_ = false;
-};
-
-/** Predecoded instruction kinds of the batch engine. */
+/** Predecoded instruction kinds. */
 enum Kind430 : std::uint8_t
 {
     K430Bad = 0, ///< killed right after the instruction fetch
@@ -705,8 +385,7 @@ enum Kind430 : std::uint8_t
  * read-only image, so they are cached here too (ext1/ext2) whenever
  * every word the instruction consumes is inside the image
  * (fastExt); an instruction whose PC legally runs off the end
- * mid-instruction falls back to the general memory view, which is
- * what the scalar oracle always reads through.
+ * mid-instruction falls back to the general memory view.
  */
 struct Dec430
 {
@@ -721,39 +400,97 @@ struct Dec430
     bool srcOk = false; ///< source mode implemented (kill pre-fetch)
     bool opOk = false;  ///< opcode implemented (kill post-operands)
     std::int16_t off = 0; ///< K430Jump: word offset
-    std::uint8_t extCount = 0; ///< extension words consumed
     bool fastExt = false; ///< all consumed words inside the image
     std::uint16_t ext1 = 0, ext2 = 0; ///< cached extension words
 };
 
+Dec430
+decode430(std::uint16_t iw)
+{
+    Dec430 d;
+    if (iw == 0xFFFF) {
+        d.kind = K430Halt;
+        return d;
+    }
+    if ((iw >> 13) == 1) { // 001x: jumps
+        const auto cond = Jcc((iw >> 10) & 7);
+        switch (cond) {
+          case Jcc::JNE:
+          case Jcc::JEQ:
+          case Jcc::JNC:
+          case Jcc::JC:
+          case Jcc::JMP:
+            break;
+          default:
+            return d; // JN/JGE/JL are not emitted: killed
+        }
+        d.kind = K430Jump;
+        d.cond = std::uint8_t(cond);
+        d.off = std::int16_t(int(signExtend(iw & 0x3ff, 10)));
+        return d;
+    }
+    if ((iw >> 10) == 0b000100) { // format II
+        const unsigned opc = (iw >> 7) & 7;
+        const unsigned ad = (iw >> 4) & 3;
+        const unsigned reg = iw & 0xf;
+        d.byteMode = (iw >> 6) & 1;
+        if (opc != 0)
+            return d; // only RRC is emitted
+        if (ad == 0) {
+            d.kind = K430RrcReg;
+            d.dreg = std::uint8_t(reg);
+            return d;
+        }
+        if (ad != 1 || reg != 2)
+            return d; // only the absolute (&addr) memory form
+        d.kind = K430RrcAbs;
+        return d;
+    }
+    d.kind = K430Fmt1;
+    d.op = std::uint8_t(iw >> 12);
+    d.sreg = std::uint8_t((iw >> 8) & 0xf);
+    d.ad = (iw >> 7) & 1;
+    d.byteMode = (iw >> 6) & 1;
+    d.as = std::uint8_t((iw >> 4) & 3);
+    d.dreg = std::uint8_t(iw & 0xf);
+    d.srcOk = d.sreg == 3 || d.as == 0 || d.as == 1 ||
+              (d.as == 3 && d.sreg == 0);
+    switch (Op2(d.op)) {
+      case Op2::MOV:
+      case Op2::ADD:
+      case Op2::ADDC:
+      case Op2::SUB:
+      case Op2::SUBC:
+      case Op2::CMP:
+      case Op2::BIS:
+      case Op2::BIC:
+      case Op2::XOR:
+      case Op2::AND:
+        d.opOk = true;
+        break;
+      default:
+        d.opOk = false; // BIT and friends: killed
+    }
+    return d;
+}
+
 /**
- * Struct-of-arrays MSP430 batch engine. All machines share one
- * read-only code image and its predecoded Dec430 table; per-machine
- * state is the 16-entry register file, an msp430RamWindow-byte RAM
- * arena (vs. the scalar oracle's 64 KiB flat memory), and the
- * retirement counters. Every architectural effect - flag order,
- * partial word writes on a kill, PC-relative operand reads - mirrors
- * the scalar Machine bit for bit.
+ * A program's code words at codeBase, decoded once into one Dec430
+ * per word and shared read-only by every machine that runs it.
  */
-class Batch430
+class Image
 {
   public:
-    Batch430(std::vector<std::uint16_t> code, std::size_t machines)
+    explicit Image(std::vector<std::uint16_t> code)
         : code_(std::move(code)),
           codeEnd_(std::uint16_t(codeBase + 2 * code_.size())),
-          dec_(code_.size()),
-          regs_(machines * 16, 0),
-          ram_(machines * std::size_t(msp430RamWindow), 0),
-          status_(machines, MachineStatus::Halted),
-          insns_(machines, 0),
-          cycles_(machines, 0)
+          dec_(code_.size())
     {
         for (std::size_t i = 0; i < code_.size(); ++i) {
-            Dec430 d = decode(code_[i]);
+            Dec430 d = decode430(code_[i]);
             // Cache the extension words an implemented instruction
-            // consumes (they are in the read-only image). The count
-            // is unused when srcOk is false - exec kills before any
-            // operand fetch.
+            // consumes. The count is unused when srcOk is false: the
+            // machine dies before any operand fetch.
             unsigned ext = 0;
             if (d.kind == K430RrcAbs) {
                 ext = 1;
@@ -763,7 +500,6 @@ class Batch430
                 if (d.ad)
                     ++ext; // absolute or indexed destination
             }
-            d.extCount = std::uint8_t(ext);
             if (ext >= 1 && i + 1 < code_.size())
                 d.ext1 = code_[i + 1];
             if (ext >= 2 && i + 2 < code_.size())
@@ -771,183 +507,97 @@ class Batch430
             d.fastExt = i + ext < code_.size();
             dec_[i] = d;
         }
-        for (std::size_t m = 0; m < machines; ++m)
-            regs_[m * 16] = codeBase;
     }
 
-    std::uint8_t *
-    ram(std::size_t m)
+    std::size_t words() const { return code_.size(); }
+    std::uint16_t codeEnd() const { return codeEnd_; }
+    const Dec430 &dec(std::uint16_t pc) const
     {
-        return &ram_[m * std::size_t(msp430RamWindow)];
+        return dec_[(pc - codeBase) >> 1];
     }
 
-    std::uint16_t
-    reg(std::size_t m, unsigned r) const
+    /** A byte of the code region; zero outside it. */
+    std::uint8_t
+    byte(std::uint16_t a) const
     {
-        return regs_[m * 16 + r];
-    }
-
-    void
-    setReg(std::size_t m, unsigned r, std::uint16_t v)
-    {
-        regs_[m * 16 + r] = v;
-    }
-
-    MachineStatus status(std::size_t m) const { return status_[m]; }
-    std::uint64_t instructions(std::size_t m) const { return insns_[m]; }
-    std::uint64_t cycles(std::size_t m) const { return cycles_[m]; }
-
-    /**
-     * Run machines [begin, end) in lock step: a quantum of up to
-     * issQuantum instructions per still-active machine per round,
-     * retiring machines out of the active mask as they halt,
-     * exhaust the budget, or die. The quantum keeps one machine's
-     * registers, RAM window, and counters hot (and its counters in
-     * locals) instead of interleaving every machine's state one
-     * instruction at a time; results are quantum-invariant because
-     * machines never interact. Blocks are at most issBlockMachines
-     * wide, and distinct blocks touch disjoint state, so blocks may
-     * run on pool threads.
-     */
-    void
-    runBlock(std::size_t begin, std::size_t end,
-             std::uint64_t max_steps)
-    {
-        std::uint64_t active = 0;
-        for (std::size_t m = begin; m < end; ++m)
-            active |= std::uint64_t(1) << (m - begin);
-        while (active) {
-            for (std::uint64_t w = active; w; w &= w - 1) {
-                const unsigned b =
-                    unsigned(__builtin_ctzll(w));
-                const int st = runQuantum(begin + b, max_steps);
-                if (st >= 0) {
-                    status_[begin + b] = MachineStatus(st);
-                    active &= ~(std::uint64_t(1) << b);
-                }
-            }
-        }
+        if (a < codeBase || a >= codeEnd_)
+            return 0;
+        const std::uint16_t w = code_[(a - codeBase) >> 1];
+        return std::uint8_t((a & 1) ? (w >> 8) : (w & 0xff));
     }
 
   private:
-    static Dec430
-    decode(std::uint16_t iw)
+    std::vector<std::uint16_t> code_;
+    std::uint16_t codeEnd_;
+    std::vector<Dec430> dec_;
+};
+
+/**
+ * One MSP430 machine over a shared Image: the register file and the
+ * writable RAM window. Reads see the RAM window, then the code
+ * image, then zeros. Trap contract: an undecodable or unimplemented
+ * instruction word or a PC leaving the code region kills the
+ * machine before it is charged; a write outside the RAM window
+ * kills it after (a word straddling the window edge lands its low
+ * byte first).
+ */
+class alignas(64) Machine
+{
+  public:
+    explicit Machine(const Image &image) : image_(&image) { reset(); }
+
+    /** Power-on state: RAM and registers zeroed, PC at codeBase. */
+    void
+    reset()
     {
-        Dec430 d;
-        if (iw == 0xFFFF) {
-            d.kind = K430Halt;
-            return d;
-        }
-        if ((iw >> 13) == 1) { // 001x: jumps
-            const auto cond = Jcc((iw >> 10) & 7);
-            switch (cond) {
-              case Jcc::JNE:
-              case Jcc::JEQ:
-              case Jcc::JNC:
-              case Jcc::JC:
-              case Jcc::JMP:
-                break;
-              default:
-                return d; // JN/JGE/JL: killed
-            }
-            d.kind = K430Jump;
-            d.cond = std::uint8_t(cond);
-            d.off = std::int16_t(int(signExtend(iw & 0x3ff, 10)));
-            return d;
-        }
-        if ((iw >> 10) == 0b000100) { // format II
-            const unsigned opc = (iw >> 7) & 7;
-            const unsigned ad = (iw >> 4) & 3;
-            const unsigned reg = iw & 0xf;
-            d.byteMode = (iw >> 6) & 1;
-            if (opc != 0)
-                return d; // only RRC implemented
-            if (ad == 0) {
-                d.kind = K430RrcReg;
-                d.dreg = std::uint8_t(reg);
-                return d;
-            }
-            if (ad != 1 || reg != 2)
-                return d;
-            d.kind = K430RrcAbs;
-            return d;
-        }
-        d.kind = K430Fmt1;
-        d.op = std::uint8_t(iw >> 12);
-        d.sreg = std::uint8_t((iw >> 8) & 0xf);
-        d.ad = (iw >> 7) & 1;
-        d.byteMode = (iw >> 6) & 1;
-        d.as = std::uint8_t((iw >> 4) & 3);
-        d.dreg = std::uint8_t(iw & 0xf);
-        d.srcOk = d.sreg == 3 || d.as == 0 || d.as == 1 ||
-                  (d.as == 3 && d.sreg == 0);
-        switch (Op2(d.op)) {
-          case Op2::MOV:
-          case Op2::ADD:
-          case Op2::ADDC:
-          case Op2::SUB:
-          case Op2::SUBC:
-          case Op2::CMP:
-          case Op2::BIS:
-          case Op2::BIC:
-          case Op2::XOR:
-          case Op2::AND:
-            d.opOk = true;
-            break;
-          default:
-            d.opOk = false; // BIT and friends: killed
-        }
-        return d;
+        ram_.fill(0);
+        regs = {};
+        regs[0] = codeBase;
     }
 
-    /**
-     * Read through the scalar oracle's memory view: the per-machine
-     * RAM window, then the shared code image, then zeros. The RAM
-     * window is passed as a pointer so the quantum loop resolves a
-     * machine's base exactly once.
-     */
+    std::uint8_t *ram() { return ram_.data(); }
+
+    /** Run from regs until halt, trap or max_steps instructions. */
+    MachineStatus run(std::uint64_t max_steps);
+
+    std::array<std::uint16_t, 16> regs{}; ///< R0 = PC, R2 = SR
+    std::uint64_t instructions = 0;
+    std::uint64_t cycles = 0;
+
+  private:
     std::uint8_t
-    read8(const std::uint8_t *ram, std::uint16_t a) const
+    read8(std::uint16_t a) const
     {
-        if (a < msp430RamWindow)
-            return ram[a];
-        if (a >= codeBase && a < codeEnd_) {
-            const std::uint16_t w = code_[(a - codeBase) >> 1];
-            return std::uint8_t((a & 1) ? (w >> 8) : (w & 0xff));
-        }
-        return 0;
+        return a < msp430RamWindow ? ram_[a] : image_->byte(a);
     }
 
     std::uint16_t
-    read16(const std::uint8_t *ram, std::uint16_t a) const
+    read16(std::uint16_t a) const
     {
-        return std::uint16_t(read8(ram, a) |
-                             (read8(ram, std::uint16_t(a + 1)) << 8));
+        return std::uint16_t(read8(a) |
+                             (read8(std::uint16_t(a + 1)) << 8));
     }
 
-    [[nodiscard]] static bool
-    write8(std::uint8_t *ram, std::uint16_t a, std::uint8_t v)
+    [[nodiscard]] bool
+    write8(std::uint16_t a, std::uint8_t v)
     {
         if (a >= msp430RamWindow)
             return false;
-        ram[a] = v;
+        ram_[a] = v;
         return true;
     }
 
-    [[nodiscard]] static bool
-    write16(std::uint8_t *ram, std::uint16_t a, std::uint16_t v)
+    [[nodiscard]] bool
+    write16(std::uint16_t a, std::uint16_t v)
     {
-        // Low byte first - a word write straddling the window edge
-        // lands its low byte before the kill, like the oracle.
-        return write8(ram, a, std::uint8_t(v & 0xff)) &&
-               write8(ram, std::uint16_t(a + 1),
-                      std::uint8_t(v >> 8));
+        return write8(a, std::uint8_t(v & 0xff)) &&
+               write8(std::uint16_t(a + 1), std::uint8_t(v >> 8));
     }
 
     std::uint16_t
-    fetch16(std::uint16_t *R, const std::uint8_t *ram)
+    fetch16(std::uint16_t *R)
     {
-        const std::uint16_t w = read16(ram, R[0]);
+        const std::uint16_t w = read16(R[0]);
         R[0] = std::uint16_t(R[0] + 2);
         return w;
     }
@@ -961,9 +611,11 @@ class Batch430
             R[2] &= std::uint16_t(~bit);
     }
 
-    std::uint16_t
+    static std::uint16_t
     rrcValue(std::uint16_t *R, std::uint16_t v, bool byte_mode)
     {
+        // SLAU049: byte-mode RRC rotates the low byte only, and RRC
+        // always resets V.
         v &= byte_mode ? 0xff : 0xffff;
         const std::uint16_t msb_in =
             (R[2] & flagC) ? (byte_mode ? 0x80 : 0x8000) : 0;
@@ -975,279 +627,238 @@ class Batch430
         return out;
     }
 
-    /**
-     * Up to issQuantum scalar-oracle run-loop iterations for
-     * machine m: -1 while the machine is still running, otherwise
-     * its final MachineStatus.
-     */
-    int
-    runQuantum(std::size_t m, std::uint64_t max_steps)
-    {
-        std::uint16_t *const R = &regs_[m * 16];
-        std::uint8_t *const ram =
-            &ram_[m * std::size_t(msp430RamWindow)];
-        std::uint64_t insns = insns_[m], cycles = cycles_[m];
-        int result = -1;
-        for (unsigned q = 0; q < issQuantum; ++q) {
-            if (insns >= max_steps) {
-                result = int(MachineStatus::OutOfBudget);
-                break;
-            }
-            const std::uint16_t pc = R[0];
-            if (pc < codeBase || pc >= codeEnd_ || (pc & 1)) {
-                result = int(MachineStatus::Killed);
-                break;
-            }
-            bool halted = false;
-            if (!exec(R, ram, cycles, halted)) {
-                result = int(MachineStatus::Killed);
-                break;
-            }
-            ++insns;
-            if (halted) {
-                result = int(MachineStatus::Halted);
-                break;
-            }
-        }
-        insns_[m] = insns;
-        cycles_[m] = cycles;
-        return result;
-    }
+    /** One instruction; false when it trapped. */
+    bool step(std::uint16_t *R, std::uint64_t &cycles, bool &halted);
 
-    bool
-    exec(std::uint16_t *R, std::uint8_t *ram, std::uint64_t &cycles,
-         bool &halted)
-    {
-        const Dec430 &d = dec_[(R[0] - codeBase) >> 1];
-        R[0] = std::uint16_t(R[0] + 2); // instruction-word fetch
-
-        switch (d.kind) {
-          case K430Bad:
-            return false;
-          case K430Halt:
-            halted = true;
-            ++cycles;
-            return true;
-          case K430Jump: {
-            bool take = false;
-            switch (Jcc(d.cond)) {
-              case Jcc::JNE: take = !(R[2] & flagZ); break;
-              case Jcc::JEQ: take = R[2] & flagZ; break;
-              case Jcc::JNC: take = !(R[2] & flagC); break;
-              case Jcc::JC: take = R[2] & flagC; break;
-              default: take = true; break; // JMP
-            }
-            if (take)
-                R[0] = std::uint16_t(R[0] + 2 * d.off);
-            cycles += 2;
-            return true;
-          }
-          case K430RrcReg:
-            R[d.dreg] = rrcValue(R, R[d.dreg], d.byteMode);
-            cycles += 1;
-            return true;
-          case K430RrcAbs: {
-            std::uint16_t addr;
-            if (d.fastExt) {
-                addr = d.ext1;
-                R[0] = std::uint16_t(R[0] + 2);
-            } else {
-                addr = fetch16(R, ram);
-            }
-            const std::uint16_t v = d.byteMode
-                                        ? read8(ram, addr)
-                                        : read16(ram, addr);
-            const std::uint16_t out = rrcValue(R, v, d.byteMode);
-            if (d.byteMode) {
-                if (!write8(ram, addr, std::uint8_t(out)))
-                    return false;
-            } else {
-                if (!write16(ram, addr, out))
-                    return false;
-            }
-            cycles += 4;
-            return true;
-          }
-          case K430Fmt1:
-            break;
-        }
-
-        // Format I. Source operand first, as in the oracle. The
-        // extension-word fetches take the cached copy when the
-        // whole instruction is inside the image (the common case);
-        // the PC advances identically either way, so X(R0)
-        // addressing still sees the post-fetch PC.
-        unsigned extIdx = 0;
-        const auto fetchExt = [&]() -> std::uint16_t {
-            if (d.fastExt) {
-                const std::uint16_t w =
-                    extIdx++ ? d.ext2 : d.ext1;
-                R[0] = std::uint16_t(R[0] + 2);
-                return w;
-            }
-            return fetch16(R, ram);
-        };
-        if (!d.srcOk)
-            return false;
-        std::uint16_t src = 0;
-        unsigned src_cycles = 0;
-        if (d.sreg == 3) { // constant generator R3
-            switch (d.as) {
-              case 0: src = 0; break;
-              case 1: src = 1; break;
-              case 2: src = 2; break;
-              case 3: src = 0xffff; break;
-            }
-        } else if (d.as == 0) {
-            src = R[d.sreg];
-        } else if (d.as == 1 && d.sreg == 2) { // absolute
-            const std::uint16_t a = fetchExt();
-            src = d.byteMode ? read8(ram, a) : read16(ram, a);
-            src_cycles = 3;
-        } else if (d.as == 1) { // indexed
-            const std::uint16_t off = fetchExt();
-            const std::uint16_t a = std::uint16_t(off + R[d.sreg]);
-            src = d.byteMode ? read8(ram, a) : read16(ram, a);
-            src_cycles = 3;
-        } else { // immediate @PC+
-            src = fetchExt();
-            src_cycles = 2;
-        }
-
-        std::uint16_t daddr = 0;
-        bool dst_mem = false;
-        std::uint16_t dst = 0;
-        unsigned dst_cycles = 0;
-        if (!d.ad) {
-            dst = R[d.dreg];
-        } else {
-            dst_mem = true;
-            if (d.dreg == 2) { // absolute
-                daddr = fetchExt();
-            } else { // indexed
-                const std::uint16_t off = fetchExt();
-                daddr = std::uint16_t(off + R[d.dreg]);
-            }
-            dst = d.byteMode ? read8(ram, daddr) : read16(ram, daddr);
-            dst_cycles = 3;
-        }
-
-        if (!d.opOk)
-            return false; // after operand evaluation, like the oracle
-
-        // Flag updates build the new SR in a local and store it
-        // once (the scalar oracle's setFlag order is respected by
-        // construction: all four bits come from the same result).
-        const std::uint16_t mask = d.byteMode ? 0xff : 0xffff;
-        const std::uint16_t msb = d.byteMode ? 0x80 : 0x8000;
-        constexpr std::uint16_t flagAll =
-            flagC | flagZ | flagN | flagV;
-        std::uint16_t sr = R[2];
-        std::uint16_t result = 0;
-        bool write_back = true;
-        switch (Op2(d.op)) {
-          case Op2::MOV:
-            result = src;
-            break;
-          case Op2::ADD:
-          case Op2::ADDC: {
-            const unsigned cin =
-                (Op2(d.op) == Op2::ADDC && (sr & flagC)) ? 1 : 0;
-            const unsigned full =
-                (dst & mask) + (src & mask) + cin;
-            result = std::uint16_t(full & mask);
-            sr &= std::uint16_t(~flagAll);
-            if (full > mask)
-                sr |= flagC;
-            if (result == 0)
-                sr |= flagZ;
-            if (result & msb)
-                sr |= flagN;
-            if ((dst ^ result) & (src ^ result) & msb)
-                sr |= flagV;
-            break;
-          }
-          case Op2::SUB:
-          case Op2::SUBC:
-          case Op2::CMP: {
-            const unsigned cin =
-                Op2(d.op) == Op2::SUBC ? ((sr & flagC) ? 1 : 0)
-                                       : 1;
-            const unsigned full =
-                (dst & mask) + ((~src) & mask) + cin;
-            result = std::uint16_t(full & mask);
-            sr &= std::uint16_t(~flagAll);
-            if (full > mask)
-                sr |= flagC;
-            if (result == 0)
-                sr |= flagZ;
-            if (result & msb)
-                sr |= flagN;
-            if ((dst ^ src) & (dst ^ result) & msb)
-                sr |= flagV;
-            write_back = Op2(d.op) != Op2::CMP;
-            break;
-          }
-          case Op2::AND:
-            result = dst & src & mask;
-            sr &= std::uint16_t(~flagAll);
-            if (result == 0)
-                sr |= flagZ;
-            if (result & msb)
-                sr |= flagN;
-            if (result != 0)
-                sr |= flagC;
-            break;
-          case Op2::XOR:
-            result = (dst ^ src) & mask;
-            sr &= std::uint16_t(~flagAll);
-            if (result == 0)
-                sr |= flagZ;
-            if (result & msb)
-                sr |= flagN;
-            if (result != 0)
-                sr |= flagC;
-            if (dst & src & msb)
-                sr |= flagV;
-            break;
-          case Op2::BIS:
-            result = (dst | src) & mask;
-            break;
-          default: // BIC (decode admits nothing else here)
-            result = dst & std::uint16_t(~src) & mask;
-            break;
-        }
-        R[2] = sr; // before write_back, which may overwrite SR
-
-        if (write_back) {
-            if (dst_mem) {
-                if (d.byteMode) {
-                    if (!write8(ram, daddr, std::uint8_t(result)))
-                        return false;
-                } else {
-                    if (!write16(ram, daddr, result))
-                        return false;
-                }
-            } else {
-                R[d.dreg] = d.byteMode
-                                ? std::uint16_t(result & 0xff)
-                                : result;
-            }
-        }
-
-        cycles += 1 + src_cycles + dst_cycles;
-        return true;
-    }
-
-    std::vector<std::uint16_t> code_; ///< shared, read-only
-    std::uint16_t codeEnd_;
-    std::vector<Dec430> dec_; ///< predecoded, one per code word
-    std::vector<std::uint16_t> regs_; ///< 16 per machine
-    std::vector<std::uint8_t> ram_;   ///< msp430RamWindow per machine
-    std::vector<MachineStatus> status_;
-    std::vector<std::uint64_t> insns_;
-    std::vector<std::uint64_t> cycles_;
+    const Image *image_;
+    std::array<std::uint8_t, msp430RamWindow> ram_{};
 };
+
+MachineStatus
+Machine::run(std::uint64_t max_steps)
+{
+    std::uint16_t *const R = regs.data();
+    const std::uint16_t codeEnd = image_->codeEnd();
+    std::uint64_t insns = 0, cyc = 0;
+    // The halt flag wins at the boundary: a program whose HALT is
+    // exactly the max_steps-th instruction is Halted.
+    MachineStatus status;
+    for (;;) {
+        if (insns >= max_steps) {
+            status = MachineStatus::OutOfBudget;
+            break;
+        }
+        const std::uint16_t pc = R[0];
+        bool halted = false;
+        if (pc < codeBase || pc >= codeEnd || (pc & 1) ||
+            !step(R, cyc, halted)) {
+            status = MachineStatus::Killed;
+            break;
+        }
+        ++insns;
+        if (halted) {
+            status = MachineStatus::Halted;
+            break;
+        }
+    }
+    instructions = insns;
+    cycles = cyc;
+    return status;
+}
+
+bool
+Machine::step(std::uint16_t *R, std::uint64_t &cycles, bool &halted)
+{
+    const Dec430 &d = image_->dec(R[0]);
+    R[0] = std::uint16_t(R[0] + 2); // instruction-word fetch
+
+    switch (d.kind) {
+      case K430Bad:
+        return false;
+      case K430Halt:
+        halted = true;
+        ++cycles;
+        return true;
+      case K430Jump: {
+        bool take = false;
+        switch (Jcc(d.cond)) {
+          case Jcc::JNE: take = !(R[2] & flagZ); break;
+          case Jcc::JEQ: take = R[2] & flagZ; break;
+          case Jcc::JNC: take = !(R[2] & flagC); break;
+          case Jcc::JC: take = R[2] & flagC; break;
+          default: take = true; break; // JMP
+        }
+        if (take)
+            R[0] = std::uint16_t(R[0] + 2 * d.off);
+        cycles += 2;
+        return true;
+      }
+      case K430RrcReg:
+        R[d.dreg] = rrcValue(R, R[d.dreg], d.byteMode);
+        cycles += 1;
+        return true;
+      case K430RrcAbs: {
+        std::uint16_t addr;
+        if (d.fastExt) {
+            addr = d.ext1;
+            R[0] = std::uint16_t(R[0] + 2);
+        } else {
+            addr = fetch16(R);
+        }
+        const std::uint16_t v = d.byteMode ? read8(addr) : read16(addr);
+        const std::uint16_t out = rrcValue(R, v, d.byteMode);
+        if (!(d.byteMode ? write8(addr, std::uint8_t(out))
+                         : write16(addr, out)))
+            return false;
+        cycles += 4;
+        return true;
+      }
+      case K430Fmt1:
+        break;
+    }
+
+    // Format I: source operand first. Extension words come from the
+    // cached copy when the whole instruction is inside the image;
+    // the PC advances identically either way, so X(R0) addressing
+    // sees the post-fetch PC.
+    unsigned extIdx = 0;
+    const auto fetchExt = [&]() -> std::uint16_t {
+        if (d.fastExt) {
+            const std::uint16_t w = extIdx++ ? d.ext2 : d.ext1;
+            R[0] = std::uint16_t(R[0] + 2);
+            return w;
+        }
+        return fetch16(R);
+    };
+    if (!d.srcOk)
+        return false;
+    std::uint16_t src = 0;
+    unsigned src_cycles = 0;
+    if (d.sreg == 3) { // constant generator R3
+        static constexpr std::uint16_t constants[4] = {0, 1, 2, 0xffff};
+        src = constants[d.as];
+    } else if (d.as == 0) {
+        src = R[d.sreg];
+    } else if (d.as == 1) { // absolute (&addr via SR) or indexed
+        const std::uint16_t off = fetchExt();
+        const std::uint16_t a =
+            d.sreg == 2 ? off : std::uint16_t(off + R[d.sreg]);
+        src = d.byteMode ? read8(a) : read16(a);
+        src_cycles = 3;
+    } else { // immediate @PC+
+        src = fetchExt();
+        src_cycles = 2;
+    }
+
+    std::uint16_t daddr = 0;
+    std::uint16_t dst = 0;
+    unsigned dst_cycles = 0;
+    if (!d.ad) {
+        dst = R[d.dreg];
+    } else {
+        const std::uint16_t off = fetchExt();
+        daddr = d.dreg == 2 ? off : std::uint16_t(off + R[d.dreg]);
+        dst = d.byteMode ? read8(daddr) : read16(daddr);
+        dst_cycles = 3;
+    }
+
+    if (!d.opOk)
+        return false; // after operand evaluation
+
+    // The new SR is built in a local and stored once, before the
+    // write-back (which may itself target SR).
+    const std::uint16_t mask = d.byteMode ? 0xff : 0xffff;
+    const std::uint16_t msb = d.byteMode ? 0x80 : 0x8000;
+    constexpr std::uint16_t flagAll = flagC | flagZ | flagN | flagV;
+    std::uint16_t sr = R[2];
+    std::uint16_t result = 0;
+    bool write_back = true;
+    switch (Op2(d.op)) {
+      case Op2::MOV:
+        result = src;
+        break;
+      case Op2::ADD:
+      case Op2::ADDC: {
+        const unsigned cin =
+            (Op2(d.op) == Op2::ADDC && (sr & flagC)) ? 1 : 0;
+        const unsigned full = (dst & mask) + (src & mask) + cin;
+        result = std::uint16_t(full & mask);
+        sr &= std::uint16_t(~flagAll);
+        if (full > mask)
+            sr |= flagC;
+        if (result == 0)
+            sr |= flagZ;
+        if (result & msb)
+            sr |= flagN;
+        if ((dst ^ result) & (src ^ result) & msb)
+            sr |= flagV;
+        break;
+      }
+      case Op2::SUB:
+      case Op2::SUBC:
+      case Op2::CMP: {
+        const unsigned cin =
+            Op2(d.op) == Op2::SUBC ? ((sr & flagC) ? 1 : 0) : 1;
+        const unsigned full = (dst & mask) + ((~src) & mask) + cin;
+        result = std::uint16_t(full & mask);
+        sr &= std::uint16_t(~flagAll);
+        if (full > mask)
+            sr |= flagC;
+        if (result == 0)
+            sr |= flagZ;
+        if (result & msb)
+            sr |= flagN;
+        if ((dst ^ src) & (dst ^ result) & msb)
+            sr |= flagV;
+        write_back = Op2(d.op) != Op2::CMP;
+        break;
+      }
+      case Op2::AND:
+        result = dst & src & mask;
+        sr &= std::uint16_t(~flagAll);
+        if (result == 0)
+            sr |= flagZ;
+        if (result & msb)
+            sr |= flagN;
+        if (result != 0)
+            sr |= flagC;
+        break;
+      case Op2::XOR:
+        result = (dst ^ src) & mask;
+        sr &= std::uint16_t(~flagAll);
+        if (result == 0)
+            sr |= flagZ;
+        if (result & msb)
+            sr |= flagN;
+        if (result != 0)
+            sr |= flagC;
+        // SLAU049: XOR sets V when both operands are negative.
+        if (dst & src & msb)
+            sr |= flagV;
+        break;
+      case Op2::BIS:
+        result = (dst | src) & mask;
+        break;
+      default: // BIC (decode admits nothing else here)
+        result = dst & std::uint16_t(~src) & mask;
+        break;
+    }
+    R[2] = sr;
+
+    if (write_back) {
+        if (d.ad) {
+            if (!(d.byteMode ? write8(daddr, std::uint8_t(result))
+                             : write16(daddr, result)))
+                return false;
+        } else {
+            R[d.dreg] =
+                d.byteMode ? std::uint16_t(result & 0xff) : result;
+        }
+    }
+
+    cycles += 1 + src_cycles + dst_cycles;
+    return true;
+}
 
 unsigned
 bytesPerLogicalWord(const IrProgram &prog)
@@ -1272,75 +883,33 @@ runMsp430(const IrProgram &prog,
           const std::vector<std::uint64_t> &inputs,
           std::uint64_t max_steps)
 {
-    Compiler c(prog);
-    auto code = c.take();
-
-    LegacyRun result;
-    result.codeBytes = code.size() * 2;
-    result.dataBytes = prog.dataWords * bytesPerLogicalWord(prog);
-
-    Machine m(code);
-    const unsigned bpw = bytesPerLogicalWord(prog);
-    fatalIf(inputs.size() != prog.inputAddrs.size(),
-            "runMsp430: input count mismatch");
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        for (unsigned k = 0; k < bpw; ++k)
-            m.byteAt(std::uint16_t(dataBase +
-                                   prog.inputAddrs[i] * bpw + k)) =
-                std::uint8_t(inputs[i] >> (8 * k));
-
-    const MachineStatus st =
-        m.run(max_steps, result.instructions, result.cycles);
-    fatalIf(st == MachineStatus::OutOfBudget,
+    IssBatchOptions opts;
+    opts.maxSteps = max_steps;
+    IssBatchResult res = batchRunMsp430(prog, {inputs}, opts);
+    fatalIf(res.status[0] == MachineStatus::OutOfBudget,
             "msp430: step budget exhausted");
-    fatalIf(st == MachineStatus::Killed,
+    fatalIf(res.status[0] == MachineStatus::Killed,
             "msp430: machine killed (bad pc or trap)");
-
-    for (unsigned addr : prog.outputAddrs) {
-        std::uint64_t v = 0;
-        for (unsigned k = 0; k < bpw; ++k)
-            v |= std::uint64_t(m.byteAt(std::uint16_t(
-                     dataBase + addr * bpw + k)))
-                 << (8 * k);
-        result.outputs.push_back(v & maskBits(prog.width));
-    }
-    return result;
+    return std::move(res.runs[0]);
 }
 
 Msp430RawRun
-runMsp430Raw(const Msp430RawState &init, IssEngine engine,
-             std::uint64_t max_steps)
+runMsp430Raw(const Msp430RawState &init, std::uint64_t max_steps)
 {
     fatalIf(init.ram.size() > msp430RamWindow,
             "runMsp430Raw: RAM image exceeds the writable window");
+    const Image image(init.code);
+    Machine m(image);
+    for (unsigned r = 1; r < 16; ++r)
+        m.regs[r] = init.regs[r];
+    std::copy(init.ram.begin(), init.ram.end(), m.ram());
+
     Msp430RawRun out;
-    out.ram.resize(init.ram.size());
-    if (engine == IssEngine::Scalar) {
-        Machine m(init.code);
-        for (unsigned r = 1; r < 16; ++r)
-            m.setReg(r, init.regs[r]);
-        for (std::size_t i = 0; i < init.ram.size(); ++i)
-            m.byteAt(std::uint16_t(i)) = init.ram[i];
-        out.status = m.run(max_steps, out.instructions, out.cycles);
-        for (unsigned r = 0; r < 16; ++r)
-            out.regs[r] = m.reg(r);
-        for (std::size_t i = 0; i < init.ram.size(); ++i)
-            out.ram[i] = m.byteAt(std::uint16_t(i));
-    } else {
-        Batch430 b(init.code, 1);
-        for (unsigned r = 1; r < 16; ++r)
-            b.setReg(0, r, init.regs[r]);
-        for (std::size_t i = 0; i < init.ram.size(); ++i)
-            b.ram(0)[i] = init.ram[i];
-        b.runBlock(0, 1, max_steps);
-        out.status = b.status(0);
-        out.instructions = b.instructions(0);
-        out.cycles = b.cycles(0);
-        for (unsigned r = 0; r < 16; ++r)
-            out.regs[r] = b.reg(0, r);
-        for (std::size_t i = 0; i < init.ram.size(); ++i)
-            out.ram[i] = b.ram(0)[i];
-    }
+    out.status = m.run(max_steps);
+    out.instructions = m.instructions;
+    out.cycles = m.cycles;
+    out.regs = m.regs;
+    out.ram.assign(m.ram(), m.ram() + init.ram.size());
     return out;
 }
 
@@ -1349,83 +918,37 @@ batchRunMsp430(const IrProgram &prog,
                const std::vector<std::vector<std::uint64_t>> &inputs,
                const IssBatchOptions &opts)
 {
-    Compiler c(prog);
-    auto code = c.take();
     const unsigned bpw = bytesPerLogicalWord(prog);
-    const std::size_t machines = inputs.size();
+    const Image image(Compiler(prog).take());
+    IssBatchResult res = issNewResult(inputs.size(), image.words() * 2,
+                                      prog.dataWords * bpw);
+    for (const auto &in : inputs)
+        fatalIf(in.size() != prog.inputAddrs.size(),
+                "msp430: input count mismatch");
+    fatalIf(dataBase + std::size_t(prog.dataWords) * bpw >
+                msp430RamWindow,
+            "msp430: data array exceeds the RAM window");
 
-    IssBatchResult res;
-    res.codeBytes = code.size() * 2;
-    res.dataBytes = prog.dataWords * bpw;
-    res.runs.resize(machines);
-    res.status.resize(machines, MachineStatus::Halted);
-    for (std::size_t m = 0; m < machines; ++m) {
-        fatalIf(inputs[m].size() != prog.inputAddrs.size(),
-                "batchRunMsp430: input count mismatch");
-        res.runs[m].codeBytes = res.codeBytes;
-        res.runs[m].dataBytes = res.dataBytes;
-    }
-
-    const auto inputByte = [&](std::size_t m, std::size_t i,
-                               unsigned k) {
-        return std::uint8_t(inputs[m][i] >> (8 * k));
-    };
-    const auto readOutputs = [&](LegacyRun &run, auto &&byte_at) {
+    issRunFleet(opts, inputs.size(), Machine(image),
+                [&](Machine &mach, std::size_t m) {
+        mach.reset();
+        std::uint8_t *const ram = mach.ram();
+        for (std::size_t i = 0; i < inputs[m].size(); ++i)
+            for (unsigned k = 0; k < bpw; ++k)
+                ram[dataBase + prog.inputAddrs[i] * bpw + k] =
+                    std::uint8_t(inputs[m][i] >> (8 * k));
+        res.status[m] = mach.run(opts.maxSteps);
+        LegacyRun &run = res.runs[m];
+        run.instructions = mach.instructions;
+        run.cycles = mach.cycles;
         for (unsigned addr : prog.outputAddrs) {
             std::uint64_t v = 0;
             for (unsigned k = 0; k < bpw; ++k)
-                v |= std::uint64_t(byte_at(std::uint16_t(
-                         dataBase + addr * bpw + k)))
+                v |= std::uint64_t(ram[dataBase + addr * bpw + k])
                      << (8 * k);
             run.outputs.push_back(v & maskBits(prog.width));
         }
-    };
-
-    if (opts.engine == IssEngine::Scalar) {
-        issForEachBlock(opts, machines, [&](std::size_t begin,
-                                            std::size_t end) {
-            for (std::size_t m = begin; m < end; ++m) {
-                Machine mach(code);
-                for (std::size_t i = 0;
-                     i < prog.inputAddrs.size(); ++i)
-                    for (unsigned k = 0; k < bpw; ++k)
-                        mach.byteAt(std::uint16_t(
-                            dataBase + prog.inputAddrs[i] * bpw +
-                            k)) = inputByte(m, i, k);
-                res.status[m] =
-                    mach.run(opts.maxSteps,
-                             res.runs[m].instructions,
-                             res.runs[m].cycles);
-                readOutputs(res.runs[m], [&](std::uint16_t a) {
-                    return mach.byteAt(a);
-                });
-            }
-        });
-    } else {
-        fatalIf(dataBase + std::size_t(prog.dataWords) * bpw >
-                    msp430RamWindow,
-                "batchRunMsp430: data array exceeds the RAM window");
-        Batch430 b(std::move(code), machines);
-        for (std::size_t m = 0; m < machines; ++m)
-            for (std::size_t i = 0; i < prog.inputAddrs.size(); ++i)
-                for (unsigned k = 0; k < bpw; ++k)
-                    b.ram(m)[dataBase + prog.inputAddrs[i] * bpw +
-                             k] = inputByte(m, i, k);
-        issForEachBlock(opts, machines, [&](std::size_t begin,
-                                            std::size_t end) {
-            b.runBlock(begin, end, opts.maxSteps);
-        });
-        for (std::size_t m = 0; m < machines; ++m) {
-            res.status[m] = b.status(m);
-            res.runs[m].instructions = b.instructions(m);
-            res.runs[m].cycles = b.cycles(m);
-            readOutputs(res.runs[m], [&](std::uint16_t a) {
-                return b.ram(m)[a];
-            });
-        }
-    }
-
-    issFinishResult(res, opts.engine);
+    });
     return res;
 }
 

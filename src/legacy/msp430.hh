@@ -68,16 +68,14 @@ struct Msp430RawRun
 };
 
 /**
- * Execute one raw machine on the chosen engine and return its
- * complete architectural state. Both engines must agree bit for
- * bit - this is the probe the MSP430 status-register audit and
- * its regression tests use.
+ * Execute one raw machine and return its complete architectural
+ * state - the probe the MSP430 status-register regression tests
+ * and the raw-fuzz golden use.
  */
 Msp430RawRun runMsp430Raw(const Msp430RawState &init,
-                          IssEngine engine,
                           std::uint64_t max_steps = 100'000);
 
-/** Batch entry: compile once, run one machine per input set. */
+/** Fleet entry: compile once, run one machine per input set. */
 IssBatchResult batchRunMsp430(
     const IrProgram &prog,
     const std::vector<std::vector<std::uint64_t>> &inputs,

@@ -1,5 +1,6 @@
 #include "zpu.hh"
 
+#include <array>
 #include <map>
 
 #include "common/bits.hh"
@@ -247,471 +248,265 @@ class Compiler
 };
 
 /**
- * ZPU core state + interpreter. Scalar oracle of the batch engine:
- * both engines share the trap contract (PC outside the code image
- * kills the machine before the fetch; any access to a misaligned
- * or out-of-range RAM word, or an unimplemented opcode, kills it
- * after the instruction was counted and charged - ZPU counts and
- * charges at fetch) and must agree bit for bit.
+ * Per-byte predecode record of the shared image. An address whose
+ * byte starts an IM chain folds the *whole* maximal run from that
+ * address into one immediate (the fold an empty-chain entry would
+ * compute; a branch target mid-run simply uses its own record);
+ * other bytes carry the opcode and its full cycle charge so
+ * dispatch skips the EMULATE test.
  */
-class Machine
+struct ZDec
 {
-  public:
-    explicit Machine(std::vector<std::uint8_t> code)
-        : code_(std::move(code)), ram_(ramBytes / 4, 0),
-          sp_(ramBytes)
-    {}
-
-    /** Unchecked accessors for the run harness's I/O words. */
-    std::uint32_t
-    ramWord(std::uint32_t byte_addr) const
-    {
-        panicIf(byte_addr % 4 || byte_addr / 4 >= ram_.size(),
-                "zpu: bad word address");
-        return ram_[byte_addr / 4];
-    }
-
-    void
-    setRamWord(std::uint32_t byte_addr, std::uint32_t v)
-    {
-        panicIf(byte_addr % 4 || byte_addr / 4 >= ram_.size(),
-                "zpu: bad word address");
-        ram_[byte_addr / 4] = v;
-    }
-
-    MachineStatus
-    run(std::uint64_t max_steps, std::uint64_t &instructions,
-        std::uint64_t &cycles)
-    {
-        instructions = 0;
-        cycles = 0;
-        while (!halted_) {
-            if (instructions >= max_steps)
-                return MachineStatus::OutOfBudget;
-            if (pc_ >= code_.size())
-                return MachineStatus::Killed;
-            const std::uint8_t op = code_[pc_++];
-            ++instructions;
-            cycles += zpuBaseCpi;
-            if (isEmulate(op))
-                cycles += zpuEmulatePenalty;
-
-            if (op & 0x80) { // IM
-                const std::uint32_t payload = op & 0x7f;
-                if (idim_) {
-                    push((pop() << 7) | payload);
-                } else {
-                    push(std::uint32_t(signExtend(payload, 7)));
-                }
-                idim_ = true;
-                if (dead_)
-                    return MachineStatus::Killed;
-                continue;
-            }
-            idim_ = false;
-
-            switch (op) {
-              case BREAK: halted_ = true; break;
-              case NOP: break;
-              case POPPC: pc_ = pop(); break;
-              case ADD: { const auto b = pop(); push(pop() + b);
-                break; }
-              case SUB: { const auto b = pop(); push(pop() - b);
-                break; }
-              case AND: { const auto b = pop(); push(pop() & b);
-                break; }
-              case OR: { const auto b = pop(); push(pop() | b);
-                break; }
-              case XOR: { const auto b = pop(); push(pop() ^ b);
-                break; }
-              case NOT: push(~pop()); break;
-              case FLIP: {
-                std::uint32_t v = pop(), r = 0;
-                for (int i = 0; i < 32; ++i)
-                    r |= ((v >> i) & 1) << (31 - i);
-                push(r);
-                break;
-              }
-              case LOAD: push(rd(pop())); break;
-              case STORE: {
-                const auto addr = pop();
-                wr(addr, pop());
-                break;
-              }
-              case ULESSTHAN: {
-                const auto b = pop();
-                const auto a = pop();
-                push(a < b ? 1 : 0);
-                break;
-              }
-              case EQ: {
-                const auto b = pop();
-                push(pop() == b ? 1 : 0);
-                break;
-              }
-              case LSHIFTRIGHT: {
-                const auto amount = pop() & 31;
-                push(pop() >> amount);
-                break;
-              }
-              case NEQBRANCH: {
-                const auto target = pop();
-                const auto cond = pop();
-                if (cond != 0)
-                    pc_ = target;
-                break;
-              }
-              case LOADSP0:
-                push(rd(sp_));
-                break;
-              default:
-                return MachineStatus::Killed;
-            }
-            if (dead_)
-                return MachineStatus::Killed;
-        }
-        return MachineStatus::Halted;
-    }
-
-  private:
-    /**
-     * Checked word access: a bad address marks the machine dead
-     * and reads as zero; the instruction still runs to completion
-     * (later valid accesses land) before the kill is observed -
-     * the batch engine replays this sequence exactly.
-     */
-    std::uint32_t
-    rd(std::uint32_t byte_addr)
-    {
-        if (byte_addr % 4 || byte_addr / 4 >= ram_.size()) {
-            dead_ = true;
-            return 0;
-        }
-        return ram_[byte_addr / 4];
-    }
-
-    void
-    wr(std::uint32_t byte_addr, std::uint32_t v)
-    {
-        if (byte_addr % 4 || byte_addr / 4 >= ram_.size()) {
-            dead_ = true;
-            return;
-        }
-        ram_[byte_addr / 4] = v;
-    }
-
-    void
-    push(std::uint32_t v)
-    {
-        sp_ -= 4;
-        wr(sp_, v);
-    }
-
-    std::uint32_t
-    pop()
-    {
-        const std::uint32_t v = rd(sp_);
-        sp_ += 4;
-        return v;
-    }
-
-    std::vector<std::uint8_t> code_;
-    std::vector<std::uint32_t> ram_;
-    std::uint32_t sp_;
-    std::uint32_t pc_ = 0;
-    bool halted_ = false;
-    bool idim_ = false;
-    bool dead_ = false;
+    std::uint8_t op;   ///< raw opcode; 0x80 flags an IM run
+    std::uint8_t len;  ///< bytes (= instructions) in the run
+    std::uint32_t imm; ///< folded IM value (empty-chain entry)
+    std::uint32_t cyc; ///< cycles for one non-IM dispatch
 };
 
-/**
- * Struct-of-arrays ZPU batch engine: one shared read-only code
- * image, per-machine RAM/SP/PC/IM-chain columns. Mirrors the
- * scalar Machine bit for bit, including the dead-flag semantics
- * of bad accesses mid-instruction.
- */
-class BatchZpu
+/** A program's code, decoded once and shared by every machine. */
+class Image
 {
   public:
-    BatchZpu(std::vector<std::uint8_t> code, std::size_t machines)
-        : code_(std::move(code)),
-          ram_(machines * ramWords, 0),
-          sp_(machines, ramBytes),
-          pc_(machines, 0),
-          idim_(machines, 0),
-          status_(machines, MachineStatus::Halted),
-          insns_(machines, 0),
-          cycles_(machines, 0)
+    explicit Image(std::vector<std::uint8_t> code)
+        : code_(std::move(code)), dec_(code_.size())
     {
-        predecode();
-    }
-
-    std::uint32_t *ram(std::size_t m) { return &ram_[m * ramWords]; }
-    MachineStatus status(std::size_t m) const { return status_[m]; }
-    std::uint64_t instructions(std::size_t m) const { return insns_[m]; }
-    std::uint64_t cycles(std::size_t m) const { return cycles_[m]; }
-
-    /**
-     * Lock-step rounds of up to issQuantum instructions per
-     * still-active machine (quantum-invariant — machines never
-     * interact; the quantum keeps one machine's SP/PC/IM-chain and
-     * counters in locals and its RAM hot in cache).
-     */
-    void
-    runBlock(std::size_t begin, std::size_t end,
-             std::uint64_t max_steps)
-    {
-        std::uint64_t active = 0;
-        for (std::size_t m = begin; m < end; ++m)
-            active |= std::uint64_t(1) << (m - begin);
-        while (active) {
-            for (std::uint64_t w = active; w; w &= w - 1) {
-                const unsigned b =
-                    unsigned(__builtin_ctzll(w));
-                const int st = runQuantum(begin + b, max_steps);
-                if (st >= 0) {
-                    status_[begin + b] = MachineStatus(st);
-                    active &= ~(std::uint64_t(1) << b);
-                }
-            }
-        }
-    }
-
-  private:
-    static constexpr std::size_t ramWords = ramBytes / 4;
-
-    /**
-     * Per-byte predecode record for the shared image. An address
-     * whose byte starts an IM chain folds the *whole* maximal run
-     * from that address into one immediate (the fold an empty-chain
-     * entry would compute — a branch target mid-run simply uses its
-     * own record); other bytes carry the opcode and its full cycle
-     * charge so dispatch skips the EMULATE test.
-     */
-    struct ZDec
-    {
-        std::uint8_t op;  ///< raw opcode; 0x80 flags an IM run
-        std::uint8_t len; ///< bytes (= instructions) in the run
-        std::uint32_t imm; ///< folded IM value (empty-chain entry)
-        std::uint32_t cyc; ///< cycles for one non-IM dispatch
-    };
-
-    void
-    predecode()
-    {
-        dec_.resize(code_.size());
         for (std::size_t a = 0; a < code_.size(); ++a) {
             const std::uint8_t op = code_[a];
             if (op & 0x80) {
                 std::size_t end = a + 1;
-                while (end < code_.size() &&
-                       (code_[end] & 0x80) && end - a < 255)
+                while (end < code_.size() && (code_[end] & 0x80) &&
+                       end - a < 255)
                     ++end;
-                std::uint32_t v = std::uint32_t(
-                    signExtend(op & 0x7f, 7));
+                std::uint32_t v =
+                    std::uint32_t(signExtend(op & 0x7f, 7));
                 for (std::size_t i = a + 1; i < end; ++i)
                     v = (v << 7) | (code_[i] & 0x7f);
-                dec_[a] = {0x80, std::uint8_t(end - a), v,
-                           zpuBaseCpi};
+                dec_[a] = {0x80, std::uint8_t(end - a), v, zpuBaseCpi};
             } else {
                 dec_[a] = {op, 1, 0,
-                           zpuBaseCpi + (isEmulate(op)
-                                             ? zpuEmulatePenalty
-                                             : 0)};
+                           zpuBaseCpi +
+                               (isEmulate(op) ? zpuEmulatePenalty : 0)};
             }
         }
     }
 
-    /**
-     * Up to issQuantum scalar-oracle iterations for machine m: -1
-     * while still running, otherwise its final MachineStatus. SP is
-     * always word-aligned (only push/pop move it, by whole words),
-     * so the quantum tracks it in word units and the stack accesses
-     * drop the alignment test the scalar rd/wr perform.
-     */
-    int
-    runQuantum(std::size_t m, std::uint64_t max_steps)
-    {
-        std::uint32_t *const ram = &ram_[m * ramWords];
-        const std::uint8_t *const code = code_.data();
-        const ZDec *const dec = dec_.data();
-        const std::size_t codeSize = code_.size();
-        std::uint32_t spw = sp_[m] >> 2, pc = pc_[m];
-        bool idim = idim_[m] != 0;
-        std::uint64_t insns = insns_[m], cycles = cycles_[m];
+    std::size_t size() const { return code_.size(); }
+    const std::uint8_t *code() const { return code_.data(); }
+    const ZDec *dec() const { return dec_.data(); }
 
-        int result = -1;
-        for (unsigned q = 0; q < issQuantum && result < 0; ++q) {
-            if (insns >= max_steps) {
-                result = int(MachineStatus::OutOfBudget);
-                break;
+  private:
+    std::vector<std::uint8_t> code_;
+    std::vector<ZDec> dec_;
+};
+
+/**
+ * One ZPU machine over a shared Image: its word RAM. Trap contract:
+ * a PC outside the code image kills the machine before the fetch;
+ * a misaligned or out-of-range RAM access, or an unimplemented
+ * opcode, kills it after the instruction was counted and charged
+ * (the ZPU counts and charges at fetch). A bad access reads as zero
+ * and the instruction still runs to completion (later valid
+ * accesses land) before the kill is observed.
+ */
+class alignas(64) Machine
+{
+  public:
+    explicit Machine(const Image &image) : image_(&image) {}
+
+    /** Power-on state: RAM zeroed. */
+    void reset() { ram_.fill(0); }
+
+    std::uint32_t *ram() { return ram_.data(); }
+
+    /** Run from PC 0 until halt, trap or max_steps instructions. */
+    MachineStatus run(std::uint64_t max_steps);
+
+    std::uint64_t instructions = 0;
+    std::uint64_t cycles = 0;
+
+  private:
+    static constexpr std::uint32_t ramWords = ramBytes / 4;
+
+    const Image *image_;
+    std::array<std::uint32_t, ramWords> ram_{};
+};
+
+/**
+ * SP is always word-aligned (only push/pop move it, by whole
+ * words), so the run tracks it in word units and the stack
+ * accesses drop the alignment test.
+ */
+MachineStatus
+Machine::run(std::uint64_t max_steps)
+{
+    std::uint32_t *const ram = ram_.data();
+    const std::uint8_t *const code = image_->code();
+    const ZDec *const dec = image_->dec();
+    const std::size_t codeSize = image_->size();
+    std::uint32_t spw = ramWords, pc = 0;
+    bool idim = false;
+    std::uint64_t insns = 0, cyc = 0;
+
+    MachineStatus status;
+    for (;;) {
+        if (insns >= max_steps) {
+            status = MachineStatus::OutOfBudget;
+            break;
+        }
+        if (pc >= codeSize) {
+            status = MachineStatus::Killed;
+            break;
+        }
+        const ZDec d = dec[pc];
+
+        bool dead = false;
+        const auto rd = [&](std::uint32_t a) -> std::uint32_t {
+            if (a % 4 || a / 4 >= ramWords) {
+                dead = true;
+                return 0;
             }
-            if (pc >= codeSize) {
-                result = int(MachineStatus::Killed);
-                break;
+            return ram[a / 4];
+        };
+        const auto wr = [&](std::uint32_t a, std::uint32_t v) {
+            if (a % 4 || a / 4 >= ramWords) {
+                dead = true;
+                return;
             }
-            const ZDec d = dec[pc];
+            ram[a / 4] = v;
+        };
+        const auto push = [&](std::uint32_t v) {
+            --spw;
+            if (spw >= ramWords)
+                dead = true;
+            else
+                ram[spw] = v;
+        };
+        const auto pop = [&]() -> std::uint32_t {
+            std::uint32_t v = 0;
+            if (spw >= ramWords)
+                dead = true;
+            else
+                v = ram[spw];
+            ++spw;
+            return v;
+        };
 
-            bool dead = false;
-            const auto rd = [&](std::uint32_t a) -> std::uint32_t {
-                if (a % 4 || a / 4 >= ramWords) {
-                    dead = true;
-                    return 0;
-                }
-                return ram[a / 4];
-            };
-            const auto wr = [&](std::uint32_t a, std::uint32_t v) {
-                if (a % 4 || a / 4 >= ramWords) {
-                    dead = true;
-                    return;
-                }
-                ram[a / 4] = v;
-            };
-            const auto push = [&](std::uint32_t v) {
-                --spw;
-                if (spw >= ramWords)
-                    dead = true;
-                else
-                    ram[spw] = v;
-            };
-            const auto pop = [&]() -> std::uint32_t {
-                std::uint32_t v = 0;
-                if (spw >= ramWords)
-                    dead = true;
-                else
-                    v = ram[spw];
-                ++spw;
-                return v;
-            };
-
-            if (d.op & 0x80) { // IM chain
-                if (!idim && insns + d.len <= max_steps) {
-                    // Entered with an empty chain and inside the
-                    // step budget: one push of the folded value
-                    // retires the whole run. A trapping push kills
-                    // on the run's first byte, exactly like the
-                    // byte-wise engine.
-                    push(d.imm);
-                    idim = true;
-                    const unsigned n = dead ? 1 : d.len;
-                    pc += n;
-                    insns += n;
-                    cycles += std::uint64_t(zpuBaseCpi) * n;
-                    if (dead)
-                        result = int(MachineStatus::Killed);
-                    continue;
-                }
+        if (d.op & 0x80) { // IM chain
+            if (!idim && insns + d.len <= max_steps) {
+                // Entered with an empty chain and inside the step
+                // budget: one push of the folded value retires the
+                // whole run. A trapping push kills on the run's
+                // first byte, exactly like byte-wise execution.
+                push(d.imm);
+                idim = true;
+                const unsigned n = dead ? 1 : d.len;
+                pc += n;
+                insns += n;
+                cyc += std::uint64_t(zpuBaseCpi) * n;
+            } else {
                 // Mid-chain entry or the budget expires inside the
-                // run: byte-wise, the exact scalar sequence.
+                // run: one byte at a time.
                 const std::uint32_t payload = code[pc] & 0x7f;
                 ++pc;
                 ++insns;
-                cycles += zpuBaseCpi;
+                cyc += zpuBaseCpi;
                 if (idim)
                     push((pop() << 7) | payload);
                 else
                     push(std::uint32_t(signExtend(payload, 7)));
                 idim = true;
-                if (dead)
-                    result = int(MachineStatus::Killed);
-                continue;
             }
-
-            ++pc;
-            ++insns;
-            cycles += d.cyc;
-            idim = false;
-            bool bad_op = false;
-            bool halted = false;
-            switch (d.op) {
-              case BREAK: halted = true; break;
-              case NOP: break;
-              case POPPC: pc = pop(); break;
-              case ADD: { const auto b = pop(); push(pop() + b);
-                break; }
-              case SUB: { const auto b = pop(); push(pop() - b);
-                break; }
-              case AND: { const auto b = pop(); push(pop() & b);
-                break; }
-              case OR: { const auto b = pop(); push(pop() | b);
-                break; }
-              case XOR: { const auto b = pop(); push(pop() ^ b);
-                break; }
-              case NOT: push(~pop()); break;
-              case FLIP: {
-                std::uint32_t v = pop(), r = 0;
-                for (int i = 0; i < 32; ++i)
-                    r |= ((v >> i) & 1) << (31 - i);
-                push(r);
-                break;
-              }
-              case LOAD: push(rd(pop())); break;
-              case STORE: {
-                const auto addr = pop();
-                wr(addr, pop());
-                break;
-              }
-              case ULESSTHAN: {
-                const auto b = pop();
-                const auto a = pop();
-                push(a < b ? 1 : 0);
-                break;
-              }
-              case EQ: {
-                const auto b = pop();
-                push(pop() == b ? 1 : 0);
-                break;
-              }
-              case LSHIFTRIGHT: {
-                const auto amount = pop() & 31;
-                push(pop() >> amount);
-                break;
-              }
-              case NEQBRANCH: {
-                const auto target = pop();
-                const auto cond = pop();
-                if (cond != 0)
-                    pc = target;
-                break;
-              }
-              case LOADSP0: {
-                std::uint32_t v = 0;
-                if (spw >= ramWords)
-                    dead = true;
-                else
-                    v = ram[spw];
-                push(v);
-                break;
-              }
-              default:
-                bad_op = true;
+            if (dead) {
+                status = MachineStatus::Killed;
                 break;
             }
-
-            if (dead || bad_op)
-                result = int(MachineStatus::Killed);
-            else if (halted)
-                result = int(MachineStatus::Halted);
+            continue;
         }
 
-        sp_[m] = spw << 2;
-        pc_[m] = pc;
-        idim_[m] = idim ? 1 : 0;
-        insns_[m] = insns;
-        cycles_[m] = cycles;
-        return result;
-    }
+        ++pc;
+        ++insns;
+        cyc += d.cyc;
+        idim = false;
+        bool bad_op = false;
+        bool halted = false;
+        switch (d.op) {
+          case BREAK: halted = true; break;
+          case NOP: break;
+          case POPPC: pc = pop(); break;
+          case ADD: { const auto b = pop(); push(pop() + b);
+            break; }
+          case SUB: { const auto b = pop(); push(pop() - b);
+            break; }
+          case AND: { const auto b = pop(); push(pop() & b);
+            break; }
+          case OR: { const auto b = pop(); push(pop() | b);
+            break; }
+          case XOR: { const auto b = pop(); push(pop() ^ b);
+            break; }
+          case NOT: push(~pop()); break;
+          case FLIP: {
+            std::uint32_t v = pop(), r = 0;
+            for (int i = 0; i < 32; ++i)
+                r |= ((v >> i) & 1) << (31 - i);
+            push(r);
+            break;
+          }
+          case LOAD: push(rd(pop())); break;
+          case STORE: {
+            const auto addr = pop();
+            wr(addr, pop());
+            break;
+          }
+          case ULESSTHAN: {
+            const auto b = pop();
+            const auto a = pop();
+            push(a < b ? 1 : 0);
+            break;
+          }
+          case EQ: {
+            const auto b = pop();
+            push(pop() == b ? 1 : 0);
+            break;
+          }
+          case LSHIFTRIGHT: {
+            const auto amount = pop() & 31;
+            push(pop() >> amount);
+            break;
+          }
+          case NEQBRANCH: {
+            const auto target = pop();
+            const auto cond = pop();
+            if (cond != 0)
+                pc = target;
+            break;
+          }
+          case LOADSP0: {
+            std::uint32_t v = 0;
+            if (spw >= ramWords)
+                dead = true;
+            else
+                v = ram[spw];
+            push(v);
+            break;
+          }
+          default:
+            bad_op = true;
+            break;
+        }
 
-    std::vector<std::uint8_t> code_; ///< shared, read-only
-    std::vector<ZDec> dec_;          ///< shared predecode of code_
-    std::vector<std::uint32_t> ram_; ///< ramWords per machine
-    std::vector<std::uint32_t> sp_;
-    std::vector<std::uint32_t> pc_;
-    std::vector<std::uint8_t> idim_; ///< mid-IM-chain flag
-    std::vector<MachineStatus> status_;
-    std::vector<std::uint64_t> insns_;
-    std::vector<std::uint64_t> cycles_;
-};
+        if (dead || bad_op) {
+            status = MachineStatus::Killed;
+            break;
+        }
+        if (halted) {
+            status = MachineStatus::Halted;
+            break;
+        }
+    }
+    instructions = insns;
+    cycles = cyc;
+    return status;
+}
 
 } // anonymous namespace
 
@@ -731,31 +526,14 @@ runZpu(const IrProgram &prog,
        const std::vector<std::uint64_t> &inputs,
        std::uint64_t max_steps)
 {
-    Compiler c(prog);
-    auto code = c.take();
-
-    LegacyRun result;
-    result.codeBytes = code.size();
-    result.dataBytes = prog.dataWords * 4;
-
-    Machine m(std::move(code));
-    fatalIf(inputs.size() != prog.inputAddrs.size(),
-            "runZpu: input count mismatch");
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        m.setRamWord(dataBase + prog.inputAddrs[i] * 4,
-                     std::uint32_t(inputs[i]));
-
-    const MachineStatus st =
-        m.run(max_steps, result.instructions, result.cycles);
-    fatalIf(st == MachineStatus::OutOfBudget,
+    IssBatchOptions opts;
+    opts.maxSteps = max_steps;
+    IssBatchResult res = batchRunZpu(prog, {inputs}, opts);
+    fatalIf(res.status[0] == MachineStatus::OutOfBudget,
             "zpu: step budget exhausted");
-    fatalIf(st == MachineStatus::Killed,
+    fatalIf(res.status[0] == MachineStatus::Killed,
             "zpu: machine killed (bad pc, address, or opcode)");
-
-    for (unsigned addr : prog.outputAddrs)
-        result.outputs.push_back(m.ramWord(dataBase + addr * 4) &
-                                 maskBits(prog.width));
-    return result;
+    return std::move(res.runs[0]);
 }
 
 IssBatchResult
@@ -763,66 +541,30 @@ batchRunZpu(const IrProgram &prog,
             const std::vector<std::vector<std::uint64_t>> &inputs,
             const IssBatchOptions &opts)
 {
-    Compiler c(prog);
-    auto code = c.take();
-    const std::size_t machines = inputs.size();
-
-    IssBatchResult res;
-    res.codeBytes = code.size();
-    res.dataBytes = prog.dataWords * 4;
-    res.runs.resize(machines);
-    res.status.resize(machines, MachineStatus::Halted);
-    for (std::size_t m = 0; m < machines; ++m) {
-        fatalIf(inputs[m].size() != prog.inputAddrs.size(),
-                "batchRunZpu: input count mismatch");
-        res.runs[m].codeBytes = res.codeBytes;
-        res.runs[m].dataBytes = res.dataBytes;
-    }
+    const Image image(Compiler(prog).take());
+    IssBatchResult res =
+        issNewResult(inputs.size(), image.size(), prog.dataWords * 4);
+    for (const auto &in : inputs)
+        fatalIf(in.size() != prog.inputAddrs.size(),
+                "zpu: input count mismatch");
     fatalIf(dataBase + std::size_t(prog.dataWords) * 4 > ramBytes,
-            "batchRunZpu: data array exceeds RAM");
+            "zpu: data array exceeds RAM");
 
-    if (opts.engine == IssEngine::Scalar) {
-        issForEachBlock(opts, machines, [&](std::size_t begin,
-                                            std::size_t end) {
-            for (std::size_t m = begin; m < end; ++m) {
-                Machine mach(code); // per-machine copy: baseline
-                for (std::size_t i = 0;
-                     i < prog.inputAddrs.size(); ++i)
-                    mach.setRamWord(
-                        dataBase + prog.inputAddrs[i] * 4,
-                        std::uint32_t(inputs[m][i]));
-                res.status[m] =
-                    mach.run(opts.maxSteps,
-                             res.runs[m].instructions,
-                             res.runs[m].cycles);
-                for (unsigned addr : prog.outputAddrs)
-                    res.runs[m].outputs.push_back(
-                        mach.ramWord(dataBase + addr * 4) &
-                        maskBits(prog.width));
-            }
-        });
-    } else {
-        BatchZpu b(std::move(code), machines);
-        for (std::size_t m = 0; m < machines; ++m)
-            for (std::size_t i = 0; i < prog.inputAddrs.size(); ++i)
-                b.ram(m)[(dataBase + prog.inputAddrs[i] * 4) / 4] =
-                    std::uint32_t(inputs[m][i]);
-        issForEachBlock(opts, machines, [&](std::size_t begin,
-                                            std::size_t end) {
-            b.runBlock(begin, end, opts.maxSteps);
-        });
-        for (std::size_t m = 0; m < machines; ++m) {
-            res.status[m] = b.status(m);
-            res.runs[m].instructions = b.instructions(m);
-            res.runs[m].cycles = b.cycles(m);
-            for (unsigned addr : prog.outputAddrs)
-                res.runs[m].outputs.push_back(
-                    b.ram(m)[(dataBase + addr * 4) / 4] &
-                    maskBits(prog.width));
-        }
-    }
-
-    issFinishResult(res, opts.engine);
+    issRunFleet(opts, inputs.size(), Machine(image),
+                [&](Machine &mach, std::size_t m) {
+        mach.reset();
+        std::uint32_t *const ram = mach.ram();
+        for (std::size_t i = 0; i < inputs[m].size(); ++i)
+            ram[dataBase / 4 + prog.inputAddrs[i]] =
+                std::uint32_t(inputs[m][i]);
+        res.status[m] = mach.run(opts.maxSteps);
+        LegacyRun &run = res.runs[m];
+        run.instructions = mach.instructions;
+        run.cycles = mach.cycles;
+        for (unsigned addr : prog.outputAddrs)
+            run.outputs.push_back(ram[dataBase / 4 + addr] &
+                                  maskBits(prog.width));
+    });
     return res;
 }
 

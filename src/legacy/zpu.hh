@@ -45,7 +45,7 @@ LegacyRun runZpu(const IrProgram &prog,
                  const std::vector<std::uint64_t> &inputs,
                  std::uint64_t max_steps = zpuDefaultMaxSteps);
 
-/** Batch entry: compile once, run one machine per input set. */
+/** Fleet entry: compile once, run one machine per input set. */
 IssBatchResult batchRunZpu(
     const IrProgram &prog,
     const std::vector<std::vector<std::uint64_t>> &inputs,

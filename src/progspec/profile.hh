@@ -4,12 +4,11 @@
  * *static* architectural state each benchmark needs, this module
  * measures its *dynamic* cost by actually running the benchmark's
  * IR form on a legacy core's instruction-set simulator — M machines
- * with distinct inputs at once, on the batch engine of
- * legacy/batch_iss.hh. Every machine's outputs are validated
- * against the golden models, so the numbers a report prints are
- * known-correct, and the result carries the cross-engine FNV
- * fingerprint (batch and scalar engines must render byte-identical
- * tables).
+ * with distinct inputs at once, as a fleet of legacy/batch_iss.hh.
+ * Every machine's outputs are validated against the golden models,
+ * so the numbers a report prints are known-correct, and the result
+ * carries the fleet's FNV fingerprint (every thread count must
+ * render byte-identical tables).
  */
 
 #ifndef PRINTED_PROGSPEC_PROFILE_HH
@@ -33,7 +32,7 @@ struct KernelDynProfile
     std::uint64_t instructions = 0;  ///< total over all machines
     std::uint64_t cycles = 0;        ///< total over all machines
     bool outputsMatchGolden = false; ///< every machine, every output
-    std::uint64_t outputsFnv = 0;    ///< engine/thread invariant
+    std::uint64_t outputsFnv = 0;    ///< thread-count invariant
 };
 
 /** The seven Table 7 benchmarks, in the table's row order. */

@@ -225,16 +225,6 @@ issField(const Value &obj)
     spec.seed = uintField(obj, "seed", 1, 0, std::uint64_t(-1));
     spec.maxSteps = uintField(obj, "max_steps", 50'000'000, 1,
                               1'000'000'000);
-
-    if (const Value *e = obj.find("engine")) {
-        fatalIf(!e->isString(),
-                "request field 'engine' must be a string");
-        const auto engine = legacy::issEngineFromName(e->string);
-        if (!engine)
-            fatal("unknown ISS engine '" + e->string +
-                  "' (want \"batch\" or \"scalar\")");
-        spec.engine = *engine;
-    }
     return spec;
 }
 
@@ -259,8 +249,6 @@ issSpecBody(const IssSweepSpec &spec)
     out += ", \"machines\": " + std::to_string(spec.machines);
     out += ", \"seed\": " + std::to_string(spec.seed);
     out += ", \"max_steps\": " + std::to_string(spec.maxSteps);
-    out += ", \"engine\": ";
-    out += jsonQuote(legacy::issEngineName(spec.engine));
     out += "}";
     return out;
 }

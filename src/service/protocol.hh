@@ -24,16 +24,16 @@
  *
  *   {"id":"r7","type":"sweep","iss":{"cores":["msp430","zpu"],
  *    "kernels":["mult","div"],"width":8,"machines":64,"seed":1,
- *    "engine":"batch"}}
+ *    "max_steps":50000000}}
  *       Fleet ISS sweep: run every kernel on every legacy core, M
- *       machines per point, on the batch instruction-set simulator
+ *       machines per point, on the core's instruction-set simulator
  *       (dse::sweepLegacyIss). All "iss" members are optional;
  *       defaults are all four cores, kernels ["mult","div"], width
- *       8, 64 machines, seed 1, engine "batch". The reply is a
- *       pure function of the request — notably the engine choice
- *       ("batch" vs "scalar") never changes the body bytes, only
- *       throughput. Streams like a synth sweep: one partial frame
- *       per (core, kernel) point.
+ *       8, 64 machines, seed 1, max_steps 50000000; other members
+ *       are ignored. The reply is a pure function of the request:
+ *       the server's thread count never changes the body bytes,
+ *       only throughput. Streams like a synth sweep: one partial
+ *       frame per (core, kernel) point.
  *
  *   {"id":"r8","type":"classify","dataset":{"kind":"blobs",
  *    "features":4,"classes":3,"bits":8},"model":"tree","depth":4,

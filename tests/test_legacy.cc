@@ -294,20 +294,17 @@ const std::vector<std::uint8_t> condCallRetImage = {
 
 TEST(LegacyBackends, ConditionalCallRetCyclesAreTakenAware)
 {
-    for (const IssEngine engine :
-         {IssEngine::Scalar, IssEngine::Batch}) {
-        const auto i80 = run8080Image(condCallRetImage, {{}},
-                                      I8080Timing::I8080, engine);
-        ASSERT_EQ(i80.size(), 1u);
-        EXPECT_EQ(i80[0].status, MachineStatus::Halted);
-        EXPECT_EQ(i80[0].instructions, 7u);
-        EXPECT_EQ(i80[0].cycles, 10 + 4 + 11 + 17 + 5 + 11 + 7u);
+    const auto i80 = run8080Image(condCallRetImage, {{}},
+                                  I8080Timing::I8080);
+    ASSERT_EQ(i80.size(), 1u);
+    EXPECT_EQ(i80[0].status, MachineStatus::Halted);
+    EXPECT_EQ(i80[0].instructions, 7u);
+    EXPECT_EQ(i80[0].cycles, 10 + 4 + 11 + 17 + 5 + 11 + 7u);
 
-        const auto z80 = run8080Image(condCallRetImage, {{}},
-                                      I8080Timing::Z80, engine);
-        EXPECT_EQ(z80[0].status, MachineStatus::Halted);
-        EXPECT_EQ(z80[0].cycles, 10 + 4 + 10 + 17 + 5 + 11 + 4u);
-    }
+    const auto z80 = run8080Image(condCallRetImage, {{}},
+                                  I8080Timing::Z80);
+    EXPECT_EQ(z80[0].status, MachineStatus::Halted);
+    EXPECT_EQ(z80[0].cycles, 10 + 4 + 10 + 17 + 5 + 11 + 4u);
 }
 
 TEST(LegacyBackends, HaltWinsAtExactStepBudget)
@@ -316,18 +313,15 @@ TEST(LegacyBackends, HaltWinsAtExactStepBudget)
     // 7 is Halted - the budget is only exhausted when the machine
     // would have to fetch beyond it - and 6 is OutOfBudget with
     // all 6 paid-for instructions retired.
-    for (const IssEngine engine :
-         {IssEngine::Scalar, IssEngine::Batch}) {
-        const auto at = run8080Image(condCallRetImage, {{}},
-                                     I8080Timing::I8080, engine, 7);
-        EXPECT_EQ(at[0].status, MachineStatus::Halted);
-        EXPECT_EQ(at[0].instructions, 7u);
+    const auto at = run8080Image(condCallRetImage, {{}},
+                                 I8080Timing::I8080, 7);
+    EXPECT_EQ(at[0].status, MachineStatus::Halted);
+    EXPECT_EQ(at[0].instructions, 7u);
 
-        const auto under = run8080Image(
-            condCallRetImage, {{}}, I8080Timing::I8080, engine, 6);
-        EXPECT_EQ(under[0].status, MachineStatus::OutOfBudget);
-        EXPECT_EQ(under[0].instructions, 6u);
-    }
+    const auto under = run8080Image(condCallRetImage, {{}},
+                                    I8080Timing::I8080, 6);
+    EXPECT_EQ(under[0].status, MachineStatus::OutOfBudget);
+    EXPECT_EQ(under[0].instructions, 6u);
 }
 
 } // anonymous namespace

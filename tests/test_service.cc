@@ -238,14 +238,23 @@ TEST(ServiceProtocol, IssSweepRequestRoundTrip)
     EXPECT_EQ(req.iss.seed, 3u);
 
     // Defaults are resolved at parse time: the canonical line names
-    // the width, the step budget and the engine.
+    // the width and the step budget.
     EXPECT_EQ(req.iss.width, 8u);
     EXPECT_EQ(req.iss.maxSteps, 50'000'000u);
-    EXPECT_EQ(req.iss.engine, legacy::IssEngine::Batch);
     const std::string line = requestLine(req);
-    EXPECT_NE(line.find("\"engine\": \"batch\""), std::string::npos)
+    EXPECT_NE(line.find("\"max_steps\": 50000000"), std::string::npos)
         << line;
     EXPECT_NE(line.find("\"width\": 8"), std::string::npos) << line;
+
+    // Unknown members are ignored: an "engine" member from an older
+    // client names the same work as a request without it.
+    const Request withEngine = parseRequest(
+        "{\"id\": \"i\", \"type\": \"sweep\", \"iss\": {\"cores\": "
+        "[\"msp430\", \"zpu\", \"z80\"], \"kernels\": [\"mult\", "
+        "\"div\", \"crc8\"], \"machines\": 100, \"seed\": 3, "
+        "\"engine\": \"scalar\"}}");
+    EXPECT_EQ(requestLine(withEngine), line);
+    EXPECT_EQ(line.find("engine"), std::string::npos) << line;
 
     // parse -> requestLine -> parse is identity.
     const Request again = parseRequest(line);
