@@ -21,7 +21,10 @@
  *                       from the baseline at all is a regression —
  *                       these are exact counters, so a change means
  *                       the synthesis result changed, not the
- *                       machine speed.
+ *                       machine speed. String leaves (output
+ *                       fingerprints) are matched here too: every
+ *                       fresh report must carry the baseline's
+ *                       string.
  *
  * Exit codes: 0 all compared keys pass, 1 at least one regression,
  * 2 usage/parse error or no comparable keys (a silent pass on
@@ -102,6 +105,7 @@ main(int argc, char **argv)
 {
     using printed::json::ParseError;
     using printed::json::flattenNumbers;
+    using printed::json::flattenStrings;
     using printed::json::parse;
 
     std::vector<std::string> files;
@@ -138,6 +142,7 @@ main(int argc, char **argv)
         keys.push_back("_per_s");
 
     std::vector<std::map<std::string, double>> flat(files.size());
+    std::vector<std::map<std::string, std::string>> strings(files.size());
     for (std::size_t f = 0; f < files.size(); ++f) {
         bool ok = false;
         const std::string text = slurp(files[f], ok);
@@ -147,7 +152,9 @@ main(int argc, char **argv)
             return 2;
         }
         try {
-            flat[f] = flattenNumbers(parse(text));
+            const printed::json::Value doc = parse(text);
+            flat[f] = flattenNumbers(doc);
+            strings[f] = flattenStrings(doc);
         } catch (const ParseError &e) {
             std::cerr << "bench_compare: " << files[f] << ": "
                       << e.what() << "\n";
@@ -205,6 +212,23 @@ main(int argc, char **argv)
                   << name << "  baseline " << base << "  fresh "
                   << freshV << "  (" << std::showpos << rel * 100
                   << std::noshowpos << "%)\n";
+        if (bad)
+            ++regressions;
+    }
+
+    for (const auto &[name, base] : strings[0]) {
+        if (!matchesAny(name, exactKeys))
+            continue;
+        ++compared;
+        bool bad = false;
+        for (std::size_t f = 1; f < strings.size(); ++f) {
+            const auto it = strings[f].find(name);
+            bad = bad || it == strings[f].end() || it->second != base;
+        }
+        std::cout << "  " << (bad ? "FAIL   " : "ok     ") << " " << name
+                  << "  baseline " << base
+                  << (bad ? "  (exact-match key differs)\n"
+                          : "  (exact)\n");
         if (bad)
             ++regressions;
     }

@@ -24,13 +24,19 @@
  * a fault-injecting server (printedd --fault-plan ...): dropped and
  * truncated replies are replayed, queue_full is backed off and
  * retried to completion, and the pass criterion becomes "every call
- * returned exactly one byte-correct reply despite the chaos". The
- * hot/cold speedup gate is skipped in retry mode (injected faults
- * distort timing), and the JSON report gains retry/fault counters.
+ * returned exactly one byte-correct reply despite the chaos", and
+ * the JSON report gains retry/fault counters.
  *
- * Exit status: 1 when the hot/cold speedup falls below 5x (non-retry
- * mode) or any concurrent reply differs from the serial one; 0
- * otherwise.
+ * The cache check is structural, read from the server's counters,
+ * so it holds in both modes: against a fresh server the cold phase
+ * builds exactly one core per request (synth.cores_built), and the
+ * hot phase builds none, is served from the characterization cache
+ * (synth.cache.char_hits moves by at least --hot-iters) and answers
+ * every request with the first hot reply's bytes. The hot/cold
+ * speedup is reported but not gated.
+ *
+ * Exit status: 1 when the cache check fails or any concurrent reply
+ * differs from the serial one; 0 otherwise.
  *
  * Options: --connect HOST:PORT, --retry, --clients N, --hot-iters N,
  * --executors N, --max-queue N, --cache-cap N, --fault-plan SPEC,
@@ -216,6 +222,10 @@ main(int argc, char **argv)
     coldConfigs.push_back(CoreConfig::standard(1, 16, 2));
     coldConfigs.push_back(CoreConfig::standard(2, 16, 2));
 
+    const auto coresBuilt = [&] {
+        return serverCounter(host, port, "synth.cores_built");
+    };
+    const std::uint64_t builtBeforeCold = coresBuilt();
     const bench::WallTimer coldTimer;
     for (std::size_t i = 0; i < coldConfigs.size(); ++i) {
         const Reply r = parseReply(call(synthRequest(
@@ -226,9 +236,11 @@ main(int argc, char **argv)
     const double coldMs = coldTimer.elapsedMs();
     const double coldPerS =
         double(coldConfigs.size()) / (coldMs / 1000.0);
+    const std::uint64_t builtBeforeHot = coresBuilt();
     std::cout << "cold: " << coldConfigs.size() << " requests in "
               << TableWriter::fixed(coldMs, 1) << " ms ("
-              << TableWriter::fixed(coldPerS, 1) << "/s)\n";
+              << TableWriter::fixed(coldPerS, 1) << "/s), "
+              << builtBeforeHot - builtBeforeCold << " cores built\n";
 
     // ---- Phase 2: hot synth ------------------------------------
     // The same request repeated: served from the SynthCache, so
@@ -237,15 +249,28 @@ main(int argc, char **argv)
         synthRequest("hot", coldConfigs.front());
     std::vector<double> hotLatMs;
     hotLatMs.reserve(hotIters);
+    std::string firstHot;
+    bool hotIdentical = true;
+    const std::uint64_t charHitsBefore =
+        serverCounter(host, port, "synth.cache.char_hits");
     const bench::WallTimer hotTimer;
     for (unsigned i = 0; i < hotIters; ++i) {
         const bench::WallTimer one;
-        const Reply r = parseReply(call(hotReq));
+        std::string raw = call(hotReq);
         hotLatMs.push_back(one.elapsedMs());
+        const Reply r = parseReply(raw);
         if (!r.ok)
             fatal("hot synth failed: " + r.raw);
+        if (i == 0)
+            firstHot = std::move(raw);
+        else
+            hotIdentical = hotIdentical && raw == firstHot;
     }
     const double hotMs = hotTimer.elapsedMs();
+    const std::uint64_t hotBuilt = coresBuilt() - builtBeforeHot;
+    const std::uint64_t hotCharHits =
+        serverCounter(host, port, "synth.cache.char_hits") -
+        charHitsBefore;
     const double hotPerS = double(hotIters) / (hotMs / 1000.0);
     const double speedup =
         (coldMs / double(coldConfigs.size())) /
@@ -260,17 +285,19 @@ main(int argc, char **argv)
               << "x vs cold); latency p50 "
               << TableWriter::fixed(p50, 3) << " p95 "
               << TableWriter::fixed(p95, 3) << " p99 "
-              << TableWriter::fixed(p99, 3) << " ms\n";
-    if (speedup < 5.0) {
-        if (retry) {
-            // Injected faults distort timing.
-            std::cout << "note: speedup gate skipped (retry mode)\n";
-        } else {
-            std::cout << "FAIL: repeated-synth speedup "
-                      << TableWriter::fixed(speedup, 2)
-                      << "x < 5x\n";
-            pass = false;
-        }
+              << TableWriter::fixed(p99, 3) << " ms; " << hotBuilt
+              << " cores built, " << hotCharHits
+              << " characterization hits, replies "
+              << (hotIdentical ? "byte-identical" : "DIFFER") << "\n";
+    if (builtBeforeHot - builtBeforeCold != coldConfigs.size()) {
+        std::cout << "FAIL: the cold phase built "
+                  << builtBeforeHot - builtBeforeCold << " cores, want "
+                  << coldConfigs.size() << "\n";
+        pass = false;
+    }
+    if (hotBuilt != 0 || hotCharHits < hotIters || !hotIdentical) {
+        std::cout << "FAIL: the hot phase missed the synthesis cache\n";
+        pass = false;
     }
 
     // ---- Phase 3: coalesce burst -------------------------------

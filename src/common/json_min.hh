@@ -468,31 +468,30 @@ elementKey(const Value &v)
     return "";
 }
 
-inline void
-flattenInto(const Value &v, const std::string &prefix,
-            std::map<std::string, double> &out)
+/** Visit every leaf of `v` (not object or array) with its path. */
+template <typename Visit>
+void
+forEachLeaf(const Value &v, const std::string &prefix, Visit &visit)
 {
     switch (v.kind) {
-      case Value::Kind::Number:
-        out[prefix.empty() ? "value" : prefix] = v.number;
-        break;
       case Value::Kind::Object:
         for (const auto &m : v.object)
-            flattenInto(m.second,
+            forEachLeaf(m.second,
                         prefix.empty() ? m.first
                                        : prefix + "." + m.first,
-                        out);
+                        visit);
         break;
       case Value::Kind::Array:
         for (std::size_t i = 0; i < v.array.size(); ++i) {
             std::string key = elementKey(v.array[i]);
             if (key.empty())
                 key = std::to_string(i);
-            flattenInto(v.array[i], prefix + "." + key, out);
+            forEachLeaf(v.array[i], prefix + "." + key, visit);
         }
         break;
       default:
-        break; // strings/bools/nulls are not comparable metrics
+        visit(prefix.empty() ? std::string("value") : prefix, v);
+        break;
     }
 }
 
@@ -508,7 +507,24 @@ inline std::map<std::string, double>
 flattenNumbers(const Value &v)
 {
     std::map<std::string, double> out;
-    detail::flattenInto(v, "", out);
+    auto visit = [&out](const std::string &key, const Value &leaf) {
+        if (leaf.kind == Value::Kind::Number)
+            out[key] = leaf.number;
+    };
+    detail::forEachLeaf(v, "", visit);
+    return out;
+}
+
+/** Every string leaf, keyed like flattenNumbers (e.g. fingerprints). */
+inline std::map<std::string, std::string>
+flattenStrings(const Value &v)
+{
+    std::map<std::string, std::string> out;
+    auto visit = [&out](const std::string &key, const Value &leaf) {
+        if (leaf.isString())
+            out[key] = leaf.string;
+    };
+    detail::forEachLeaf(v, "", visit);
     return out;
 }
 

@@ -216,6 +216,19 @@ TEST(JsonMin, FlattenKeysArraysByNameField)
                      90.0);
 }
 
+TEST(JsonMin, FlattenStringsKeysLikeNumbers)
+{
+    const json::Value v = json::parse(
+        "{\"cores\": [{\"core\": \"zpu\", \"outputs_fnv\": \"0x1f\","
+        " \"instructions\": 7}], \"ok\": true}");
+    const auto strings = json::flattenStrings(v);
+    ASSERT_EQ(strings.count("cores.zpu.outputs_fnv"), 1u);
+    EXPECT_EQ(strings.at("cores.zpu.outputs_fnv"), "0x1f");
+    EXPECT_EQ(json::flattenNumbers(v).count("cores.zpu.instructions"),
+              1u);
+    EXPECT_EQ(strings.count("ok"), 0u);
+}
+
 TEST(BenchArgs, UintFromArgsParsesAndDefaults)
 {
     const char *argv[] = {"prog", "--trials", "123", "--json",
