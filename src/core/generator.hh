@@ -53,10 +53,9 @@ struct CorePorts
 };
 
 /**
- * Elaborate a core configuration into an *unoptimized* netlist.
- * This is the per-block input of the hierarchical flow, which runs
- * synth::optimize on many blocks in parallel (netlist/hier.hh);
- * flat consumers want buildCore() below.
+ * Elaborate a core configuration into an *unoptimized* netlist: the
+ * first half of buildCore() below, which perfbench times apart from
+ * synth::optimize. Every other consumer wants buildCore().
  */
 Netlist elaborateCore(const CoreConfig &config);
 

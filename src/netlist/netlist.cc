@@ -273,23 +273,6 @@ Netlist::constOne()
     return const1_;
 }
 
-void
-Netlist::reserve(std::size_t nets, std::size_t gates)
-{
-    netSource_.reserve(nets);
-    netNameRef_.reserve(nets);
-    driverHead_.reserve(nets);
-    driverTail_.reserve(nets);
-    useHead_.reserve(nets);
-    gateKind_.reserve(gates);
-    gateIn0_.reserve(gates);
-    gateIn1_.reserve(gates);
-    gateOut_.reserve(gates);
-    driverNext_.reserve(gates);
-    useNext_.reserve(gates * 2);
-    usePrev_.reserve(gates * 2);
-}
-
 NetId
 Netlist::addGate(CellKind kind, NetId a, NetId b)
 {

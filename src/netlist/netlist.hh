@@ -152,9 +152,6 @@ class Netlist
     /** D flip-flop with asynchronous active-low reset. */
     NetId addFlopReset(NetId d, NetId rn);
 
-    /** Pre-size the flat arrays (million-gate generators). */
-    void reserve(std::size_t nets, std::size_t gates);
-
     // ------------------------------------------------------------
     // Access
     // ------------------------------------------------------------
@@ -291,9 +288,8 @@ class Netlist
 
     /**
      * Reference implementation of rewireUses: a full O(gates) pin
-     * scan (the pre-use-index algorithm). Kept as the test oracle
-     * for the use-index and as the bench_synth_scale comparison
-     * baseline. Produces an identical netlist.
+     * scan (the pre-use-index algorithm), kept as the test oracle
+     * for the use-index. Produces an identical netlist.
      */
     void rewireUsesByScan(NetId from, NetId to);
 
