@@ -370,16 +370,6 @@ scoreEngineName(ScoreEngine engine)
     return "?";
 }
 
-std::optional<ScoreEngine>
-scoreEngineFromName(const std::string &name)
-{
-    if (name == "batch")
-        return ScoreEngine::Batch;
-    if (name == "scalar")
-        return ScoreEngine::Scalar;
-    return std::nullopt;
-}
-
 void
 ClassifySpec::check() const
 {

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,11 +51,8 @@ enum class ScoreEngine
     Scalar, ///< GateSimulator, one vector at a time (oracle)
 };
 
-/** Protocol name of a scoring engine ("batch" / "scalar"). */
+/** Name of a scoring engine ("batch" / "scalar") in classifySpecKey. */
 const char *scoreEngineName(ScoreEngine engine);
-
-/** Inverse of scoreEngineName; nullopt for unknown names. */
-std::optional<ScoreEngine> scoreEngineFromName(const std::string &name);
 
 /** Evolutionary loop shape. */
 struct SearchSpec

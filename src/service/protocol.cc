@@ -222,7 +222,7 @@ issField(const Value &obj)
 
     spec.machines =
         std::size_t(uintField(obj, "machines", 64, 1, 4096));
-    spec.seed = uintField(obj, "seed", 1, 0, std::uint64_t(-1));
+    spec.seed = uintField(obj, "seed", 1, 0, kMaxSeed);
     spec.maxSteps = uintField(obj, "max_steps", 50'000'000, 1,
                               1'000'000'000);
     return spec;
@@ -301,8 +301,7 @@ classifyField(const Value &root)
             unsigned(uintField(*d, "train", 192, 8, 4096));
         spec.dataset.holdout =
             unsigned(uintField(*d, "holdout", 128, 8, 4096));
-        spec.dataset.seed =
-            uintField(*d, "seed", 1, 0, std::uint64_t(-1));
+        spec.dataset.seed = uintField(*d, "seed", 1, 0, kMaxSeed);
     }
 
     const std::string model = stringField(root, "model", "tree");
@@ -321,15 +320,7 @@ classifyField(const Value &root)
             unsigned(uintField(*s, "generations", 6, 1, 64));
         spec.search.population =
             unsigned(uintField(*s, "population", 12, 1, 256));
-        spec.search.seed =
-            uintField(*s, "seed", 1, 0, std::uint64_t(-1));
-        const std::string engine =
-            stringField(*s, "engine", "batch");
-        const auto parsed = ml::scoreEngineFromName(engine);
-        if (!parsed)
-            fatal("unknown scoring engine '" + engine +
-                  "' (want \"batch\" or \"scalar\")");
-        spec.search.engine = *parsed;
+        spec.search.seed = uintField(*s, "seed", 1, 0, kMaxSeed);
     }
 
     if (const Value *b = root.find("budget")) {
@@ -368,8 +359,6 @@ classifySpecMembers(const ml::ClassifySpec &spec)
     out += ", \"population\": " +
            std::to_string(spec.search.population);
     out += ", \"seed\": " + std::to_string(spec.search.seed);
-    out += ", \"engine\": ";
-    out += jsonQuote(ml::scoreEngineName(spec.search.engine));
     out += "}, \"budget\": {\"battery\": ";
     out += jsonQuote(spec.budget.battery);
     out += ", \"max_area_cm2\": " +
@@ -512,8 +501,7 @@ parseRequest(const std::string &line)
             unsigned(uintField(root, "trials", 256, 1, 100000));
         req.replicas =
             unsigned(uintField(root, "replicas", 1, 1, 64));
-        req.seed = uintField(root, "seed", 1, 0,
-                             std::uint64_t(-1));
+        req.seed = uintField(root, "seed", 1, 0, kMaxSeed);
         req.deviceYield = doubleField(root, "device_yield", 0.9999,
                                       0.5, 1.0);
         break;

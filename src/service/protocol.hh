@@ -42,12 +42,11 @@
  *       Evolutionary classifier approximation search (src/ml): train
  *       or seed the base model, evolve approximations, and return
  *       the accuracy/area Pareto front. All members of "dataset",
- *       "search" ("engine": "batch"/"scalar"), and "budget"
- *       ("battery", "max_area_cm2") are optional with defaults;
- *       "model" is "tree" (with "depth") or "ternary" (with
- *       "hidden"). Streams like a sweep: one partial frame per
- *       generation summary, then a final front point — so partial
- *       index G of G+1 carries the Pareto front.
+ *       "search", and "budget" ("battery", "max_area_cm2") are
+ *       optional with defaults; "model" is "tree" (with "depth")
+ *       or "ternary" (with "hidden"). Streams like a sweep: one
+ *       partial frame per generation summary, then a final front
+ *       point — so partial index G of G+1 carries the Pareto front.
  *
  *   {"id":"r4","type":"metrics"} / {"id":"r5","type":"health"} /
  *   {"id":"r6","type":"shutdown"}
@@ -61,6 +60,12 @@
  * "config": "tristate" (bool) and "opcode_mask" (the Section 7
  * pruning knob) — useful for generating many distinct synthesis
  * keys under load.
+ *
+ * Seeds (a yield request's "seed", "iss" "seed", and classify's
+ * "dataset" and "search" "seed") are integers in [0, 2^53 - 1]
+ * (kMaxSeed). JSON numbers parse as doubles, which hold every
+ * integer exactly only up to 2^53, so a larger seed is answered
+ * with bad_request instead of being rounded to another run's seed.
  *
  * Replies: {"id":...,"ok":true,"type":...,"result":{...}} or
  * {"id":...,"ok":false,"error":CODE,"message":TEXT}.
@@ -118,6 +123,9 @@ inline constexpr const char *internalError = "internal_error";
 
 /** Wire protocol version advertised in health replies. */
 inline constexpr unsigned kProtocolVersion = 2;
+
+/** Largest request seed: a double holds every integer up to it. */
+inline constexpr std::uint64_t kMaxSeed = (std::uint64_t(1) << 53) - 1;
 
 enum class RequestType
 {

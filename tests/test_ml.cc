@@ -495,9 +495,6 @@ TEST(MlEvolve, NameRoundTrips)
     EXPECT_EQ(modelKindFromName("ternary"), ModelKind::Ternary);
     EXPECT_EQ(modelKindFromName("mlp"), std::nullopt);
     EXPECT_STREQ(modelKindName(ModelKind::Tree), "tree");
-    EXPECT_EQ(scoreEngineFromName("batch"), ScoreEngine::Batch);
-    EXPECT_EQ(scoreEngineFromName("scalar"), ScoreEngine::Scalar);
-    EXPECT_EQ(scoreEngineFromName("hdl"), std::nullopt);
     EXPECT_STREQ(scoreEngineName(ScoreEngine::Scalar), "scalar");
 }
 

@@ -98,6 +98,13 @@ TEST(ServiceProtocol, YieldRequestRoundTrip)
     EXPECT_EQ(req.seed, 99u);
     EXPECT_EQ(req.replicas, 3u);
     EXPECT_DOUBLE_EQ(req.deviceYield, 0.9999);
+
+    // The largest seed survives the double-valued JSON parse.
+    const std::string maxLine =
+        yieldRequest("y2", smallConfig(), 64, kMaxSeed);
+    const Request maxReq = parseRequest(maxLine);
+    EXPECT_EQ(maxReq.seed, 9007199254740991u);
+    EXPECT_EQ(requestLine(maxReq), maxLine);
 }
 
 TEST(ServiceProtocol, SweepRequestRoundTrip)
@@ -134,6 +141,29 @@ TEST(ServiceProtocol, RejectsInvalidRequests)
                               "\"widths\":[13]}"),
                  FatalError);
     EXPECT_THROW(parseRequest("not json"), json::ParseError);
+
+    // A seed a double cannot hold exactly is refused, not rounded,
+    // in each of the four seed fields.
+    for (const std::string big : {"9007199254740992",
+                                  "18446744073709551615"}) {
+        for (const std::string &line :
+             {"{\"type\":\"yield\",\"seed\":" + big + "}",
+              "{\"type\":\"sweep\",\"iss\":{\"seed\":" + big + "}}",
+              "{\"type\":\"classify\",\"dataset\":{\"seed\":" + big +
+                  "}}",
+              "{\"type\":\"classify\",\"search\":{\"seed\":" + big +
+                  "}}"}) {
+            try {
+                parseRequest(line);
+                ADD_FAILURE() << "accepted " << line;
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "request field 'seed' out of range"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 TEST(ServiceProtocol, CoalesceKeyIgnoresIdAndDeadline)
@@ -161,7 +191,6 @@ TEST(ServiceProtocol, ClassifyRequestRoundTrip)
     spec.dataset.kind = "xor";
     spec.dataset.seed = 7;
     spec.search.seed = 9;
-    spec.search.engine = ml::ScoreEngine::Scalar;
     spec.budget.battery = "Zinergy 12mAh";
     spec.budget.maxAreaCm2 = 3.5;
 
@@ -176,19 +205,25 @@ TEST(ServiceProtocol, ClassifyRequestRoundTrip)
     EXPECT_EQ(req.classify.depth, 2u);
     EXPECT_EQ(req.classify.search.generations, 2u);
     EXPECT_EQ(req.classify.search.seed, 9u);
-    EXPECT_EQ(req.classify.search.engine, ml::ScoreEngine::Scalar);
     EXPECT_EQ(req.classify.budget.battery, "Zinergy 12mAh");
     EXPECT_DOUBLE_EQ(req.classify.budget.maxAreaCm2, 3.5);
     EXPECT_DOUBLE_EQ(req.deadlineMs, 250);
 
     // requestLine() is the canonical renderer: parse -> render is
-    // identity on rendered lines.
+    // identity on rendered lines. The scoring engine is not part of
+    // the protocol.
     EXPECT_EQ(requestLine(req), line);
+    EXPECT_EQ(line.find("engine"), std::string::npos) << line;
 
-    // Defaults resolve exactly like an empty request body.
+    // Defaults resolve exactly like an empty request body, and an
+    // "engine" member is ignored like any unknown member.
     const Request bare =
         parseRequest("{\"id\":\"c\",\"type\":\"classify\"}");
     EXPECT_EQ(bare.classify, ml::ClassifySpec{});
+    const Request scalar = parseRequest(
+        "{\"id\":\"c\",\"type\":\"classify\","
+        "\"search\":{\"engine\":\"scalar\"}}");
+    EXPECT_EQ(scalar.classify, ml::ClassifySpec{});
 
     // Bad specs are rejected at parse time.
     EXPECT_THROW(parseRequest("{\"type\":\"classify\","
@@ -214,10 +249,13 @@ TEST(ServiceProtocol, ClassifyCoalesceAndRouteKeys)
     const Request c = parseRequest(classifyRequest("c", other));
     EXPECT_NE(coalesceKey(a), coalesceKey(c));
 
-    other = spec;
-    other.search.engine = ml::ScoreEngine::Scalar;
-    const Request d = parseRequest(classifyRequest("d", other));
-    EXPECT_NE(coalesceKey(a), coalesceKey(d));
+    // An "engine" member names the same search as a line without it.
+    std::string line = classifyRequest("d", spec);
+    const std::string search = "\"search\": {";
+    line.insert(line.find(search) + search.size(),
+                "\"engine\": \"scalar\", ");
+    const Request d = parseRequest(line);
+    EXPECT_EQ(coalesceKey(a), coalesceKey(d));
 }
 
 TEST(ServiceProtocol, IssSweepRequestRoundTrip)
