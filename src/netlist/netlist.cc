@@ -157,8 +157,10 @@ Netlist::unlinkUse(UseNode u)
 void
 Netlist::linkGateUses(GateId gi)
 {
-    useNext_.resize(gateKind_.size() * 2, invalidUseNode);
-    usePrev_.resize(gateKind_.size() * 2, invalidUseNode);
+    useNext_.push_back(invalidUseNode);
+    useNext_.push_back(invalidUseNode);
+    usePrev_.push_back(invalidUseNode);
+    usePrev_.push_back(invalidUseNode);
     if (gateIn0_[gi] != invalidNet)
         linkUse(gateIn0_[gi], UseNode(gi) * 2);
     if (gateIn1_[gi] != invalidNet)
@@ -514,70 +516,77 @@ Netlist::validate() const
 std::vector<GateId>
 Netlist::levelize() const
 {
-    // Kahn's algorithm over combinational gates only. A net is
-    // "ready" when all its (combinational) drivers have been
-    // scheduled; sequential outputs, inputs, and constants are ready
-    // from the start.
+    // Kahn's algorithm over combinational gates only, with a FIFO
+    // ready list. A net is "ready" when all its (combinational)
+    // drivers have been scheduled; sequential outputs, inputs, and
+    // constants are ready from the start. A net's readers are
+    // released in ascending gate id, a gate twice when it reads the
+    // net on both pins; test_netlist pins this schedule against a
+    // per-net vector reference.
     const std::size_t gates = gateKind_.size();
-    std::vector<unsigned> pending_drivers(netSource_.size(), 0);
-    for (GateId gi = 0; gi < gates; ++gi) {
-        if (!cellIsSequential(gateKind_[gi]))
-            ++pending_drivers[gateOut_[gi]];
-    }
+    const std::size_t nets = netSource_.size();
 
-    // CSR fanout: for each net, the combinational gates reading it
-    // while it still has pending drivers. Two passes (count, fill)
-    // replace the per-net vector<vector> of the old implementation;
-    // the fill order (ascending gate id per net) and the FIFO ready
-    // list reproduce its schedule exactly.
-    std::vector<unsigned> unmet(gates, 0);
-    std::vector<std::uint32_t> fanout_off(netSource_.size() + 1, 0);
+    // One scratch block: pending drivers per net, CSR offsets per net
+    // (plus the end), unmet inputs per gate, and the CSR fanout (at
+    // most two pins per gate): the combinational gates reading each
+    // net while it still has pending drivers.
+    std::vector<std::uint32_t> scratch(2 * nets + 1 + 3 * gates, 0);
+    std::uint32_t *const pending = scratch.data();
+    std::uint32_t *const offset = pending + nets;
+    std::uint32_t *const unmet = offset + nets + 1;
+    GateId *const fanout = unmet + gates;
+
+    for (GateId gi = 0; gi < gates; ++gi)
+        if (!cellIsSequential(gateKind_[gi]))
+            ++pending[gateOut_[gi]];
+
+    // For multi-driver TSBUF buses a gate's own output may be a
+    // "pending" net, but it must not wait on itself; we count a
+    // dependency per input net only.
     for (GateId gi = 0; gi < gates; ++gi) {
         if (cellIsSequential(gateKind_[gi]))
             continue;
-        // For multi-driver TSBUF buses a gate's own output may be a
-        // "pending" net, but it must not wait on itself; we count a
-        // dependency per input net only.
         for (NetId n : {gateIn0_[gi], gateIn1_[gi]}) {
-            if (n != invalidNet && pending_drivers[n] > 0) {
-                ++fanout_off[n + 1];
+            if (n != invalidNet && pending[n] > 0) {
+                ++offset[n];
                 ++unmet[gi];
             }
         }
     }
-    for (NetId n = 0; n < netSource_.size(); ++n)
-        fanout_off[n + 1] += fanout_off[n];
-    std::vector<GateId> fanout(fanout_off.back());
-    {
-        std::vector<std::uint32_t> cursor(
-            fanout_off.begin(), fanout_off.end() - 1);
-        for (GateId gi = 0; gi < gates; ++gi) {
-            if (cellIsSequential(gateKind_[gi]))
-                continue;
-            for (NetId n : {gateIn0_[gi], gateIn1_[gi]}) {
-                if (n != invalidNet && pending_drivers[n] > 0)
-                    fanout[cursor[n]++] = gi;
-            }
-        }
+    // Inclusive prefix sums make offset[n] the end of net n's range;
+    // filling back to front then leaves it at the range's start.
+    std::uint32_t edges = 0;
+    for (NetId n = 0; n < nets; ++n)
+        offset[n] = edges += offset[n];
+    offset[nets] = edges;
+    for (GateId gi = GateId(gates); gi-- > 0;) {
+        if (cellIsSequential(gateKind_[gi]))
+            continue;
+        for (NetId n : {gateIn0_[gi], gateIn1_[gi]})
+            if (n != invalidNet && pending[n] > 0)
+                fanout[--offset[n]] = gi;
     }
 
-    // FIFO ready list: `order` doubles as the queue; `scanned` is
-    // the consumption cursor.
+    // `order` doubles as the FIFO; `scanned` is its consumption
+    // cursor.
     std::vector<GateId> order;
     order.reserve(gates);
-    for (GateId gi = 0; gi < gates; ++gi)
-        if (!cellIsSequential(gateKind_[gi]) && unmet[gi] == 0)
+    std::size_t comb = 0;
+    for (GateId gi = 0; gi < gates; ++gi) {
+        if (cellIsSequential(gateKind_[gi]))
+            continue;
+        ++comb;
+        if (unmet[gi] == 0)
             order.push_back(gi);
+    }
 
     for (std::size_t scanned = 0; scanned < order.size();
          ++scanned) {
-        const GateId gi = order[scanned];
-        const NetId out = gateOut_[gi];
-        panicIf(pending_drivers[out] == 0,
-                "levelize: driver count underflow");
-        if (--pending_drivers[out] == 0) {
-            for (std::uint32_t f = fanout_off[out];
-                 f < fanout_off[out + 1]; ++f) {
+        const NetId out = gateOut_[order[scanned]];
+        panicIf(pending[out] == 0, "levelize: driver count underflow");
+        if (--pending[out] == 0) {
+            for (std::uint32_t f = offset[out]; f < offset[out + 1];
+                 ++f) {
                 const GateId reader = fanout[f];
                 panicIf(unmet[reader] == 0,
                         "levelize: dependency underflow");
@@ -587,10 +596,6 @@ Netlist::levelize() const
         }
     }
 
-    std::size_t comb = 0;
-    for (CellKind kind : gateKind_)
-        if (!cellIsSequential(kind))
-            ++comb;
     if (order.size() != comb)
         fatal("Netlist '" + name_ + "': combinational cycle detected (" +
               std::to_string(comb - order.size()) + " gates unschedulable)");

@@ -267,8 +267,13 @@ class Netlist
 
     /**
      * Topologically order the combinational gates. Sequential cell
-     * outputs, constants, and primary inputs are sources. fatal()s
-     * on a combinational cycle.
+     * outputs, constants, and primary inputs are sources. The
+     * schedule is Kahn's algorithm with a FIFO ready list: ready
+     * gates are seeded in ascending id, and a net whose last driver
+     * is scheduled releases its readers in ascending gate id. The
+     * optimizer's CSE keeps the first duplicate in this order, so
+     * the schedule is part of the contract. fatal()s on a
+     * combinational cycle.
      *
      * @return gate ids in evaluation order (sequential cells are not
      *         included; they are clocked separately).

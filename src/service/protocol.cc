@@ -1,5 +1,6 @@
 #include "protocol.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -67,13 +68,15 @@ axisField(const Value &obj, const char *name,
         if (!e.isNumber() || e.number != std::floor(e.number))
             fatal(std::string("request field '") + name +
                   "' must hold integers");
-        const unsigned v = unsigned(e.number);
-        bool ok = false;
-        for (unsigned a : allowed)
-            ok = ok || a == v;
-        if (!ok)
+        // Match the double itself: converting first would wrap a
+        // value like 2^32 + 2 onto an allowed one, and a negative or
+        // huge value does not convert at all.
+        const auto hit =
+            std::find(allowed.begin(), allowed.end(), e.number);
+        if (hit == allowed.end())
             fatal(std::string("request field '") + name +
-                  "' holds unsupported value " + std::to_string(v));
+                  "' holds unsupported value " + formatDouble(e.number));
+        const unsigned v = *hit;
         // Deduplicate, preserving canonical order below.
         bool dup = false;
         for (unsigned seen : out)
@@ -751,6 +754,15 @@ streamFrameHead(const std::string &id, RequestType type)
 
 constexpr const char *kPointMarker = ", \"point\": ";
 
+/** True for a count a double holds exactly: integral, 0..kMaxSeed. */
+bool
+isCount(const Value *v)
+{
+    return v && v->isNumber() && v->number >= 0 &&
+           v->number <= double(kMaxSeed) &&
+           v->number == std::floor(v->number);
+}
+
 } // anonymous namespace
 
 std::string
@@ -795,9 +807,8 @@ classifyFrame(const std::string &line)
         const Value *index = p->find("index");
         const Value *total = p->find("total");
         const std::size_t at = line.find(kPointMarker);
-        if (!index || !index->isNumber() || !total ||
-            !total->isNumber() || at == std::string::npos ||
-            line.size() < at + 14)
+        if (!isCount(index) || !isCount(total) ||
+            at == std::string::npos || line.size() < at + 14)
             return frame; // malformed partial: treat as Final
         frame.kind = StreamFrame::Kind::Partial;
         frame.index = std::uint64_t(index->number);
@@ -811,7 +822,7 @@ classifyFrame(const std::string &line)
 
     if (const Value *d = root.find("done"); d && d->isObject()) {
         const Value *points = d->find("points");
-        if (!points || !points->isNumber())
+        if (!isCount(points))
             return frame;
         frame.kind = StreamFrame::Kind::Done;
         frame.points = std::uint64_t(points->number);

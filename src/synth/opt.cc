@@ -30,6 +30,31 @@ latOfSource(NetSource source)
 }
 
 /**
+ * True when some gate matches a fold rule before any fold: a
+ * combinational, non-TSBUF gate that reads a constant net or reads
+ * one net on both pins. Every rule needs one of these, and only a
+ * fold makes a gate output constant, so without such a gate
+ * foldConstants has nothing to do.
+ */
+bool
+hasFoldCandidate(const Netlist &nl)
+{
+    const auto constant = [&nl](NetId n) {
+        return latOfSource(nl.netSource(n)) != Lat::Unknown;
+    };
+    for (GateId gi = 0; gi < nl.gateCount(); ++gi) {
+        const CellKind kind = nl.gateKind(gi);
+        if (cellIsSequential(kind) || kind == CellKind::TSBUFX1)
+            continue;
+        const NetId in0 = nl.gateIn0(gi), in1 = nl.gateIn1(gi);
+        if (constant(in0) ||
+            (in1 != invalidNet && (in1 == in0 || constant(in1))))
+            return true;
+    }
+    return false;
+}
+
+/**
  * One constant-folding + identity-simplification sweep.
  * Returns number of gates simplified.
  */
@@ -37,9 +62,12 @@ std::size_t
 foldConstants(Netlist &nl)
 {
     // Materialize the constant nets up front so rewiring to them
-    // never grows the net array mid-pass.
+    // never grows the net array mid-pass (and so net ids do not
+    // depend on whether the pass finds work).
     nl.constZero();
     nl.constOne();
+    if (!hasFoldCandidate(nl))
+        return 0;
 
     std::vector<Lat> lat(nl.netCount(), Lat::Unknown);
     for (NetId n = 0; n < nl.netCount(); ++n)
@@ -179,9 +207,11 @@ collapseInvPairs(Netlist &nl)
  * Structural CSE: combinational gates with identical kind and inputs
  * (inputs normalized for commutative cells) share one instance.
  *
- * The first gate seen with a key keeps it. Distinct gates can share
- * a key (the fields overlap for ids >= 2^29), so a hit is re-checked
- * against the gate's current inputs before merging.
+ * The first gate seen with a (kind, lo, hi) key keeps it. A kept
+ * gate's inputs are final once it is seen: their drivers come
+ * earlier in the levelized order, so every rewire that could touch
+ * them has happened. After one pass, then, no two live gates share
+ * a key.
  */
 std::size_t
 shareDuplicates(Netlist &nl)
@@ -191,7 +221,9 @@ shareDuplicates(Netlist &nl)
     // Flat open-addressing table, linear probing, at most half full.
     struct Slot
     {
-        std::uint64_t key = 0;
+        CellKind kind = CellKind::INVX1;
+        NetId lo = invalidNet;
+        NetId hi = invalidNet;
         GateId gate = invalidGate; ///< invalidGate: empty
     };
     unsigned bits = 4;
@@ -209,27 +241,22 @@ shareDuplicates(Netlist &nl)
         // All 2-input combinational library cells are commutative.
         if (hi != invalidNet && hi < lo)
             std::swap(lo, hi);
-        const std::uint64_t key =
+        const std::uint64_t mix =
             (std::uint64_t(static_cast<unsigned>(g.kind)) << 58) ^
             (std::uint64_t(lo) << 29) ^ std::uint64_t(hi + 1);
-        // Fibonacci hashing: the top bits of key * 2^64/phi.
+        // Fibonacci hashing: the top bits of mix * 2^64/phi.
         std::size_t i =
-            std::size_t((key * 0x9E3779B97F4A7C15ull) >> (64 - bits));
-        while (seen[i].gate != invalidGate && seen[i].key != key)
+            std::size_t((mix * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+        while (seen[i].gate != invalidGate &&
+               (seen[i].kind != g.kind || seen[i].lo != lo ||
+                seen[i].hi != hi))
             i = (i + 1) & mask;
         if (seen[i].gate == invalidGate) {
-            seen[i] = {key, gi};
+            seen[i] = {g.kind, lo, hi, gi};
             continue;
         }
-        const Gate prev = nl.gate(seen[i].gate);
-        NetId plo = prev.in0, phi = prev.in1;
-        if (phi != invalidNet && phi < plo)
-            std::swap(plo, phi);
-        if (prev.kind == g.kind && plo == lo && phi == hi &&
-            prev.out != g.out) {
-            nl.rewireUses(g.out, prev.out);
-            ++shared;
-        }
+        nl.rewireUses(g.out, nl.gateOut(seen[i].gate));
+        ++shared;
     }
     return shared;
 }
@@ -288,7 +315,7 @@ optimize(Netlist &nl)
     bool progress = true;
     while (progress && stats.iterations < 32) {
         ++stats.iterations;
-        std::size_t folded, pairs, shared, dead;
+        std::size_t folded, pairs, shared = 0, dead = 0;
         {
             trace::Span s("opt.fold_constants");
             folded = foldConstants(nl);
@@ -297,13 +324,19 @@ optimize(Netlist &nl)
             trace::Span s("opt.collapse_inv_pairs");
             pairs = collapseInvPairs(nl);
         }
-        {
-            trace::Span s("opt.share_duplicates");
-            shared = shareDuplicates(nl);
-        }
-        {
-            trace::Span s("opt.sweep_dead");
-            dead = sweepDead(nl);
+        // A share pass leaves no two live gates with one key, and a
+        // sweep leaves no dead gate. Only fold and collapse rewire
+        // what those two passes read, so after the first iteration
+        // they rerun only when fold or collapse changed something.
+        if (stats.iterations == 1 || folded + pairs > 0) {
+            {
+                trace::Span s("opt.share_duplicates");
+                shared = shareDuplicates(nl);
+            }
+            {
+                trace::Span s("opt.sweep_dead");
+                dead = sweepDead(nl);
+            }
         }
         stats.constFolded += folded;
         stats.invPairs += pairs;

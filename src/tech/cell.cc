@@ -47,24 +47,4 @@ cellInputCount(CellKind kind)
     }
 }
 
-bool
-cellIsSequential(CellKind kind)
-{
-    return kind == CellKind::LATCHX1 || kind == CellKind::DFFX1 ||
-           kind == CellKind::DFFNRX1;
-}
-
-bool
-cellIsInverting(CellKind kind)
-{
-    return kind == CellKind::INVX1 || kind == CellKind::NAND2X1 ||
-           kind == CellKind::NOR2X1 || kind == CellKind::XNOR2X1;
-}
-
-bool
-cellIsNonMonotone(CellKind kind)
-{
-    return kind == CellKind::XOR2X1 || kind == CellKind::XNOR2X1;
-}
-
 } // namespace printed

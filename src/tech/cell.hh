@@ -48,20 +48,34 @@ std::string cellName(CellKind kind);
 unsigned cellInputCount(CellKind kind);
 
 /** True for the sequential cells (LATCHX1, DFFX1, DFFNRX1). */
-bool cellIsSequential(CellKind kind);
+constexpr bool
+cellIsSequential(CellKind kind)
+{
+    return kind == CellKind::LATCHX1 || kind == CellKind::DFFX1 ||
+           kind == CellKind::DFFNRX1;
+}
 
 /**
  * True when the cell's output is an inverted function of its inputs
  * (INV, NAND, NOR, XNOR). Used by static timing analysis to match
  * output rise transitions with input fall transitions.
  */
-bool cellIsInverting(CellKind kind);
+constexpr bool
+cellIsInverting(CellKind kind)
+{
+    return kind == CellKind::INVX1 || kind == CellKind::NAND2X1 ||
+           kind == CellKind::NOR2X1 || kind == CellKind::XNOR2X1;
+}
 
 /**
  * True for non-monotone cells (XOR/XNOR): either input transition
  * direction can cause either output transition direction.
  */
-bool cellIsNonMonotone(CellKind kind);
+constexpr bool
+cellIsNonMonotone(CellKind kind)
+{
+    return kind == CellKind::XOR2X1 || kind == CellKind::XNOR2X1;
+}
 
 /**
  * Characterization record for one standard cell in one technology:

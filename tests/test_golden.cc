@@ -11,7 +11,8 @@
  * deliberately, with the reason recorded in the commit. The wiring
  * fingerprints go beyond the counts: they pin which gates the
  * optimizer keeps in the Figure 7 and Table 8 program-specific
- * cores.
+ * cores, and on random netlists that need more fixpoint iterations
+ * than any core.
  *
  * Tolerances: counts and bit widths are exact integers. Analog
  * quantities (fmax, area, power) are deterministic doubles, but we
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "analysis/fault.hh"
+#include "common/rng.hh"
 #include "core/generator.hh"
 #include "dse/sweep.hh"
 #include "legacy/batch_iss.hh"
@@ -36,6 +38,7 @@
 #include "legacy/msp430.hh"
 #include "progspec/analyze.hh"
 #include "synth/harden.hh"
+#include "synth/opt.hh"
 #include "workloads/kernels.hh"
 
 namespace printed
@@ -150,9 +153,82 @@ TEST(Golden, Figure7Wiring)
     const std::vector<CoreConfig> configs = figure7Configs();
     ASSERT_EQ(configs.size(), std::size(fig7Wiring));
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(wiringFnv(buildCore(configs[i])), fig7Wiring[i])
+        Netlist nl = buildCore(configs[i]);
+        EXPECT_EQ(wiringFnv(nl), fig7Wiring[i]) << configs[i].label();
+
+        // An optimized core is a fixpoint: optimizing it again takes
+        // one iteration, changes nothing and keeps every gate id.
+        const synth::OptStats again = synth::optimize(nl);
+        EXPECT_EQ(again.iterations, 1u) << configs[i].label();
+        EXPECT_EQ(again.constFolded + again.invPairs + again.shared +
+                      again.deadRemoved + again.netsRemoved,
+                  0u)
             << configs[i].label();
+        EXPECT_EQ(again.gatesAfter, again.gatesBefore);
+        EXPECT_EQ(wiringFnv(nl), fig7Wiring[i]) << configs[i].label();
     }
+}
+
+/**
+ * One FNV-1a over the wiring and OptStats of 2,000 seeded random
+ * netlists: 4 inputs, both constants, 30 gates, 3 flops closed
+ * through feedback placeholders, and 2 outputs. Unlike the cores,
+ * some of these need a third fixpoint iteration, the path the
+ * optimizer's skip of a confirming share and sweep must not cut
+ * short.
+ */
+TEST(Golden, OptimizerRandomNetlists)
+{
+    static const CellKind kinds[] = {
+        CellKind::INVX1, CellKind::NAND2X1, CellKind::NOR2X1,
+        CellKind::AND2X1, CellKind::OR2X1, CellKind::XOR2X1,
+        CellKind::XNOR2X1};
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    Rng rng(7);
+    unsigned third_iteration = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        Netlist nl("random");
+        std::vector<NetId> pool;
+        for (int i = 0; i < 4; ++i)
+            pool.push_back(nl.addInput("i" + std::to_string(i)));
+        pool.push_back(nl.constZero());
+        pool.push_back(nl.constOne());
+        const std::size_t first_q = pool.size();
+        for (int f = 0; f < 3; ++f)
+            pool.push_back(nl.makeFeedback());
+        for (int g = 0; g < 30; ++g) {
+            const CellKind kind = kinds[rng.below(7)];
+            const NetId a = pool[rng.below(pool.size())];
+            pool.push_back(cellInputCount(kind) == 1
+                               ? nl.addGate(kind, a)
+                               : nl.addGate(kind, a,
+                                            pool[rng.below(pool.size())]));
+        }
+        for (std::size_t f = first_q; f < first_q + 3; ++f) {
+            const NetId q = nl.addFlop(pool[rng.below(pool.size())]);
+            nl.resolveFeedback(pool[f], q);
+            pool[f] = q;
+        }
+        nl.addOutput("o0", pool.back());
+        nl.addOutput("o1", pool[rng.below(pool.size())]);
+
+        const synth::OptStats stats = synth::optimize(nl);
+        third_iteration += stats.iterations >= 3;
+        mix(wiringFnv(nl));
+        for (std::size_t v :
+             {stats.gatesBefore, stats.gatesAfter, stats.constFolded,
+              stats.invPairs, stats.shared, stats.deadRemoved,
+              stats.netsRemoved, std::size_t(stats.iterations)})
+            mix(v);
+    }
+    EXPECT_GT(third_iteration, 0u);
+    EXPECT_EQ(h, 0x3cf5cff40df7e50cull);
 }
 
 /** Table 8 program-specific cores, in paperKernelPoints() order. */

@@ -5,13 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "core/generator.hh"
+#include "dse/sweep.hh"
 #include "netlist/netlist.hh"
 #include "netlist/stats.hh"
+#include "progspec/analyze.hh"
+#include "synth/harden.hh"
+#include "synth/opt.hh"
+#include "workloads/kernels.hh"
 
 namespace printed
 {
@@ -169,6 +177,222 @@ TEST(Netlist, RemoveGatesRebuildsDrivers)
     nl.removeGates(dead);
     EXPECT_EQ(nl.gateCount(), 1u);
     EXPECT_NO_THROW(nl.levelize());
+}
+
+// ----------------------------------------------------------------
+// Levelize schedule
+// ----------------------------------------------------------------
+
+/**
+ * The levelize schedule in its plainest form, the reference for
+ * Netlist::levelize: Kahn's algorithm with a FIFO ready list seeded
+ * in ascending gate id. Each net keeps its combinational readers in
+ * a vector in ascending gate id (a gate twice when it reads the net
+ * on both pins) and releases them once its last combinational
+ * driver is scheduled. On a combinational cycle it returns the
+ * gates it could schedule.
+ */
+std::vector<GateId>
+referenceLevelize(const Netlist &nl)
+{
+    std::vector<unsigned> pending(nl.netCount(), 0);
+    for (GateId gi = 0; gi < nl.gateCount(); ++gi)
+        if (!cellIsSequential(nl.gateKind(gi)))
+            ++pending[nl.gateOut(gi)];
+
+    std::vector<unsigned> unmet(nl.gateCount(), 0);
+    std::vector<std::vector<GateId>> fanout(nl.netCount());
+    for (GateId gi = 0; gi < nl.gateCount(); ++gi) {
+        if (cellIsSequential(nl.gateKind(gi)))
+            continue;
+        for (NetId n : {nl.gateIn0(gi), nl.gateIn1(gi)}) {
+            if (n != invalidNet && pending[n] > 0) {
+                fanout[n].push_back(gi);
+                ++unmet[gi];
+            }
+        }
+    }
+
+    std::vector<GateId> order;
+    for (GateId gi = 0; gi < nl.gateCount(); ++gi)
+        if (!cellIsSequential(nl.gateKind(gi)) && unmet[gi] == 0)
+            order.push_back(gi);
+    for (std::size_t next = 0; next < order.size(); ++next) {
+        const NetId out = nl.gateOut(order[next]);
+        if (--pending[out] == 0)
+            for (GateId reader : fanout[out])
+                if (--unmet[reader] == 0)
+                    order.push_back(reader);
+    }
+    return order;
+}
+
+/**
+ * A random acyclic netlist whose gate ids do not follow its
+ * topological order. Each value is a combinational gate, a
+ * tri-state bus of one to three drivers, or a sequential cell. A
+ * value reads primary inputs, both constants, earlier values and
+ * any sequential value; a sequential cell reads any value. The
+ * drivers are created in shuffled order, and a driver created
+ * before a value it reads reads a feedback placeholder, resolved
+ * once every driver exists. One two-input driver in five reads one
+ * net on both pins.
+ */
+Netlist
+randomNetlist(Rng &rng)
+{
+    static const CellKind combKinds[] = {
+        CellKind::INVX1, CellKind::NAND2X1, CellKind::NOR2X1,
+        CellKind::AND2X1, CellKind::OR2X1, CellKind::XOR2X1,
+        CellKind::XNOR2X1};
+    static const CellKind seqKinds[] = {
+        CellKind::DFFX1, CellKind::DFFNRX1, CellKind::LATCHX1};
+
+    Netlist nl("random");
+    std::vector<NetId> sources;
+    for (int i = 0; i < 4; ++i)
+        sources.push_back(nl.addInput("i" + std::to_string(i)));
+    sources.push_back(nl.constZero());
+    sources.push_back(nl.constOne());
+
+    struct Value
+    {
+        CellKind kind;           ///< TSBUFX1 for a bus
+        NetId net = invalidNet;  ///< the bus, or the driver's output
+        NetId stub = invalidNet; ///< placeholder read before `net`
+    };
+    std::vector<Value> values(20 + rng.below(40));
+    for (Value &v : values) {
+        const std::uint64_t pick = rng.below(10);
+        v.kind = pick < 7 ? combKinds[rng.below(7)]
+               : pick < 9 ? CellKind::TSBUFX1
+                          : seqKinds[rng.below(3)];
+        if (v.kind == CellKind::TSBUFX1)
+            v.net = nl.addNet();
+    }
+
+    // Operands: -1 - i for source i, else a value index.
+    const auto operand = [&](std::size_t reader) {
+        for (;;) {
+            const std::size_t x = rng.below(sources.size() + values.size());
+            if (x < sources.size())
+                return -1 - int(x);
+            const std::size_t w = x - sources.size();
+            if (w < reader || cellIsSequential(values[w].kind) ||
+                cellIsSequential(values[reader].kind))
+                return int(w);
+        }
+    };
+    struct Driver
+    {
+        std::size_t value;
+        int a, b;
+    };
+    std::vector<Driver> drivers;
+    for (std::size_t v = 0; v < values.size(); ++v) {
+        const std::uint64_t fanin =
+            values[v].kind == CellKind::TSBUFX1 ? 1 + rng.below(3) : 1;
+        for (std::uint64_t d = 0; d < fanin; ++d) {
+            const int a = operand(v);
+            int b = 0;
+            if (cellInputCount(values[v].kind) == 2)
+                b = rng.below(5) == 0 ? a : operand(v);
+            drivers.push_back({v, a, b});
+        }
+    }
+    for (std::size_t i = drivers.size(); i > 1; --i)
+        std::swap(drivers[i - 1], drivers[rng.below(i)]);
+
+    const auto net_of = [&](int x) {
+        if (x < 0)
+            return sources[std::size_t(-1 - x)];
+        Value &w = values[std::size_t(x)];
+        if (w.net != invalidNet)
+            return w.net;
+        if (w.stub == invalidNet)
+            w.stub = nl.makeFeedback();
+        return w.stub;
+    };
+    for (const Driver &d : drivers) {
+        Value &v = values[d.value];
+        const NetId a = net_of(d.a);
+        const NetId b =
+            cellInputCount(v.kind) == 2 ? net_of(d.b) : invalidNet;
+        if (v.kind == CellKind::TSBUFX1)
+            nl.addTristate(a, b, v.net);
+        else
+            v.net = nl.addGate(v.kind, a, b);
+    }
+    for (const Value &v : values)
+        if (v.stub != invalidNet)
+            nl.resolveFeedback(v.stub, v.net);
+    nl.addOutput("o0", values.back().net);
+    nl.addOutput("o1", values[rng.below(values.size())].net);
+    return nl;
+}
+
+TEST(NetlistLevelize, MatchesReferenceSchedule)
+{
+    for (const CoreConfig &cfg : figure7Configs()) {
+        Netlist nl = elaborateCore(cfg);
+        EXPECT_EQ(nl.levelize(), referenceLevelize(nl))
+            << cfg.label() << " elaborated";
+        synth::optimize(nl);
+        EXPECT_EQ(nl.levelize(), referenceLevelize(nl))
+            << cfg.label() << " optimized";
+    }
+    for (const KernelPoint &point : paperKernelPoints()) {
+        const Workload wl = makeWorkload(point.kind, point.dataWidth,
+                                         point.dataWidth);
+        const Netlist nl =
+            buildCore(specializedConfig(wl.program, wl.dmemWords));
+        EXPECT_EQ(nl.levelize(), referenceLevelize(nl))
+            << wl.program.name;
+    }
+    const Netlist p1 = buildCore(CoreConfig::standard(1, 8, 2));
+    for (const synth::HardenStrategy strategy :
+         {synth::HardenStrategy::TmrFull,
+          synth::HardenStrategy::TmrSequential}) {
+        const Netlist nl = synth::harden(p1, strategy);
+        EXPECT_EQ(nl.levelize(), referenceLevelize(nl))
+            << "p1_8_2 " << synth::hardenStrategyName(strategy);
+    }
+
+    // Random netlists, with a tally that the generator reaches every
+    // shape it promises.
+    Rng rng(0x1e7e1122);
+    std::size_t shared_buses = 0, both_pins = 0, reordered = 0;
+    for (int trial = 0; trial < 256; ++trial) {
+        const Netlist nl = randomNetlist(rng);
+        ASSERT_NO_THROW(nl.validate()) << "trial " << trial;
+        const std::vector<GateId> order = nl.levelize();
+        ASSERT_EQ(order, referenceLevelize(nl)) << "trial " << trial;
+        reordered += !std::is_sorted(order.begin(), order.end());
+        for (GateId gi = 0; gi < nl.gateCount(); ++gi) {
+            both_pins += nl.gateIn1(gi) == nl.gateIn0(gi);
+            shared_buses += nl.netFirstDriver(nl.gateOut(gi)) == gi &&
+                            nl.netDriverCount(nl.gateOut(gi)) > 1;
+        }
+    }
+    EXPECT_GT(shared_buses, 0u);
+    EXPECT_GT(both_pins, 0u);
+    EXPECT_GT(reordered, 0u);
+}
+
+TEST(NetlistLevelize, CycleThroughBusIsFatal)
+{
+    // bus -> AND -> second bus driver -> bus: the bus never becomes
+    // ready, since one of its drivers waits on it.
+    Netlist nl;
+    const NetId a = nl.addInput("a");
+    const NetId en = nl.addInput("en");
+    const NetId bus = nl.addNet("bus");
+    nl.addTristate(a, en, bus);
+    const NetId y = nl.addGate(CellKind::AND2X1, bus, a);
+    nl.addTristate(y, en, bus);
+    nl.addOutput("y", y);
+    EXPECT_NO_THROW(nl.validate());
+    EXPECT_THROW(nl.levelize(), FatalError);
 }
 
 TEST(NetlistUseIndex, CountsFanout)

@@ -142,6 +142,24 @@ TEST(ServiceProtocol, RejectsInvalidRequests)
                  FatalError);
     EXPECT_THROW(parseRequest("not json"), json::ParseError);
 
+    // An axis value is matched as the double it parsed to: 2^32 + 2
+    // must not wrap onto stage 2, nor 2^32 + 8 onto width 8.
+    for (const std::string line :
+         {"{\"type\":\"sweep\",\"stages\":[4294967298]}",
+          "{\"type\":\"sweep\",\"widths\":[4294967304]}",
+          "{\"type\":\"sweep\",\"stages\":[-1]}",
+          "{\"type\":\"sweep\",\"widths\":[1e300]}"}) {
+        try {
+            parseRequest(line);
+            ADD_FAILURE() << "accepted " << line;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "holds unsupported value"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
     // A seed a double cannot hold exactly is refused, not rounded,
     // in each of the four seed fields.
     for (const std::string big : {"9007199254740992",

@@ -281,6 +281,33 @@ TEST(Streaming, FrameRenderersAndClassifierRoundTrip)
               StreamFrame::Kind::Final);
 }
 
+TEST(Streaming, FrameWithAnOutOfRangeCountIsFinal)
+{
+    // A count that is negative, fractional or above 2^53 - 1 makes a
+    // frame malformed, like a missing one: it ends the exchange.
+    const std::string head =
+        "{\"id\": \"s\", \"ok\": true, \"type\": \"sweep\", ";
+    for (const std::string bad :
+         {"1e300", "-1", "18446744073709551616", "2.5"}) {
+        for (const std::string &line :
+             {head + "\"partial\": {\"index\": " + bad +
+                  ", \"total\": 4, \"point\": {\"gates\": 9}}}",
+              head + "\"partial\": {\"index\": 0, \"total\": " + bad +
+                  ", \"point\": {\"gates\": 9}}}",
+              head + "\"done\": {\"points\": " + bad + "}}"})
+            EXPECT_EQ(classifyFrame(line).kind, StreamFrame::Kind::Final)
+                << line;
+    }
+    // The same frames with in-range counts classify as before.
+    EXPECT_EQ(classifyFrame(head + "\"partial\": {\"index\": 3, "
+                                   "\"total\": 4, \"point\": "
+                                   "{\"gates\": 9}}}")
+                  .kind,
+              StreamFrame::Kind::Partial);
+    EXPECT_EQ(classifyFrame(head + "\"done\": {\"points\": 4}}").kind,
+              StreamFrame::Kind::Done);
+}
+
 TEST(Streaming, RequestLineRoundTripsThroughTheParser)
 {
     const std::string line =

@@ -411,6 +411,23 @@ TEST(Optimizer, SweepsDeadLogic)
     EXPECT_GE(stats.deadRemoved, 1u);
 }
 
+TEST(Optimizer, FoldsWhatAnEarlierIterationLeft)
+{
+    // Iteration 1 turns NAND2(1, 1) into INV(1), iteration 2 folds
+    // that INV to 0 and sweeps it, and only iteration 3 finds nothing
+    // left to do.
+    Netlist nl;
+    const NetId one = nl.constOne();
+    nl.addOutput("q", nl.addFlop(nl.addGate(CellKind::NAND2X1, one, one)));
+    const OptStats stats = optimize(nl);
+    EXPECT_EQ(stats.iterations, 3u);
+    EXPECT_EQ(stats.constFolded, 2u);
+    EXPECT_EQ(stats.deadRemoved, 1u);
+    ASSERT_EQ(nl.gateCount(), 1u);
+    EXPECT_EQ(nl.gateKind(0), CellKind::DFFX1);
+    EXPECT_EQ(nl.gateIn0(0), nl.constZeroId());
+}
+
 TEST(Optimizer, PreservesRandomLogicFunction)
 {
     // Property test: build a random DAG of gates over 6 inputs,
