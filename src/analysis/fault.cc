@@ -318,6 +318,8 @@ runCopyBlock(std::vector<std::unique_ptr<BatchCoreCosim>> &sims,
         metrics::counter("fault.lane_runs");
     static metrics::Counter &lanesUsed =
         metrics::counter("fault.lanes_used");
+    static metrics::Counter &lanesLooped =
+        metrics::counter("fault.lanes_looped");
     constexpr unsigned L = BatchGateSimulator::laneCount;
     const LaneMask inBlock = copies.size() == L
                                  ? BatchGateSimulator::allLanes
@@ -343,9 +345,12 @@ runCopyBlock(std::vector<std::unique_ptr<BatchCoreCosim>> &sims,
         cs.run(k.cycleBudget);
         laneRuns.add(1);
         lanesUsed.add(std::uint64_t(std::popcount(part)));
-        // Killed (illegal state / wild write) or still running at
-        // the budget (lost halt): fatal, as the scalar engine's
-        // catch blocks classify the same copies.
+        lanesLooped.add(
+            std::uint64_t(std::popcount(cs.loopedLanes())));
+        // Killed (illegal state / wild write), still running at the
+        // budget (lost halt) or caught in a loop, which would have
+        // run out the budget: fatal, as the scalar engine's catch
+        // blocks classify the same copies.
         LaneMask fatalNow =
             part & (cs.killedLanes() | ~cs.haltedLanes());
         for (LaneMask m = part & ~fatalNow; m; m &= m - 1) {

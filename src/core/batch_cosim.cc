@@ -33,10 +33,8 @@ BatchCoreCosim::reset()
     sim_.reset();
     std::fill(ram_.begin(), ram_.end(), 0);
     halted_ = 0;
-    samePcStreak_.fill(0);
-    spinAnchor_.fill(~0u);
-    drain_.fill(0);
-    streamPos_.fill(0);
+    looped_ = 0;
+    harness_.fill(LaneHarness{});
 
     sim_.setInputAll(ports_.rstn, false);
     sim_.evaluate();
@@ -58,7 +56,8 @@ BatchCoreCosim::setStreamPort(std::size_t addr,
             "single-cycle cores only");
     streamAddr_ = long(addr);
     streamValues_ = std::move(values);
-    streamPos_.fill(0);
+    for (LaneHarness &h : harness_)
+        h.streamPos = 0;
 }
 
 void
@@ -124,14 +123,14 @@ BatchCoreCosim::cycle()
         const LaneMask bit = LaneMask(1) << lane;
         pcv[lane] = unsigned(sim_.readBusLane(ports_.pc, lane));
         if (pcv[lane] >= rom_.size()) {
-            if (drain_[lane]++ >= config_.stages) {
+            if (harness_[lane].drain++ >= config_.stages) {
                 haltLane(lane);
                 active &= ~bit;
                 continue;
             }
             instr[lane] = drainInstr_;
         } else {
-            drain_[lane] = 0;
+            harness_[lane].drain = 0;
             instr[lane] = rom_[pcv[lane]];
         }
     }
@@ -159,11 +158,12 @@ BatchCoreCosim::cycle()
                      isUnaryAlu(inst.mnemonic);
         }
         auto port_value = [&](std::size_t addr, bool reads) {
+            std::size_t &pos = harness_[lane].streamPos;
             if (streamAddr_ >= 0 && reads &&
                 addr == std::size_t(streamAddr_)) {
                 const std::uint64_t v = streamValues_[std::min(
-                    streamPos_[lane], streamValues_.size() - 1)];
-                ++streamPos_[lane];
+                    pos, streamValues_.size() - 1)];
+                ++pos;
                 return v & dmask;
             }
             return addr < ramWords_ ? ram_[lane * ramWords_ + addr]
@@ -208,35 +208,71 @@ BatchCoreCosim::cycle()
     const unsigned span = config_.stages - 1;
     for (LaneMask m = active; m; m &= m - 1) {
         const unsigned lane = unsigned(std::countr_zero(m));
+        LaneHarness &h = harness_[lane];
         const unsigned cur = pcv[lane];
         const unsigned npc =
             unsigned(sim_.readBusLane(ports_.pc, lane));
         if (npc == cur) {
-            if (++samePcStreak_[lane] >= 4)
+            if (++h.samePcStreak >= 4)
                 haltLane(lane);
         } else if (span > 0 && npc + span == cur &&
-                   npc == spinAnchor_[lane]) {
-            if (++samePcStreak_[lane] >= 2 * config_.stages)
+                   npc == h.spinAnchor) {
+            if (++h.samePcStreak >= 2 * config_.stages)
                 haltLane(lane);
         } else if (span > 0 && npc + span == cur) {
-            spinAnchor_[lane] = npc; // candidate spin branch address
-            samePcStreak_[lane] = 1;
-        } else if (npc == cur + 1 && spinAnchor_[lane] <= cur &&
-                   cur < spinAnchor_[lane] + span) {
+            h.spinAnchor = npc; // candidate spin branch address
+            h.samePcStreak = 1;
+        } else if (npc == cur + 1 && h.spinAnchor <= cur &&
+                   cur < h.spinAnchor + span) {
             // Forward hop inside the spin window: keep the streak.
         } else {
-            samePcStreak_[lane] = 0;
+            h.samePcStreak = 0;
         }
     }
+}
+
+void
+BatchCoreCosim::saveSnapshot()
+{
+    sim_.saveState(snapshot_.words);
+    snapshot_.ram = ram_;
+    snapshot_.harness = harness_;
+}
+
+LaneMask
+BatchCoreCosim::lanesAtSnapshot() const
+{
+    // One pass over the lane words narrows the block to the lanes
+    // whose simulator state repeats; only those compare their RAM
+    // and harness state.
+    LaneMask same =
+        activeLanes() & sim_.sameStateLanes(snapshot_.words);
+    for (LaneMask m = same; m; m &= m - 1) {
+        const unsigned lane = unsigned(std::countr_zero(m));
+        const std::uint64_t *ram = ram_.data() + lane * ramWords_;
+        const std::uint64_t *saved =
+            snapshot_.ram.data() + lane * ramWords_;
+        if (harness_[lane] != snapshot_.harness[lane] ||
+            !std::equal(ram, ram + ramWords_, saved))
+            same &= ~(LaneMask(1) << lane);
+    }
+    return same;
 }
 
 std::uint64_t
 BatchCoreCosim::run(std::uint64_t max_cycles)
 {
     std::uint64_t cycles = 0;
+    saveSnapshot();
     while (activeLanes() && cycles < max_cycles) {
         cycle();
         ++cycles;
+        if (const LaneMask looped = lanesAtSnapshot()) {
+            looped_ |= looped;
+            sim_.retireLanes(looped);
+        }
+        if (std::has_single_bit(cycles))
+            saveSnapshot();
     }
     return cycles;
 }

@@ -23,7 +23,10 @@
  *     engine throws SimulationError;
  *   - a lane still running when the cycle budget expires is a lost
  *     halt, reported by run() returning with the lane neither
- *     halted nor killed.
+ *     halted nor killed;
+ *   - a lane that run() finds back in an earlier state is caught in
+ *     a loop: it is retired (loopedLanes()), neither halted nor
+ *     killed, exactly as if it had run out the budget.
  */
 
 #ifndef PRINTED_CORE_BATCH_COSIM_HH
@@ -85,16 +88,28 @@ class BatchCoreCosim
     void cycle();
 
     /**
-     * Run until every observed lane has halted or been killed, or
-     * max_cycles elapse. Unlike the scalar harness this does not
-     * throw on a lost halt: lanes still observed and unhalted
-     * afterwards exceeded the budget (fatal for MC classification).
+     * Run until every observed lane has halted, been killed or been
+     * caught in a loop, or max_cycles elapse. Unlike the scalar
+     * harness this does not throw on a lost halt: lanes still
+     * observed and unhalted afterwards exceeded the budget (fatal
+     * for MC classification).
+     *
+     * Loop retirement is Brent's cycle detection per lane: the run
+     * saves the block's state at its start and after cycles 1, 2, 4,
+     * 8, …, and retires every active lane whose simulator words,
+     * data RAM and harness state all equal the saved copy. A lane's
+     * next cycle depends on nothing else (its fault overlay, the ROM
+     * and the stream are fixed), so such a lane repeats that period
+     * forever; any halt or kill in it would already have happened.
      * @return number of cycles executed
      */
     std::uint64_t run(std::uint64_t max_cycles = 2'000'000);
 
     /** Lanes whose program reached a halt condition. */
     LaneMask haltedLanes() const { return halted_; }
+
+    /** Lanes run() retired as caught in a loop (since reset()). */
+    LaneMask loopedLanes() const { return looped_; }
 
     /** Lanes killed by the simulator or the harness. */
     LaneMask
@@ -119,6 +134,12 @@ class BatchCoreCosim
 
     void haltLane(unsigned lane);
 
+    /** Save the whole block's state as the loop-detection snapshot. */
+    void saveSnapshot();
+
+    /** Active lanes whose whole state equals the snapshot. */
+    LaneMask lanesAtSnapshot() const;
+
     /** Drive `bus` per lane from vals[], for lanes in mask. */
     void driveBus(const Bus &bus,
                   const std::array<std::uint64_t, laneCount> &vals,
@@ -132,14 +153,33 @@ class BatchCoreCosim
     std::size_t ramWords_ = 0;
     std::uint32_t drainInstr_ = 0; ///< harmless never-taken branch
 
+    /** Per-lane harness state: what cycle() reads besides the
+     *  simulator and the data RAM. */
+    struct LaneHarness
+    {
+        unsigned samePcStreak = 0;
+        unsigned spinAnchor = ~0u;
+        unsigned drain = 0;
+        std::size_t streamPos = 0;
+
+        bool operator==(const LaneHarness &) const = default;
+    };
+
+    /** The block's state at one cycle, for loop detection. */
+    struct Snapshot
+    {
+        std::vector<LaneMask> words; ///< BatchGateSimulator::saveState
+        std::vector<std::uint64_t> ram;
+        std::array<LaneHarness, laneCount> harness{};
+    };
+
     LaneMask halted_ = 0;
-    std::array<unsigned, laneCount> samePcStreak_{};
-    std::array<unsigned, laneCount> spinAnchor_{};
-    std::array<unsigned, laneCount> drain_{};
+    LaneMask looped_ = 0;
+    std::array<LaneHarness, laneCount> harness_{};
+    Snapshot snapshot_;
 
     long streamAddr_ = -1;
     std::vector<std::uint64_t> streamValues_;
-    std::array<std::size_t, laneCount> streamPos_{};
 };
 
 } // namespace printed

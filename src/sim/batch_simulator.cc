@@ -10,6 +10,42 @@
 namespace printed
 {
 
+namespace
+{
+
+/**
+ * A combinational cell as four lane-word masks:
+ * out = ((a & b) & andM | (a | b) & orM | (a ^ b) & xorM) ^ inv.
+ * Exactly one term mask of a row is all ones. An INV reads in1 = in0,
+ * so it takes the NAND row: ~(a & a) = ~a. Sequential cells and the
+ * TSBUF have no row (the settle walk never reads theirs).
+ */
+struct CombMasks
+{
+    LaneMask andM = 0;
+    LaneMask orM = 0;
+    LaneMask xorM = 0;
+    LaneMask inv = 0;
+};
+
+constexpr std::array<CombMasks, numCellKinds> combMasks = [] {
+    constexpr LaneMask all = BatchGateSimulator::allLanes;
+    std::array<CombMasks, numCellKinds> t{};
+    auto row = [&](CellKind k) -> CombMasks & {
+        return t[static_cast<std::size_t>(k)];
+    };
+    row(CellKind::INVX1) = {all, 0, 0, all};
+    row(CellKind::NAND2X1) = {all, 0, 0, all};
+    row(CellKind::NOR2X1) = {0, all, 0, all};
+    row(CellKind::AND2X1) = {all, 0, 0, 0};
+    row(CellKind::OR2X1) = {0, all, 0, 0};
+    row(CellKind::XOR2X1) = {0, 0, all, 0};
+    row(CellKind::XNOR2X1) = {0, 0, all, all};
+    return t;
+}();
+
+} // anonymous namespace
+
 BatchGateSimulator::BatchGateSimulator(const Netlist &netlist)
     : netlist_(netlist)
 {
@@ -258,55 +294,6 @@ BatchGateSimulator::killLanes(LaneMask lanes, KillReason reason,
 }
 
 void
-BatchGateSimulator::evaluateOp(const Op &op)
-{
-    const LaneMask a = values_[op.in0];
-    const LaneMask b = values_[op.in1];
-    LaneMask out = 0;
-    switch (op.kind) {
-      case CellKind::INVX1:   out = ~a; break;
-      case CellKind::NAND2X1: out = ~(a & b); break;
-      case CellKind::NOR2X1:  out = ~(a | b); break;
-      case CellKind::AND2X1:  out = a & b; break;
-      case CellKind::OR2X1:   out = a | b; break;
-      case CellKind::XOR2X1:  out = a ^ b; break;
-      case CellKind::XNOR2X1: out = ~(a ^ b); break;
-      case CellKind::TSBUFX1: {
-        // in0 = A, in1 = EN. Per lane: disabled buffers contribute
-        // nothing and the bus keeps its old value when nothing
-        // drives it. Lanes where a second enabled driver disagrees
-        // are killed (the scalar engine's bus-conflict throw).
-        const LaneMask en = b;
-        LaneMask driven = a;
-        if (op.faulted)
-            driven = applyFault(op.gate, a, en & countMask_ & observed_);
-        const LaneMask conflict = busDriven_[op.out] & en &
-                                  (values_[op.out] ^ driven) &
-                                  observed_;
-        if (conflict)
-            kill(conflict, KillReason::BusConflict, op.gate);
-        const LaneMask drive = en & ~busDriven_[op.out];
-        const LaneMask neww =
-            (values_[op.out] & ~drive) | (driven & drive);
-        const LaneMask d = (values_[op.out] ^ neww) & observed_;
-        if (d)
-            toggles_[op.gate] += std::uint64_t(std::popcount(d));
-        values_[op.out] = neww;
-        busDriven_[op.out] |= en;
-        return;
-      }
-      default:
-        panic("BatchGateSimulator: sequential cell in comb. order");
-    }
-    if (op.faulted)
-        out = applyFault(op.gate, out, countMask_ & observed_);
-    const LaneMask d = (values_[op.out] ^ out) & observed_;
-    if (d)
-        toggles_[op.gate] += std::uint64_t(std::popcount(d));
-    values_[op.out] = out;
-}
-
-void
 BatchGateSimulator::combPass(LaneMask countLanes)
 {
     // Activation counting is restricted to countLanes: the async-
@@ -316,12 +303,52 @@ BatchGateSimulator::combPass(LaneMask countLanes)
     // lanes would diverge from the per-lane scalar counts. (Toggle
     // counts need no mask: unchanged lanes recompute identical
     // values, so their change masks are zero in the second pass.)
-    countMask_ = countLanes;
     for (NetId n : busNets_)
         busDriven_[n] = 0;
-    for (const Op &op : combOps())
-        evaluateOp(op);
-    countMask_ = allLanes;
+    LaneMask *const values = values_.data();
+    std::uint64_t *const toggles = toggles_.data();
+    // observed_ changes only where a bus conflict kills lanes; the
+    // local copy spares the loop a reload after every store.
+    LaneMask observed = observed_;
+    for (const Op &op : combOps()) {
+        const LaneMask a = values[op.in0];
+        const LaneMask b = values[op.in1];
+        const LaneMask old = values[op.out];
+        LaneMask out;
+        if (op.kind != CellKind::TSBUFX1) [[likely]] {
+            const CombMasks &m =
+                combMasks[static_cast<std::size_t>(op.kind)];
+            out = (((a & b) & m.andM) | ((a | b) & m.orM) |
+                   ((a ^ b) & m.xorM)) ^
+                  m.inv;
+            if (op.faulted)
+                out = applyFault(op.gate, out, countLanes & observed);
+        } else {
+            // in0 = A, in1 = EN. Per lane: disabled buffers
+            // contribute nothing and the bus keeps its old value
+            // when nothing drives it. Lanes where a second enabled
+            // driver disagrees are killed (the scalar engine's
+            // bus-conflict throw).
+            const LaneMask en = b;
+            LaneMask &busDriven = busDriven_[op.out];
+            const LaneMask driven =
+                op.faulted
+                    ? applyFault(op.gate, a, en & countLanes & observed)
+                    : a;
+            const LaneMask conflict =
+                busDriven & en & (old ^ driven) & observed;
+            if (conflict) {
+                kill(conflict, KillReason::BusConflict, op.gate);
+                observed = observed_;
+            }
+            const LaneMask drive = en & ~busDriven;
+            out = (old & ~drive) | (driven & drive);
+            busDriven |= en;
+        }
+        toggles[op.gate] +=
+            std::uint64_t(std::popcount((old ^ out) & observed));
+        values[op.out] = out;
+    }
     ++settles_;
 }
 
@@ -433,14 +460,26 @@ BatchGateSimulator::totalToggles() const
                            std::uint64_t(0));
 }
 
-double
-BatchGateSimulator::activityFactor() const
+void
+BatchGateSimulator::saveState(std::vector<LaneMask> &out) const
 {
-    if (cycles_ == 0 || netlist_.gateCount() == 0)
-        return 0.0;
-    return double(totalToggles()) /
-           (double(cycles_) * double(netlist_.gateCount()) *
-            double(laneCount));
+    out.assign(values_.begin(), values_.end());
+    for (const Op &op : seqOps())
+        out.push_back(seqState_[op.gate]);
+}
+
+LaneMask
+BatchGateSimulator::sameStateLanes(std::span<const LaneMask> saved) const
+{
+    panicIf(saved.size() != values_.size() + seqOps().size(),
+            "sameStateLanes: not a saveState() copy");
+    LaneMask diff = 0;
+    for (std::size_t n = 0; n < values_.size(); ++n)
+        diff |= values_[n] ^ saved[n];
+    const LaneMask *savedSeq = saved.data() + values_.size();
+    for (const Op &op : seqOps())
+        diff |= seqState_[op.gate] ^ *savedSeq++;
+    return ~diff;
 }
 
 } // namespace printed

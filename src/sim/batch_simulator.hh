@@ -243,12 +243,20 @@ class BatchGateSimulator
      */
     std::uint64_t settles() const { return settles_; }
 
+    // ------------------------------------------------------------
+    // Lane state (loop detection)
+    // ------------------------------------------------------------
+
     /**
-     * Average switching activity per gate per cycle *per lane*
-     * (toggle popcounts spread over all 64 lanes), comparable to
-     * GateSimulator::activityFactor() when all lanes stay observed.
+     * Copy every lane word the next settle and clock edge read into
+     * `out`: each net's word, then each sequential cell's state.
+     * Activity counters are not part of it.
      */
-    double activityFactor() const;
+    void saveState(std::vector<LaneMask> &out) const;
+
+    /** Lanes whose every net and state word equals a saveState()
+     *  copy. */
+    LaneMask sameStateLanes(std::span<const LaneMask> saved) const;
 
   private:
     /**
@@ -258,7 +266,9 @@ class BatchGateSimulator
     struct Op
     {
         NetId in0 = invalidNet;
-        NetId in1 = invalidNet; ///< = in0 for one-input cells (unread)
+        /** = in0 for one-input cells: an INV settles as the NAND
+         *  of in0 with itself. */
+        NetId in1 = invalidNet;
         NetId out = invalidNet;
         GateId gate = invalidGate;
         CellKind kind = CellKind::INVX1;
@@ -285,8 +295,6 @@ class BatchGateSimulator
     {
         return std::span<const Op>(ops_).subspan(seqBegin_);
     }
-
-    void evaluateOp(const Op &op);
 
     /** One walk of the levelized order; fault-activation counting
      *  restricted to countLanes (see the second-settle note). */
@@ -323,7 +331,6 @@ class BatchGateSimulator
     std::uint64_t settles_ = 0;
 
     LaneMask observed_ = allLanes;
-    LaneMask countMask_ = allLanes; ///< activation-count restriction
     LaneMask killed_ = 0;
     std::array<KillReason, laneCount> killReason_{};
     std::array<GateId, laneCount> killGate_{};

@@ -10,6 +10,7 @@
 
 #include "analysis/characterize.hh"
 #include "arch/machine.hh"
+#include "core/batch_cosim.hh"
 #include "core/cosim.hh"
 #include "core/generator.hh"
 #include "isa/assembler.hh"
@@ -378,6 +379,71 @@ TEST(CoreCosimTest, MeasuredActivityIsPlausible)
     // gate per cycle; ours should land in the same regime.
     EXPECT_GT(cosim.activityFactor(), 0.05);
     EXPECT_LT(cosim.activityFactor(), 2.0);
+}
+
+// ----------------------------------------------------------------
+// 64-lane harness: loop retirement
+// ----------------------------------------------------------------
+
+TEST(BatchCoreCosimTest, RetiresLanesCaughtInALoop)
+{
+    // A single-cycle core's spin detector catches only a pinned PC,
+    // so this fault-free two-instruction loop never halts. Every
+    // lane is back in an earlier state after a few cycles, and run()
+    // retires it as looped instead of running out the budget.
+    const IsaConfig isa;
+    const Program p = assemble(R"(
+        STORE [0], #1
+        loop:
+            STORE [1], #2
+            BRN loop, #0
+    )", isa, "spin2");
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    const Netlist nl = buildCore(cfg);
+    BatchCoreCosim cs(nl, cfg, p, 4);
+    const std::uint64_t cycles = cs.run(10000);
+    EXPECT_LT(cycles, 40u);
+    EXPECT_EQ(cs.loopedLanes(), BatchGateSimulator::allLanes);
+    EXPECT_EQ(cs.haltedLanes(), 0u);
+    EXPECT_EQ(cs.killedLanes(), 0u);
+    EXPECT_EQ(cs.simulator().observedLanes(), 0u);
+    EXPECT_EQ(cs.mem(63, 1), 2u);
+}
+
+TEST(BatchCoreCosimTest, CountingLoopIsNotRetiredEarly)
+{
+    // The loop bumps a data-RAM word. The STORE drives the result
+    // bus with a constant, so after each STORE and BRN the
+    // simulator's words repeat from one iteration to the next and
+    // only the RAM tells the states apart. The whole state repeats
+    // once the 8-bit counter wraps, every 256 iterations of three
+    // cycles each, and not before.
+    const IsaConfig isa;
+    const Program p = assemble(R"(
+        STORE [1], #1
+        loop:
+            ADD [3], [1]
+            STORE [2], #0
+            BRN loop, #0
+    )", isa, "count");
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    const Netlist nl = buildCore(cfg);
+    constexpr std::uint64_t wrap = 3 * 256;
+
+    BatchCoreCosim shortRun(nl, cfg, p, 4);
+    EXPECT_EQ(shortRun.run(wrap - 8), wrap - 8);
+    EXPECT_EQ(shortRun.loopedLanes(), 0u);
+    EXPECT_EQ(shortRun.haltedLanes(), 0u);
+
+    // Brent's detection catches a loop of tail mu and period lambda
+    // by cycle 2 max(mu, lambda) + lambda.
+    BatchCoreCosim longRun(nl, cfg, p, 4);
+    const std::uint64_t cycles = longRun.run(10 * wrap);
+    EXPECT_GT(cycles, wrap);
+    EXPECT_LE(cycles, 3 * wrap);
+    EXPECT_EQ(longRun.loopedLanes(), BatchGateSimulator::allLanes);
+    EXPECT_EQ(longRun.haltedLanes(), 0u);
+    EXPECT_EQ(longRun.killedLanes(), 0u);
 }
 
 } // anonymous namespace

@@ -410,11 +410,15 @@ TEST(FunctionalYield, BatchEngineMatchesScalarBitExactly)
     // 12-replica array takes three packing rounds (69, 17 and 2
     // copies), its blocks mix trials at different replica indices,
     // and at 99.98 % it still lands trials in all four buckets.
-    // Both engines must also draw the same replica maps.
+    // Both engines must also draw the same replica maps. Some lanes
+    // must be retired as caught in a loop, so the comparison covers
+    // that exit too.
     const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
     const Netlist core = buildCore(cfg);
     metrics::Counter &draws = metrics::counter("fault.draws");
     metrics::Counter &laneRuns = metrics::counter("fault.lane_runs");
+    metrics::Counter &looped = metrics::counter("fault.lanes_looped");
+    const std::uint64_t looped0 = looped.value();
 
     struct Case
     {
@@ -473,6 +477,7 @@ TEST(FunctionalYield, BatchEngineMatchesScalarBitExactly)
             EXPECT_GT(batchRuns, oneRound);
         }
     }
+    EXPECT_GT(looped.value(), looped0);
 }
 
 TEST(FunctionalYield, StopsDrawingAtTheFirstFatalCopy)

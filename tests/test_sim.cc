@@ -495,8 +495,8 @@ struct FuzzCircuit
 
 /**
  * Random feed-forward netlist over every combinational kind, plus
- * (per round) sequential cells and tri-state bus pairs whose random
- * enables can legitimately conflict.
+ * (per round) sequential cells and tri-state buses of two or three
+ * drivers whose random enables can legitimately conflict.
  */
 FuzzCircuit
 makeFuzzCircuit(Rng &rng, bool tristate, bool seq)
@@ -526,8 +526,9 @@ makeFuzzCircuit(Rng &rng, bool tristate, bool seq)
                 c.nl.addGate(CellKind::LATCHX1, pick(), pick()));
         } else if (tristate && roll == 3) {
             const NetId bus = c.nl.addNet();
-            c.nl.addTristate(pick(), pick(), bus);
-            c.nl.addTristate(pick(), pick(), bus);
+            const unsigned drivers = 2 + unsigned(rng.below(2));
+            for (unsigned d = 0; d < drivers; ++d)
+                c.nl.addTristate(pick(), pick(), bus);
             c.nets.push_back(bus);
         } else {
             const CellKind k = comb[rng.below(7)];
@@ -576,7 +577,7 @@ TEST(BatchScalarEquivalence, RandomNetlistAndFaultFuzz)
     // the sum of the scalar per-lane counts (counting stops at the
     // kill/throw point in both engines, so this holds even when
     // lanes die).
-    for (unsigned round = 0; round < 8; ++round) {
+    for (unsigned round = 0; round < 32; ++round) {
         Rng rng(0x5eed0000 + round);
         const bool tristate = round & 1;
         const bool seq = round & 2;
