@@ -32,6 +32,8 @@ struct LegacyRun
     std::size_t dataBytes = 0;      ///< data segment size
     std::uint64_t instructions = 0; ///< dynamic instruction count
     std::uint64_t cycles = 0;       ///< dynamic cycles (ISA timing)
+    std::uint64_t fusedOps = 0;     ///< IR operations retired fused
+    std::uint64_t steppedInstructions = 0; ///< retired one at a time
     std::vector<std::uint64_t> outputs;
 };
 

@@ -53,12 +53,15 @@ namespace
 void
 finishResult(IssBatchResult &result)
 {
-    std::uint64_t halted = 0, budget = 0, killed = 0;
+    std::uint64_t halted = 0, budget = 0, killed = 0, fused = 0,
+                  stepped = 0;
     result.totalInstructions = 0;
     result.totalCycles = 0;
     for (std::size_t m = 0; m < result.runs.size(); ++m) {
         result.totalInstructions += result.runs[m].instructions;
         result.totalCycles += result.runs[m].cycles;
+        fused += result.runs[m].fusedOps;
+        stepped += result.runs[m].steppedInstructions;
         switch (result.status[m]) {
           case MachineStatus::Halted: ++halted; break;
           case MachineStatus::OutOfBudget: ++budget; break;
@@ -69,6 +72,8 @@ finishResult(IssBatchResult &result)
     metrics::counter("iss.machines").add(result.runs.size());
     metrics::counter("iss.instructions").add(result.totalInstructions);
     metrics::counter("iss.cycles").add(result.totalCycles);
+    metrics::counter("iss.fused_ops").add(fused);
+    metrics::counter("iss.stepped_instructions").add(stepped);
     metrics::counter("iss.halted").add(halted);
     metrics::counter("iss.out_of_budget").add(budget);
     metrics::counter("iss.killed").add(killed);

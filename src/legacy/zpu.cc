@@ -49,6 +49,25 @@ isEmulate(std::uint8_t op)
 constexpr std::uint32_t dataBase = 0x80;
 constexpr std::uint32_t ramBytes = 0x1000;
 
+/** No fused record (an index past every image's records). */
+constexpr std::uint32_t noOp = ~std::uint32_t(0);
+
+/**
+ * One IR operation's template, fused: the byte range [start, next)
+ * Compiler::lower emitted for it, its operands and, for a branch or
+ * jump, its patched target. The Image adds the range's instruction
+ * and cycle totals and the record indices of both successors.
+ */
+struct Fused
+{
+    IrOp op = IrOp::Halt;
+    std::uint32_t dst = 0, src = 0; ///< RAM words of the vreg slots
+    std::uint32_t imm = 0; ///< Li: the value; Add/Sub/Shl: width mask
+    std::uint32_t start = 0, next = 0, target = 0;
+    std::uint32_t insns = 0, cycles = 0;
+    std::uint32_t nextOp = noOp, targetOp = noOp;
+};
+
 class Compiler
 {
   public:
@@ -62,6 +81,7 @@ class Compiler
     }
 
     std::vector<std::uint8_t> take() { return std::move(code_); }
+    std::vector<Fused> takeOps() { return std::move(ops_); }
 
   private:
     std::uint32_t slot(Reg r) const { return r * 4; }
@@ -112,6 +132,8 @@ class Compiler
             code_[pos + 1] = std::uint8_t(0x80 | ((t >> 7) & 0x7f));
             code_[pos + 2] = std::uint8_t(0x80 | (t & 0x7f));
         }
+        for (const auto &[i, label] : opLabels_)
+            ops_[i].target = std::uint32_t(labels_.at(label));
     }
 
     void
@@ -151,6 +173,27 @@ class Compiler
 
     void
     lower(const IrInst &in)
+    {
+        const std::size_t start = code_.size();
+        emit(in);
+        // Every template but the halt's becomes a fused record.
+        if (in.op == IrOp::Label || in.op == IrOp::Halt)
+            return;
+        Fused f;
+        f.op = in.op;
+        f.dst = in.dst;
+        f.src = in.src;
+        f.imm = in.op == IrOp::Li ? std::uint32_t(in.imm)
+                                  : std::uint32_t(maskBits(prog_.width));
+        f.start = std::uint32_t(start);
+        f.next = std::uint32_t(code_.size());
+        if (!in.label.empty())
+            opLabels_.emplace_back(ops_.size(), in.label);
+        ops_.push_back(f);
+    }
+
+    void
+    emit(const IrInst &in)
     {
         switch (in.op) {
           case IrOp::Li:
@@ -245,58 +288,70 @@ class Compiler
     std::vector<std::uint8_t> code_;
     std::map<std::string, std::size_t> labels_;
     std::vector<std::pair<std::size_t, std::string>> fixups_;
+    std::vector<Fused> ops_;
+    std::vector<std::pair<std::size_t, std::string>> opLabels_;
 };
 
 /**
- * Per-byte predecode record of the shared image. An address whose
- * byte starts an IM chain folds the *whole* maximal run from that
- * address into one immediate (the fold an empty-chain entry would
- * compute; a branch target mid-run simply uses its own record);
- * other bytes carry the opcode and its full cycle charge so
- * dispatch skips the EMULATE test.
+ * Per-byte predecode record of the shared image: the opcode and its
+ * full cycle charge, so dispatch skips the EMULATE test.
  */
 struct ZDec
 {
-    std::uint8_t op;   ///< raw opcode; 0x80 flags an IM run
-    std::uint8_t len;  ///< bytes (= instructions) in the run
-    std::uint32_t imm; ///< folded IM value (empty-chain entry)
-    std::uint32_t cyc; ///< cycles for one non-IM dispatch
+    std::uint8_t op;   ///< raw opcode; bit 7 flags an IM byte
+    std::uint32_t cyc; ///< cycles for one dispatch
 };
 
-/** A program's code, decoded once and shared by every machine. */
+/**
+ * A program's code, decoded once and shared by every machine, with
+ * the fused records of a compiled program (none for other images).
+ */
 class Image
 {
   public:
-    explicit Image(std::vector<std::uint8_t> code)
-        : code_(std::move(code)), dec_(code_.size())
+    explicit Image(std::vector<std::uint8_t> code,
+                   std::vector<Fused> ops = {})
+        : code_(std::move(code)), dec_(code_.size()),
+          ops_(std::move(ops)), opAt_(code_.size(), noOp)
     {
         for (std::size_t a = 0; a < code_.size(); ++a) {
             const std::uint8_t op = code_[a];
-            if (op & 0x80) {
-                std::size_t end = a + 1;
-                while (end < code_.size() && (code_[end] & 0x80) &&
-                       end - a < 255)
-                    ++end;
-                std::uint32_t v =
-                    std::uint32_t(signExtend(op & 0x7f, 7));
-                for (std::size_t i = a + 1; i < end; ++i)
-                    v = (v << 7) | (code_[i] & 0x7f);
-                dec_[a] = {0x80, std::uint8_t(end - a), v, zpuBaseCpi};
-            } else {
-                dec_[a] = {op, 1, 0,
-                           zpuBaseCpi +
+            dec_[a] = {op, zpuBaseCpi +
                                (isEmulate(op) ? zpuEmulatePenalty : 0)};
-            }
+        }
+        // One instruction per byte: a range's totals are its length
+        // and the sum of its bytes' charges.
+        for (std::size_t i = 0; i < ops_.size(); ++i) {
+            Fused &f = ops_[i];
+            panicIf(f.start >= f.next || f.next > code_.size(),
+                    "zpu: fused range outside the image");
+            opAt_[f.start] = std::uint32_t(i);
+            f.insns = f.next - f.start;
+            for (std::uint32_t a = f.start; a < f.next; ++a)
+                f.cycles += dec_[a].cyc;
+        }
+        for (Fused &f : ops_) {
+            f.nextOp = opAt(f.next);
+            f.targetOp = opAt(f.target);
         }
     }
 
     std::size_t size() const { return code_.size(); }
-    const std::uint8_t *code() const { return code_.data(); }
     const ZDec *dec() const { return dec_.data(); }
+    const Fused *ops() const { return ops_.data(); }
+
+    /** The record starting at pc, or noOp. */
+    std::uint32_t
+    opAt(std::uint32_t pc) const
+    {
+        return pc < opAt_.size() ? opAt_[pc] : noOp;
+    }
 
   private:
     std::vector<std::uint8_t> code_;
     std::vector<ZDec> dec_;
+    std::vector<Fused> ops_;
+    std::vector<std::uint32_t> opAt_;
 };
 
 /**
@@ -323,6 +378,8 @@ class alignas(64) Machine
 
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
+    std::uint64_t fusedOps = 0;            ///< records retired
+    std::uint64_t steppedInstructions = 0; ///< retired one at a time
 
   private:
     static constexpr std::uint32_t ramWords = ramBytes / 4;
@@ -335,20 +392,105 @@ class alignas(64) Machine
  * SP is always word-aligned (only push/pop move it, by whole
  * words), so the run tracks it in word units and the stack
  * accesses drop the alignment test.
+ *
+ * A fused record retires its whole IR operation in one dispatch
+ * when the PC is at its start, SP is at ramWords (every template is
+ * stack-balanced, and a live machine whose last instruction was an
+ * IM holds a pushed word, so the IM flag is clear), the budget
+ * covers the range and its data access, if any, stays inside RAM.
+ * It leaves what single steps would: the vreg it writes, SP, a
+ * clear IM flag, and the stack words below SP that the template's
+ * pushes wrote (s1 = ram[ramWords - 1], s2, s3 below it). Otherwise
+ * the machine single-steps, so every kill and budget cut-off lands
+ * on the same instruction.
  */
 MachineStatus
 Machine::run(std::uint64_t max_steps)
 {
     std::uint32_t *const ram = ram_.data();
-    const std::uint8_t *const code = image_->code();
+    std::uint32_t &s1 = ram[ramWords - 1], &s2 = ram[ramWords - 2],
+                  &s3 = ram[ramWords - 3];
     const ZDec *const dec = image_->dec();
+    const Fused *const ops = image_->ops();
     const std::size_t codeSize = image_->size();
     std::uint32_t spw = ramWords, pc = 0;
     bool idim = false;
-    std::uint64_t insns = 0, cyc = 0;
+    std::uint64_t insns = 0, cyc = 0, fused = 0, stepped = 0;
+
+    // The byte address of data word idx, as the template's
+    // LOADSP/ADD chain computes it.
+    const auto dataAddr = [](std::uint32_t idx) {
+        return 4 * idx + dataBase;
+    };
 
     MachineStatus status;
     for (;;) {
+        if (spw == ramWords)
+            for (std::uint32_t i = image_->opAt(pc); i != noOp;) {
+                const Fused &f = ops[i];
+                if (insns + f.insns > max_steps ||
+                    ((f.op == IrOp::Ld || f.op == IrOp::St) &&
+                     dataAddr(ram[f.src]) >= ramBytes))
+                    break;
+                const std::uint32_t a = ram[f.dst], b = ram[f.src];
+                // Most templates end in "push value; push slot;
+                // STORE": s1 holds the value, s2 the slot address.
+                const auto store = [&](std::uint32_t v) {
+                    s1 = v;
+                    s2 = 4 * f.dst;
+                    ram[f.dst] = v;
+                };
+                // NEQBRANCH pops the target, then the condition.
+                bool taken = false;
+                const auto branch = [&](std::uint32_t cond) {
+                    s1 = cond;
+                    s2 = f.target;
+                    taken = cond != 0;
+                };
+                switch (f.op) {
+                  case IrOp::Li: store(f.imm); break;
+                  case IrOp::Mov: store(b); break;
+                  case IrOp::Add: store((a + b) & f.imm); break;
+                  case IrOp::Sub: store((a - b) & f.imm); break;
+                  case IrOp::And: store(a & b); break;
+                  case IrOp::Or: store(a | b); break;
+                  case IrOp::Xor: store(a ^ b); break;
+                  case IrOp::Shl: store((a + a) & f.imm); break;
+                  case IrOp::Shr: store(a >> 1); break;
+                  case IrOp::Ld: {
+                    // The LOAD reads with s1 = address, s2 = base.
+                    const std::uint32_t addr = dataAddr(b);
+                    s1 = addr;
+                    s2 = dataBase;
+                    store(ram[addr / 4]);
+                    break;
+                  }
+                  case IrOp::St: {
+                    // STORE pops the address, then the value.
+                    const std::uint32_t addr = dataAddr(b);
+                    s1 = a;
+                    s2 = addr;
+                    s3 = dataBase;
+                    ram[addr / 4] = a;
+                    break;
+                  }
+                  case IrOp::Jmp:
+                    s1 = f.target;
+                    taken = true;
+                    break;
+                  case IrOp::Beqz: branch(a == 0); break;
+                  case IrOp::Bnez: branch(a); break;
+                  case IrOp::Bltu: branch(a < b); break;
+                  case IrOp::Bgeu: branch(a >= b); break;
+                  default: panic("zpu: unfused IR operation");
+                }
+                insns += f.insns;
+                cyc += f.cycles;
+                ++fused;
+                pc = taken ? f.target : f.next;
+                i = taken ? f.targetOp : f.nextOp;
+            }
+
         if (insns >= max_steps) {
             status = MachineStatus::OutOfBudget;
             break;
@@ -391,31 +533,17 @@ Machine::run(std::uint64_t max_steps)
             return v;
         };
 
-        if (d.op & 0x80) { // IM chain
-            if (!idim && insns + d.len <= max_steps) {
-                // Entered with an empty chain and inside the step
-                // budget: one push of the folded value retires the
-                // whole run. A trapping push kills on the run's
-                // first byte, exactly like byte-wise execution.
-                push(d.imm);
-                idim = true;
-                const unsigned n = dead ? 1 : d.len;
-                pc += n;
-                insns += n;
-                cyc += std::uint64_t(zpuBaseCpi) * n;
-            } else {
-                // Mid-chain entry or the budget expires inside the
-                // run: one byte at a time.
-                const std::uint32_t payload = code[pc] & 0x7f;
-                ++pc;
-                ++insns;
-                cyc += zpuBaseCpi;
-                if (idim)
-                    push((pop() << 7) | payload);
-                else
-                    push(std::uint32_t(signExtend(payload, 7)));
-                idim = true;
-            }
+        ++pc;
+        ++insns;
+        ++stepped;
+        cyc += d.cyc;
+        if (d.op & 0x80) { // IM: one 7-bit group of an immediate
+            const std::uint32_t payload = d.op & 0x7f;
+            if (idim)
+                push((pop() << 7) | payload);
+            else
+                push(std::uint32_t(signExtend(payload, 7)));
+            idim = true;
             if (dead) {
                 status = MachineStatus::Killed;
                 break;
@@ -423,9 +551,6 @@ Machine::run(std::uint64_t max_steps)
             continue;
         }
 
-        ++pc;
-        ++insns;
-        cyc += d.cyc;
         idim = false;
         bool bad_op = false;
         bool halted = false;
@@ -505,6 +630,8 @@ Machine::run(std::uint64_t max_steps)
     }
     instructions = insns;
     cycles = cyc;
+    fusedOps = fused;
+    steppedInstructions = stepped;
     return status;
 }
 
@@ -541,7 +668,8 @@ batchRunZpu(const IrProgram &prog,
             const std::vector<std::vector<std::uint64_t>> &inputs,
             const IssBatchOptions &opts)
 {
-    const Image image(Compiler(prog).take());
+    Compiler compiler(prog);
+    const Image image(compiler.take(), compiler.takeOps());
     IssBatchResult res =
         issNewResult(inputs.size(), image.size(), prog.dataWords * 4);
     for (const auto &in : inputs)
@@ -561,6 +689,8 @@ batchRunZpu(const IrProgram &prog,
         LegacyRun &run = res.runs[m];
         run.instructions = mach.instructions;
         run.cycles = mach.cycles;
+        run.fusedOps = mach.fusedOps;
+        run.steppedInstructions = mach.steppedInstructions;
         for (unsigned addr : prog.outputAddrs)
             run.outputs.push_back(ram[dataBase / 4 + addr] &
                                   maskBits(prog.width));
