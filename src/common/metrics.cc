@@ -25,24 +25,30 @@ Distribution::record(double sample)
 Distribution::Summary
 Distribution::summary() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Summary s;
-    s.count = count_;
-    if (count_ == 0)
-        return s;
-    s.mean = sum_ / double(count_);
-    s.min = min_;
-    s.max = max_;
-    std::vector<double> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    // Same index rule as analysis/variation.cc percentile().
-    auto pct = [&](double p) {
-        const std::size_t idx = std::min(
-            sorted.size() - 1, std::size_t(p * double(sorted.size())));
-        return sorted[idx];
+    std::vector<double> v;
+    {
+        std::lock_guard<std::mutex> lock(mutex_); // for the copy only
+        s.count = count_;
+        if (count_ == 0)
+            return s;
+        s.mean = sum_ / double(count_);
+        s.min = min_;
+        s.max = max_;
+        v = samples_;
+    }
+    // Same index rule as analysis/variation.cc percentile(), by
+    // selection: p95's rank first, then p50's (never above it) in
+    // the prefix in front of it.
+    const auto rank = [&](double p) {
+        const std::size_t i = std::size_t(p * double(v.size()));
+        return v.begin() + std::ptrdiff_t(std::min(v.size() - 1, i));
     };
-    s.p50 = pct(0.50);
-    s.p95 = pct(0.95);
+    const auto p95 = rank(0.95), p50 = rank(0.50);
+    std::nth_element(v.begin(), p95, v.end());
+    std::nth_element(v.begin(), p50, p95);
+    s.p95 = *p95;
+    s.p50 = *p50;
     return s;
 }
 
@@ -97,17 +103,25 @@ Registry::distribution(const std::string &name)
 Snapshot
 Registry::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     Snapshot snap;
-    snap.counters.reserve(counters_.size());
-    for (const auto &[name, c] : counters_)
-        snap.counters.emplace_back(name, c->value());
-    snap.gauges.reserve(gauges_.size());
-    for (const auto &[name, g] : gauges_)
-        snap.gauges.emplace_back(name, g->value());
-    snap.distributions.reserve(distributions_.size());
-    for (const auto &[name, d] : distributions_)
-        snap.distributions.emplace_back(name, d->summary());
+    std::vector<const Distribution *> dists;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        snap.counters.reserve(counters_.size());
+        for (const auto &[name, c] : counters_)
+            snap.counters.emplace_back(name, c->value());
+        snap.gauges.reserve(gauges_.size());
+        for (const auto &[name, g] : gauges_)
+            snap.gauges.emplace_back(name, g->value());
+        for (const auto &[name, d] : distributions_) {
+            snap.distributions.emplace_back(name, Distribution::Summary{});
+            dists.push_back(d.get());
+        }
+    }
+    // Entries are never removed, so the summaries need no registry
+    // lock and never stall a name lookup.
+    for (std::size_t i = 0; i < dists.size(); ++i)
+        snap.distributions[i].second = dists[i]->summary();
     return snap;
 }
 

@@ -33,6 +33,7 @@ elapsedMs(std::chrono::steady_clock::time_point start)
 struct ThreadPool::Job
 {
     const std::function<void(std::size_t, unsigned)> *fn = nullptr;
+    std::function<void()> stopCheck; ///< the pool's, at dispatch
     std::size_t n = 0;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{0};
@@ -80,14 +81,19 @@ ThreadPool::runJob(Job &job, unsigned slot)
     // index < n bumps `completed` exactly once — also when the item
     // threw or was skipped after an abort — so the dispatcher's
     // completed == n wait is exact and `fn` stays alive until the
-    // last in-flight item has finished.
+    // last in-flight item has finished. After an abort, one claim
+    // takes every unclaimed index, so a stopped job drains at once
+    // instead of skipping its items one contended claim at a time.
     for (;;) {
         const std::size_t i =
             job.next.fetch_add(1, std::memory_order_relaxed);
         if (i >= job.n)
             break;
+        std::size_t claimed = 1;
         if (!job.aborted.load(std::memory_order_relaxed)) {
             try {
+                if (job.stopCheck)
+                    job.stopCheck();
                 (*job.fn)(i, slot);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(job.exceptionMutex);
@@ -95,9 +101,15 @@ ThreadPool::runJob(Job &job, unsigned slot)
                     job.exception = std::current_exception();
                 job.aborted.store(true, std::memory_order_relaxed);
             }
+        } else {
+            const std::size_t rest =
+                job.next.exchange(job.n, std::memory_order_relaxed);
+            if (rest < job.n)
+                claimed += job.n - rest;
         }
-        if (job.completed.fetch_add(1, std::memory_order_acq_rel) +
-                1 ==
+        if (job.completed.fetch_add(claimed,
+                                    std::memory_order_acq_rel) +
+                claimed ==
             job.n) {
             std::lock_guard<std::mutex> lock(mutex_);
             done_.notify_all();
@@ -155,13 +167,19 @@ ThreadPool::parallelForWorkers(
 
     if (threads_ <= 1 || n == 1) {
         // Inline fast path; exceptions propagate naturally.
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < n; ++i) {
+            if (stopCheck_)
+                stopCheck_();
             fn(i, 0);
+        }
         return;
     }
 
+    // Workers read the check from the job they took under mutex_,
+    // never from the pool.
     auto job = std::make_shared<Job>();
     job->fn = &fn;
+    job->stopCheck = stopCheck_;
     job->n = n;
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -18,7 +18,8 @@
  * the Monte Carlos), the calling thread participates as worker 0,
  * and the first exception thrown by any item is rethrown on the
  * caller after the whole job has drained. parallelMap collects
- * fn(i) into a vector by index.
+ * fn(i) into a vector by index. A stop check (StopScope) lets the
+ * pool's owner cancel a job within one item.
  *
  * Determinism rules for callers (see DESIGN.md):
  *   1. fn(i) must not read mutable state shared with other items.
@@ -76,6 +77,30 @@ class ThreadPool
     static unsigned defaultThreadCount();
 
     /**
+     * Installs `check` on the pool for the guard's lifetime; create
+     * it on the thread that submits the pool's jobs. Every job then
+     * calls it before each item, on the worker that claims the item
+     * and outside fn (no catch in fn sees it); an exception from it
+     * stops the job as an item's exception would.
+     */
+    class StopScope
+    {
+      public:
+        StopScope(ThreadPool &pool, std::function<void()> check)
+            : pool_(pool)
+        {
+            pool_.stopCheck_ = std::move(check);
+        }
+        ~StopScope() { pool_.stopCheck_ = nullptr; }
+
+        StopScope(const StopScope &) = delete;
+        StopScope &operator=(const StopScope &) = delete;
+
+      private:
+        ThreadPool &pool_;
+    };
+
+    /**
      * Run fn(i) for every i in [0, n); blocks until all items have
      * finished. If any item throws, the first exception (in claim
      * order) is rethrown here once the job has drained; remaining
@@ -123,6 +148,7 @@ class ThreadPool
 
     unsigned threads_ = 1;
     std::vector<std::thread> workers_;
+    std::function<void()> stopCheck_; ///< see StopScope; owner only
 
     std::mutex mutex_;
     std::condition_variable wake_;

@@ -6,11 +6,14 @@
  * then drains admitted requests and exits 0.
  */
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unistd.h>
 
@@ -31,12 +34,23 @@ onSignal(int)
     (void)!::write(gSignalPipe[1], &byte, 1);
 }
 
-unsigned long
+/** A numeric flag's value: all of it, unsigned, in T's range. */
+template <typename T>
+T
 numberArg(int argc, char **argv, int &i, const char *flag)
 {
     if (i + 1 >= argc)
         printed::fatal(std::string(flag) + " needs a value");
-    return std::strtoul(argv[++i], nullptr, 10);
+    const std::string_view text = argv[++i];
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size())
+        printed::fatal(std::string(flag) + " needs a whole number from "
+                       "0 to " +
+                       std::to_string(std::numeric_limits<T>::max()) +
+                       ", not '" + std::string(text) + "'");
+    return value;
 }
 
 void
@@ -56,9 +70,11 @@ usage()
         "                    seed=42,drop=0.05,truncate=0.05,\n"
         "                    delay=0.1:20,queue_full=0.1\n"
         "                    (env PRINTEDD_FAULT_PLAN as fallback)\n"
-        "  --watchdog-ms N   deadline-overrun watchdog period\n"
-        "                    (default 50, 0 = off)\n"
-        "  --trace-out PATH  write a Chrome trace on exit\n",
+        "  --trace-out PATH  write a Chrome trace on exit\n"
+        "\n"
+        "A request's deadline_ms is checked between its points and\n"
+        "before every item of its compute (one Monte Carlo trial or\n"
+        "block, one ISS chunk, one classify candidate).\n",
         stderr);
 }
 
@@ -82,28 +98,25 @@ main(int argc, char **argv)
                                  "--host needs a value");
                 opts.host = argv[++i];
             } else if (arg == "--port") {
-                opts.port = std::uint16_t(
-                    numberArg(argc, argv, i, "--port"));
+                opts.port = numberArg<std::uint16_t>(argc, argv, i,
+                                                     "--port");
             } else if (arg == "--executors") {
-                opts.executors = unsigned(
-                    numberArg(argc, argv, i, "--executors"));
+                opts.executors =
+                    numberArg<unsigned>(argc, argv, i, "--executors");
             } else if (arg == "--pool-threads") {
-                opts.poolThreads = unsigned(
-                    numberArg(argc, argv, i, "--pool-threads"));
+                opts.poolThreads = numberArg<unsigned>(
+                    argc, argv, i, "--pool-threads");
             } else if (arg == "--max-queue") {
-                opts.maxQueue =
-                    numberArg(argc, argv, i, "--max-queue");
+                opts.maxQueue = numberArg<std::size_t>(argc, argv, i,
+                                                       "--max-queue");
             } else if (arg == "--cache-cap") {
-                opts.cacheCapacity =
-                    numberArg(argc, argv, i, "--cache-cap");
+                opts.cacheCapacity = numberArg<std::size_t>(
+                    argc, argv, i, "--cache-cap");
             } else if (arg == "--fault-plan") {
                 printed::fatalIf(i + 1 >= argc,
                                  "--fault-plan needs a value");
                 opts.faultPlan =
                     printed::service::FaultPlan::parse(argv[++i]);
-            } else if (arg == "--watchdog-ms") {
-                opts.watchdogPeriodMs = double(
-                    numberArg(argc, argv, i, "--watchdog-ms"));
             } else if (arg == "--trace-out") {
                 printed::fatalIf(i + 1 >= argc,
                                  "--trace-out needs a value");

@@ -6,6 +6,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <optional>
@@ -40,14 +42,6 @@ millisSince(Clock::time_point t0)
         .count();
 }
 
-std::int64_t
-nowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               Clock::now().time_since_epoch())
-        .count();
-}
-
 /** Internal: a stream's client hung up mid-plan. */
 struct ClientGone
 {
@@ -56,14 +50,14 @@ struct ClientGone
 /**
  * A compute request's point plan (see server.hh): its point count,
  * whether a monolithic request runs it on the shared pool, and point
- * i's body, evaluated on a pool (null: the calling thread alone). A
- * classify plan has no evaluate; the search hands over its points.
+ * i's body, evaluated on the plan's pool. A classify plan has no
+ * evaluate; the search hands over its points.
  */
 struct Plan
 {
     std::uint64_t size = 1;
     bool pooled = false;
-    std::function<std::string(std::uint64_t, ThreadPool *)> evaluate;
+    std::function<std::string(std::uint64_t, ThreadPool &)> evaluate;
 };
 
 Plan
@@ -71,18 +65,17 @@ planOf(const Request &req)
 {
     switch (req.type) {
       case RequestType::Synth:
-        return {1, false, [&req](std::uint64_t, ThreadPool *) {
+        return {1, false, [&req](std::uint64_t, ThreadPool &) {
                     return synthBody(evaluateDesignPoint(req.config));
                 }};
       case RequestType::Yield:
-        return {1, true, [&req](std::uint64_t, ThreadPool *pool) {
+        return {1, true, [&req](std::uint64_t, ThreadPool &pool) {
                     FunctionalYieldConfig mc;
                     mc.fault.deviceYield = req.deviceYield;
                     mc.fault.seed = req.seed;
                     mc.trials = req.trials;
                     mc.replicas = req.replicas;
-                    mc.threads = 1;
-                    mc.pool = pool;
+                    mc.pool = &pool;
                     const auto core = SynthCache::global().core(req.config);
                     return yieldBody(
                         req.config,
@@ -94,9 +87,9 @@ planOf(const Request &req)
             const std::uint64_t size = grid.size();
             return {size, true,
                     [&req, grid = std::move(grid)](std::uint64_t i,
-                                                   ThreadPool *pool) {
+                                                   ThreadPool &pool) {
                         SweepOptions opts;
-                        opts.pool = pool;
+                        opts.pool = &pool;
                         const auto &[core, kernel] = grid[std::size_t(i)];
                         return issPointBody(
                             evaluateIssPoint(core, kernel, req.iss, opts));
@@ -106,7 +99,7 @@ planOf(const Request &req)
             const std::uint64_t size = configs.size();
             return {size, false,
                     [configs = std::move(configs)](std::uint64_t i,
-                                                   ThreadPool *) {
+                                                   ThreadPool &) {
                         return synthBody(
                             evaluateDesignPoint(configs[std::size_t(i)]));
                     }};
@@ -179,18 +172,11 @@ Server::start()
         acceptLoop();
     });
     const unsigned executors = opts_.executors ? opts_.executors : 1;
-    executorCount_ = executors;
-    execSlots_ = std::make_unique<ExecSlot[]>(executors);
     for (unsigned i = 0; i < executors; ++i)
         executors_.emplace_back([this, i] {
             trace::setThreadName("service-exec-" +
                                  std::to_string(i));
-            executorLoop(i);
-        });
-    if (opts_.watchdogPeriodMs > 0)
-        watchdog_ = std::thread([this] {
-            trace::setThreadName("service-watchdog");
-            watchdogLoop();
+            executorLoop();
         });
 }
 
@@ -238,13 +224,6 @@ Server::joinEverything()
     for (std::thread &t : executors_)
         if (t.joinable())
             t.join();
-    {
-        std::lock_guard lk(watchdogMutex_);
-        watchdogStop_ = true;
-    }
-    watchdogCv_.notify_all();
-    if (watchdog_.joinable())
-        watchdog_.join();
 
     // 3. Hang up: readers see EOF and exit; then close sockets.
     std::vector<std::shared_ptr<Connection>> conns;
@@ -471,7 +450,7 @@ Server::admit(Task task, double &retryAfterMsOut)
 }
 
 void
-Server::executorLoop(unsigned slot)
+Server::executorLoop()
 {
     for (;;) {
         Task task;
@@ -485,61 +464,17 @@ Server::executorLoop(unsigned slot)
             task = std::move(queue_.front());
             queue_.pop_front();
         }
-        execute(task, slot);
+        execute(task);
     }
 }
 
 void
-Server::watchdogLoop()
-{
-    const auto period = std::chrono::duration<double, std::milli>(
-        opts_.watchdogPeriodMs);
-    for (;;) {
-        {
-            std::unique_lock lk(watchdogMutex_);
-            if (watchdogCv_.wait_for(
-                    lk, period, [&] { return watchdogStop_; }))
-                return;
-        }
-        std::size_t overrun = 0;
-        const std::int64_t now = nowNs();
-        for (unsigned i = 0; i < executorCount_; ++i) {
-            ExecSlot &slot = execSlots_[i];
-            if (slot.startNs.load(std::memory_order_acquire) == 0)
-                continue;
-            const std::int64_t deadline =
-                slot.deadlineNs.load(std::memory_order_acquire);
-            if (deadline == 0 || now <= deadline)
-                continue;
-            ++overrun;
-            // Count each overrunning task once, not once per scan.
-            if (!slot.reported.exchange(true))
-                metrics::counter("service.watchdog_overruns")
-                    .add(1);
-        }
-        metrics::gauge("service.workers_overrun")
-            .set(double(overrun));
-    }
-}
-
-void
-Server::execute(Task &task, unsigned slot)
+Server::execute(Task &task)
 {
     trace::Span span("service.request",
                      requestTypeName(task.req.type));
     metrics::distribution("service.queue_wait_ms")
         .record(millisSince(task.admitted));
-
-    ExecSlot &mySlot = execSlots_[slot];
-    mySlot.reported.store(false);
-    mySlot.deadlineNs.store(
-        task.hasDeadline
-            ? std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  task.deadline.time_since_epoch())
-                  .count()
-            : 0,
-        std::memory_order_release);
-    mySlot.startNs.store(nowNs(), std::memory_order_release);
 
     const Clock::time_point execStart = Clock::now();
     const Request &req = task.req;
@@ -579,13 +514,16 @@ Server::execute(Task &task, unsigned slot)
         metrics::counter("service.replies_error").add(1);
         last = errorReply(req.id, errc::internalError, e.what());
     }
+    // Recorded before the answer goes out, so a client that has read
+    // it also sees the sample.
+    if (task.hasDeadline)
+        metrics::distribution("service.deadline_overrun_ms")
+            .record(std::max(0.0, millisSince(task.deadline)));
     if (!last.empty())
         sendLine(task.conn, last, /*faultable=*/true);
 
     metrics::distribution("service.exec_ms")
         .record(millisSince(execStart));
-    mySlot.startNs.store(0, std::memory_order_release);
-    mySlot.deadlineNs.store(0, std::memory_order_release);
 }
 
 std::uint64_t
@@ -598,22 +536,34 @@ Server::runPoints(const Task &task, const PointSink &emit)
               " is past the request's " + std::to_string(plan.size) +
               " points");
 
-    // A monolithic request's pooled plan runs on the shared pool,
-    // one request at a time; anything else runs on this thread.
-    std::unique_lock<std::mutex> poolLock;
-    ThreadPool *pool = nullptr;
-    if (plan.pooled && !req.stream) {
-        poolLock = std::unique_lock(poolMutex_);
-        pool = &pool_;
-    }
-
-    // The body of the one loop, run for every point in index order
-    // before the point is evaluated.
-    const auto step = [&](std::uint64_t i, const auto &evaluate) {
+    // The one stop check: run before every point and, for a request
+    // with a deadline or a stream, before every item of the pool
+    // jobs inside a point.
+    const auto stop = [&] {
         if (task.hasDeadline && Clock::now() > task.deadline)
             throw DeadlineError();
         if (req.stream && !task.conn->open.load())
             throw ClientGone{};
+    };
+
+    // A monolithic request's pooled plan runs on the shared pool,
+    // one request at a time; any other plan runs on a one-thread
+    // pool, i.e. on this thread alone. The check is removed (the
+    // scope ends) before the shared pool is released.
+    std::unique_lock<std::mutex> poolLock;
+    std::optional<ThreadPool> inlinePool;
+    ThreadPool *pool = &pool_;
+    if (plan.pooled && !req.stream)
+        poolLock = std::unique_lock(poolMutex_);
+    else
+        pool = &inlinePool.emplace(1);
+    std::optional<ThreadPool::StopScope> stopScope;
+    if (task.hasDeadline || req.stream)
+        stopScope.emplace(*pool, stop);
+
+    // The body of the one loop, run for every point in index order.
+    const auto step = [&](std::uint64_t i, const auto &evaluate) {
+        stop();
         if (i >= req.resumeFrom)
             emit(i, plan.size, evaluate());
     };
@@ -624,9 +574,6 @@ Server::runPoints(const Task &task, const PointSink &emit)
         // generations before resume_from are recomputed (or replayed
         // from the classify cache) but not emitted. The Pareto front
         // is the last point.
-        std::optional<ThreadPool> inlinePool;
-        if (!pool)
-            pool = &inlinePool.emplace(1);
         const auto result = ml::runClassifyCached(
             req.classify, *pool, [&](const ml::GenerationReport &gen) {
                 step(gen.generation,
@@ -637,7 +584,7 @@ Server::runPoints(const Task &task, const PointSink &emit)
     }
 
     for (std::uint64_t i = req.resumeFrom; i < plan.size; ++i)
-        step(i, [&] { return plan.evaluate(i, pool); });
+        step(i, [&] { return plan.evaluate(i, *pool); });
     return plan.size;
 }
 

@@ -20,8 +20,8 @@
  * rule assembleStreamedReply() applies to a finished stream, so the
  * two are byte-identical by construction. Monolithic yields, ISS
  * sweeps and classify searches run on the shared pool, one request
- * at a time; synth points never touch the pool, and a stream runs on
- * its executor thread alone (a classify through a one-thread pool).
+ * at a time; synth points never touch a pool, and any other plan
+ * runs on a one-thread pool, i.e. on its executor thread alone.
  *
  * Admission: compute requests enter a bounded FIFO queue; when it is
  * full the request is answered immediately with a "queue_full" error
@@ -30,10 +30,13 @@
  * reader thread and never queue.
  *
  * Deadlines: a request's optional "deadline_ms" is relative to
- * admission and checked before each point (and before a monolithic
- * request joins an identical in-flight one), so a deadline shorter
- * than the queue wait or a plan's remaining work yields a
- * "deadline_exceeded" error without burning further compute.
+ * admission and checked before each point, before a monolithic
+ * request joins an identical in-flight one, and (as the pool's stop
+ * check, with a stream's client-gone test) before every pool item
+ * inside a point: one MC trial or 64-copy block, one ISS chunk, one
+ * classify candidate. An expired request is answered
+ * "deadline_exceeded" within one item; "service.deadline_overrun_ms"
+ * records how late each request with a deadline was answered.
  *
  * Errors: a FatalError while running a plan (an invalid spec, a
  * resume_from past the last point) answers "bad_request"; any other
@@ -61,11 +64,6 @@
  * queue_full rejection carries a "retry_after_ms" backoff hint
  * scaled to the current depth.
  *
- * Watchdog: a periodic thread watches the per-executor work slots
- * and flags workers that have run past their request's deadline
- * ("service.watchdog_overruns" counter, "service.workers_overrun"
- * gauge) — deadline overruns become observable instead of silent.
- *
  * Fault injection: an optional seeded FaultPlan (fault_plan.hh)
  * makes the server misbehave on purpose — drop/truncate/delay
  * compute replies, force queue_full — for chaos tests of the client
@@ -81,7 +79,6 @@
 #ifndef PRINTED_SERVICE_SERVER_HH
 #define PRINTED_SERVICE_SERVER_HH
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -134,9 +131,6 @@ struct ServerOptions
 
     /** Injected-fault schedule; disabled by default. */
     FaultPlan faultPlan;
-
-    /** Watchdog scan period; 0 disables the watchdog thread. */
-    double watchdogPeriodMs = 50;
 };
 
 /** The printedd TCP server. */
@@ -191,8 +185,7 @@ class Server
 
     void acceptLoop();
     void readerLoop(std::shared_ptr<Connection> conn);
-    void executorLoop(unsigned slot);
-    void watchdogLoop();
+    void executorLoop();
 
     /** Handle one request line from a connection. */
     void handleLine(const std::shared_ptr<Connection> &conn,
@@ -204,7 +197,7 @@ class Server
      */
     Admit admit(Task task, double &retryAfterMsOut);
     /** Run one compute request and send its answer. */
-    void execute(Task &task, unsigned slot);
+    void execute(Task &task);
 
     /** Receives one evaluated point: (index, total, body). */
     using PointSink = std::function<void(std::uint64_t, std::uint64_t,
@@ -216,8 +209,9 @@ class Server
      * monolithic yield, ISS sweep or classify holds the shared pool
      * meanwhile. Returns the plan's point count. Throws
      * DeadlineError (internal) when the deadline expires, ClientGone
-     * (internal) when a stream's client hangs up, and FatalError
-     * when resume_from is past the plan.
+     * (internal) when a stream's client hangs up (both between
+     * points or before a pool item), and FatalError when
+     * resume_from is past the plan.
      */
     std::uint64_t runPoints(const Task &task, const PointSink &emit);
 
@@ -253,20 +247,6 @@ class Server
 
     std::thread acceptThread_;
     std::vector<std::thread> executors_;
-
-    /** What one executor is working on, for the watchdog. */
-    struct ExecSlot
-    {
-        std::atomic<std::int64_t> startNs{0};    ///< 0 = idle
-        std::atomic<std::int64_t> deadlineNs{0}; ///< 0 = none
-        std::atomic<bool> reported{false};
-    };
-    std::unique_ptr<ExecSlot[]> execSlots_;
-    unsigned executorCount_ = 0;
-    std::thread watchdog_;
-    std::mutex watchdogMutex_;
-    std::condition_variable watchdogCv_;
-    bool watchdogStop_ = false;
 
     std::unique_ptr<FaultInjector> fault_;
 

@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/metrics.hh"
 #include "common/parallel.hh"
@@ -73,6 +76,35 @@ TEST(Distribution, SummaryFollowsVariationPercentileRule)
     // idx = min(n-1, size_t(p*n)) into the sorted samples.
     EXPECT_DOUBLE_EQ(s.p50, 51.0);
     EXPECT_DOUBLE_EQ(s.p95, 96.0);
+
+    // More sizes, shuffled and with duplicates, against a sorted
+    // reference of the kept samples (the first sampleCap).
+    constexpr std::size_t cap = metrics::Distribution::sampleCap;
+    for (std::size_t n : {std::size_t(1), std::size_t(2), std::size_t(3),
+                          std::size_t(20), cap + 100}) {
+        std::vector<double> values(n);
+        for (std::size_t i = 0; i < n; ++i)
+            values[i] = double(i * 7 % (n / 2 + 1));
+        std::mt19937_64 rng(n);
+        std::shuffle(values.begin(), values.end(), rng);
+        metrics::Distribution dist;
+        for (double v : values)
+            dist.record(v);
+
+        std::vector<double> kept(
+            values.begin(), values.begin() + std::ptrdiff_t(std::min(n, cap)));
+        std::sort(kept.begin(), kept.end());
+        const auto at = [&](double p) {
+            return kept[std::min(kept.size() - 1,
+                                 std::size_t(p * double(kept.size())))];
+        };
+        const auto sum = dist.summary();
+        EXPECT_EQ(sum.count, n);
+        EXPECT_EQ(sum.min, *std::min_element(values.begin(), values.end()));
+        EXPECT_EQ(sum.max, *std::max_element(values.begin(), values.end()));
+        EXPECT_EQ(sum.p50, at(0.50)) << n << " samples";
+        EXPECT_EQ(sum.p95, at(0.95)) << n << " samples";
+    }
 }
 
 TEST(Distribution, EmptyAndSingleSample)

@@ -3,8 +3,9 @@
  * Tests for the deterministic parallel execution layer
  * (common/parallel.hh): index coverage, pool reuse, worker-slot
  * bounds, exception propagation (including pool reusability after
- * a throw), empty/singleton ranges, and bit-identical parallelMap
- * results across thread counts under per-item seeding.
+ * a throw), the owner's stop check, empty/singleton ranges, and
+ * bit-identical parallelMap results across thread counts under
+ * per-item seeding.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -115,6 +117,43 @@ TEST(ThreadPoolTest, ExceptionOnInlinePath)
                  std::logic_error);
 }
 
+/** The stop check's own exception type, to see it reach the caller. */
+struct Stopped
+{
+};
+
+TEST(ThreadPoolTest, StopCheckStopsTheJobAndEndsWithItsScope)
+{
+    // 1 thread is the inline path, 4 the workers'. Every item calls
+    // the check first, so exactly the first k calls let an item run.
+    constexpr std::size_t n = 1000, k = 10;
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        std::atomic<std::size_t> calls{0}, ran{0};
+        {
+            ThreadPool::StopScope scope(pool, [&] {
+                if (calls.fetch_add(1, std::memory_order_relaxed) >= k)
+                    throw Stopped{};
+            });
+            const auto item = [&](std::size_t) {
+                ran.fetch_add(1, std::memory_order_relaxed);
+            };
+            EXPECT_THROW(pool.parallelFor(n, item), Stopped);
+        }
+        EXPECT_EQ(ran.load(), k) << threads << " threads";
+
+        // With the check removed, the next job covers every index
+        // exactly once.
+        std::vector<std::atomic<unsigned>> hits(n);
+        pool.parallelFor(n, [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[i].load(), 1u)
+                << "index " << i << " with " << threads << " threads";
+    }
+}
+
 TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder)
 {
     ThreadPool pool(4);
@@ -142,23 +181,33 @@ TEST(ThreadPoolTest, ParallelMapWorksWithNonDefaultConstructible)
 TEST(ThreadPoolTest, SeededMapBitIdenticalAcrossThreadCounts)
 {
     // The determinism contract: item i draws from Rng(mixSeed(s, i)),
-    // so the result vector is bit-identical for any thread count.
-    auto run = [](unsigned threads) {
-        return parallelMap(threads, 500, [](std::size_t i) {
-            Rng rng(mixSeed(12345, i));
-            double acc = 0;
-            for (int k = 0; k < 16; ++k)
-                acc += std::sqrt(double(rng.next() >> 11));
-            return acc;
-        });
+    // so the result vector is bit-identical for any thread count, and
+    // a stop check that never throws changes nothing either.
+    const auto item = [](std::size_t i) {
+        Rng rng(mixSeed(12345, i));
+        double acc = 0;
+        for (int k = 0; k < 16; ++k)
+            acc += std::sqrt(double(rng.next() >> 11));
+        return acc;
     };
-    const auto serial = run(1);
-    for (unsigned threads : {2u, 4u, 8u}) {
-        const auto parallel = run(threads);
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i)
-            ASSERT_EQ(parallel[i], serial[i])
-                << "item " << i << " with " << threads << " threads";
+    const auto serial = parallelMap(1, 500, item);
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        for (bool checked : {false, true}) {
+            ThreadPool pool(threads);
+            std::atomic<std::size_t> calls{0};
+            std::optional<ThreadPool::StopScope> scope;
+            if (checked)
+                scope.emplace(pool, [&] {
+                    calls.fetch_add(1, std::memory_order_relaxed);
+                });
+            const auto parallel = pool.parallelMap(500, item);
+            EXPECT_EQ(calls.load(), checked ? 500u : 0u);
+            ASSERT_EQ(parallel.size(), serial.size());
+            for (std::size_t i = 0; i < serial.size(); ++i)
+                ASSERT_EQ(parallel[i], serial[i])
+                    << "item " << i << " with " << threads
+                    << " threads, check " << checked;
+        }
     }
 }
 

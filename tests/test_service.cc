@@ -901,37 +901,130 @@ TEST(ServiceServer, ShedsHeavyClassesFirst)
     EXPECT_TRUE(done.at("s2").ok) << done.at("s2").raw;
 }
 
-TEST(ServiceServer, WatchdogFlagsDeadlineOverruns)
+TEST(ServiceServer, DeadlineStopsAYieldInsideItsPoint)
 {
-    // A worker that blows through its request's deadline while
-    // computing (the deadline is only checked between sweep points
-    // and at dequeue) must be flagged by the watchdog.
+    // A yield is one point, so only the pool's stop check can end it
+    // before it finishes. Work is bounded by counters: the full
+    // request draws 2,345,186 replica maps (deterministic by the
+    // Monte Carlo's contract), and a stopped one must draw < 1 %.
     ServerOptions opts;
-    opts.executors = 1;
-    opts.watchdogPeriodMs = 5;
+    opts.poolThreads = 2;
     Server server(opts);
     server.start();
-
-    const std::uint64_t before =
-        metrics::counter("service.watchdog_overruns").value();
-
-    // A yield big enough to outlive its own 50 ms deadline once it
-    // starts computing (the server is idle, so admission-to-dequeue
-    // is far under 50 ms and the deadline is still live when the
-    // executor picks it up). 20,000 trials of one replica took
-    // 26 ms on an idle 4-vCPU machine, so the test passed only when
-    // other tests loaded it; 8 replicas draw and simulate 8x the
-    // copies.
     Client client("127.0.0.1", server.port());
-    const Reply r = parseReply(client.call(yieldRequest(
-        "slow", CoreConfig::standard(1, 8, 2), 20000, 77, 8, 50)));
-    // The reply itself may be ok or deadline_exceeded depending on
-    // where the overrun was noticed; the watchdog observation is
-    // the invariant.
-    (void)r;
-    EXPECT_GT(
-        metrics::counter("service.watchdog_overruns").value(),
-        before);
+    const CoreConfig config = CoreConfig::standard(1, 8, 2);
+
+    // Warm the core and its golden verification first.
+    ASSERT_TRUE(
+        parseReply(client.call(yieldRequest("warm", config, 16, 77)))
+            .ok);
+
+    metrics::Counter &draws = metrics::counter("fault.draws");
+    metrics::Distribution &overrun =
+        metrics::distribution("service.deadline_overrun_ms");
+    const std::uint64_t drawsBefore = draws.value();
+    const std::uint64_t overrunsBefore = overrun.summary().count;
+    const Reply reply = parseReply(client.call(
+        yieldRequest("big", config, 100000, 77, 64, 5)));
+    EXPECT_FALSE(reply.ok) << reply.raw;
+    EXPECT_EQ(reply.error, errc::deadlineExceeded);
+    EXPECT_LT(draws.value() - drawsBefore, 23452u);
+    EXPECT_EQ(overrun.summary().count, overrunsBefore + 1);
+}
+
+TEST(ServiceServer, DeadlineStopsAClassifySearchInsideAGeneration)
+{
+    // ml.candidates_scored counts the baseline, then a generation's
+    // 256 candidates once all are scored, so a search stopped inside
+    // its one generation moves it by less than 1 + 256.
+    ServerOptions opts;
+    opts.poolThreads = 2;
+    Server server(opts);
+    server.start();
+    Client client("127.0.0.1", server.port());
+
+    ml::ClassifySpec spec;
+    spec.dataset.features = 16;
+    spec.dataset.classes = 10;
+    spec.dataset.bits = 12;
+    spec.dataset.train = 4096;
+    spec.dataset.holdout = 4096;
+    spec.dataset.seed = 4417;
+    spec.depth = 12;
+    spec.search.generations = 1;
+    spec.search.population = 256;
+    spec.search.seed = 4418;
+
+    metrics::Counter &scored = metrics::counter("ml.candidates_scored");
+    const std::uint64_t before = scored.value();
+    const Reply reply =
+        parseReply(client.call(classifyRequest("c", spec, 5)));
+    EXPECT_FALSE(reply.ok) << reply.raw;
+    EXPECT_EQ(reply.error, errc::deadlineExceeded);
+    EXPECT_LT(scored.value() - before, 257u);
+}
+
+TEST(ServiceServer, LeaderStoppedMidPointHandsItsFollowerTheWork)
+{
+    // A leader whose deadline stops it inside its one point stores
+    // DeadlineError; the follower that joined it has no deadline, so
+    // it retries as leader and answers what the line gets alone.
+    ServerOptions opts;
+    opts.executors = 2;
+    opts.poolThreads = 2;
+    Server server(opts);
+    server.start();
+    const CoreConfig config = CoreConfig::standard(1, 8, 2);
+    const auto yield = [&](const std::string &id, double deadlineMs) {
+        return yieldRequest(id, config, 10000, 5151, 4, deadlineMs);
+    };
+    const std::string alone =
+        Client("127.0.0.1", server.port()).call(yield("f", 0));
+    ASSERT_TRUE(parseReply(alone).ok) << alone;
+
+    metrics::Counter &hits = metrics::counter("service.coalesce_hits");
+    metrics::Distribution &dequeued =
+        metrics::distribution("service.queue_wait_ms");
+    // Retry with a longer leader deadline in the (unlikely) event the
+    // follower arrived after the leader had already stopped.
+    for (double deadlineMs = 10; deadlineMs <= 40; deadlineMs *= 2) {
+        const std::uint64_t hitsBefore = hits.value();
+        const std::uint64_t before = dequeued.summary().count;
+        Client leader("127.0.0.1", server.port());
+        leader.send(yield("l", deadlineMs));
+        while (dequeued.summary().count == before)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const std::string follower =
+            Client("127.0.0.1", server.port()).call(yield("f", 0));
+        const Reply lead = parseReply(leader.readLine(60000));
+        EXPECT_EQ(follower, alone);
+        if (hits.value() == hitsBefore)
+            continue; // the follower ran alone
+        EXPECT_FALSE(lead.ok) << lead.raw;
+        EXPECT_EQ(lead.error, errc::deadlineExceeded);
+        return;
+    }
+    FAIL() << "the follower never joined the leader";
+}
+
+TEST(ServiceServer, DrainAnswersALongYieldInFlight)
+{
+    // Drain finishes admitted requests: a yield in flight when
+    // shutdown begins is answered ok, and wait() returns.
+    Server server;
+    server.start();
+    metrics::Distribution &dequeued =
+        metrics::distribution("service.queue_wait_ms");
+    const std::uint64_t before = dequeued.summary().count;
+    Client client("127.0.0.1", server.port());
+    client.send(yieldRequest("long", CoreConfig::standard(1, 8, 2),
+                             20000, 78, 8));
+    while (dequeued.summary().count == before)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.beginShutdown();
+    const Reply reply = parseReply(client.readLine(60000));
+    EXPECT_TRUE(reply.ok) << reply.raw;
+    server.wait();
 }
 
 TEST(ServiceClient, RetryingClientReconnectsAcrossServerRestart)
