@@ -131,25 +131,33 @@ runConnected(int argc, char **argv, const std::string &connect)
     std::cout << "monolithic: " << reference.size() << " bytes\n";
 
     // ---- Streamed, assembled == monolithic ---------------------
-    RetryPolicy policy;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 10;
-    RetryingClient streamer(host, port, policy);
+    // Partial frames until a done frame that counts them all; any
+    // other line ends the exchange as an error.
+    Client streamer(host, port);
+    streamer.send(classifyStreamRequest("bc", spec));
     std::vector<std::uint64_t> seen;
-    const StreamResult sr = streamer.streamClassify(
-        "bc", spec,
-        [&](std::uint64_t index, std::uint64_t, const std::string &) {
-            seen.push_back(index);
-        });
+    std::vector<std::string> points;
+    for (;;) {
+        const std::string line = streamer.readLine();
+        const StreamFrame frame = classifyFrame(line);
+        if (frame.kind == StreamFrame::Kind::Partial) {
+            seen.push_back(frame.index);
+            points.push_back(frame.pointBody);
+            continue;
+        }
+        if (frame.kind != StreamFrame::Kind::Done ||
+            frame.points != points.size())
+            fatal("streamed classify failed: " + line);
+        break;
+    }
     streamer.close();
-    if (!sr.reply.ok)
-        fatal("streamed classify failed: " + sr.reply.raw);
+    const std::string assembled =
+        assembleStreamedReply("bc", RequestType::Classify, points);
     std::cout << "streamed: " << seen.size() << "/" << total
               << " frames, assembled reply "
-              << (sr.reply.raw == reference ? "== monolithic"
-                                            : "DIFFERS")
+              << (assembled == reference ? "== monolithic" : "DIFFERS")
               << "\n";
-    if (sr.partials != total || seen.size() != total) {
+    if (seen.size() != total) {
         std::cout << "FAIL: expected a " << total
                   << "-frame stream\n";
         pass = false;
@@ -161,7 +169,7 @@ runConnected(int argc, char **argv, const std::string &connect)
             pass = false;
             break;
         }
-    if (sr.reply.raw != reference)
+    if (assembled != reference)
         pass = false;
 
     // ---- Resume probe: pick up mid-search ----------------------
@@ -213,7 +221,7 @@ runConnected(int argc, char **argv, const std::string &connect)
         jr.meta("connected", true);
         jr.meta("wall_ms", wallMs);
         jr.meta("stream_frames", std::uint64_t(seen.size()));
-        jr.meta("assembled_identical", sr.reply.raw == reference);
+        jr.meta("assembled_identical", assembled == reference);
         jr.meta("resume_ok", resumeOk);
         jr.writeTo(jsonPath);
     }

@@ -8,8 +8,6 @@
  *   cold    8 distinct synth requests (first-touch synthesis)
  *   hot     the same synth request repeated --hot-iters times:
  *           SynthCache hits, per-request latency percentiles
- *   coalesce  one fresh expensive yield request issued from
- *           --clients connections at once (in-flight dedup)
  *   probes  malformed line -> parse_error, tiny deadline ->
  *           deadline_exceeded (error paths stay cheap)
  *   reject  a pipelined burst of distinct yield requests
@@ -19,43 +17,31 @@
  *           concurrent pipelined connections: replies must be
  *           byte-identical (matched by id)
  *
- * With --retry every phase goes through RetryingClient instead of
- * the raw pipelined Client, which makes the harness usable against
- * a fault-injecting server (printedd --fault-plan ...): dropped and
- * truncated replies are replayed, queue_full is backed off and
- * retried to completion, and the pass criterion becomes "every call
- * returned exactly one byte-correct reply despite the chaos", and
- * the JSON report gains retry/fault counters.
- *
- * The cache check is structural, read from the server's counters,
- * so it holds in both modes: against a fresh server the cold phase
- * builds exactly one core per request (synth.cores_built), and the
- * hot phase builds none, is served from the characterization cache
- * (synth.cache.char_hits moves by at least --hot-iters) and answers
- * every request with the first hot reply's bytes. The hot/cold
- * speedup is reported but not gated.
+ * The cache check is structural, read from the server's counters:
+ * against a fresh server the cold phase builds exactly one core per
+ * request (synth.cores_built), and the hot phase builds none, is
+ * served from the characterization cache (synth.cache.char_hits
+ * moves by at least --hot-iters) and answers every request with the
+ * first hot reply's bytes. The hot/cold speedup is reported but not
+ * gated.
  *
  * Exit status: 1 when the cache check fails or any concurrent reply
  * differs from the serial one; 0 otherwise.
  *
- * Options: --connect HOST:PORT, --retry, --clients N, --hot-iters N,
- * --executors N, --max-queue N, --cache-cap N, --fault-plan SPEC,
- * --shutdown-after, --json PATH, --trace-out PATH.
+ * Options: --connect HOST:PORT, --clients N, --hot-iters N,
+ * --executors N, --max-queue N, --cache-cap N, --shutdown-after,
+ * --json PATH, --trace-out PATH.
  */
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <iostream>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hh"
 #include "service/client.hh"
-#include "service/fault_plan.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
 
@@ -77,12 +63,7 @@ percentile(std::vector<double> &samples, double p)
     return samples[std::min(idx, samples.size() - 1)];
 }
 
-/**
- * A named service counter out of a metrics reply, or 0. Uses a
- * fresh connection each time: metrics replies are never
- * fault-injected, but a shared compute connection may already have
- * been chaos-killed.
- */
+/** A named service counter out of a metrics reply, or 0. */
 std::uint64_t
 serverCounter(const std::string &host, std::uint16_t port,
               const std::string &name)
@@ -118,31 +99,6 @@ hasFlag(int argc, char **argv, const std::string &flag)
     return false;
 }
 
-/** Fold one client's retry counters into the run-wide totals. */
-void
-foldStats(RetryStats &into, const RetryStats &from)
-{
-    into.calls += from.calls;
-    into.reconnects += from.reconnects;
-    into.lossReplays += from.lossReplays;
-    into.timeoutReplays += from.timeoutReplays;
-    into.overloadReplays += from.overloadReplays;
-}
-
-/** The retry policy the harness uses (patient, fast backoff). */
-RetryPolicy
-harnessPolicy()
-{
-    RetryPolicy policy;
-    policy.maxLossRetries = 50;
-    policy.maxOverloadRetries = 2000;
-    policy.callTimeoutMs = 60000;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 50;
-    policy.jitterSeed = 99;
-    return policy;
-}
-
 } // anonymous namespace
 
 int
@@ -157,13 +113,10 @@ main(int argc, char **argv)
     const std::string connect = valueOfArg(argc, argv, "connect");
     const bool shutdownAfter =
         hasFlag(argc, argv, "shutdown-after");
-    const bool retry = hasFlag(argc, argv, "retry");
 
     bench::banner("printedd load",
-                  "service throughput, latency, coalescing, and "
-                  "admission control");
-    if (retry)
-        std::cout << "retry mode: all calls via RetryingClient\n";
+                  "service throughput, latency, and admission "
+                  "control");
 
     // ---- Server (in-process unless --connect) ------------------
     std::string host = "127.0.0.1";
@@ -177,10 +130,6 @@ main(int argc, char **argv)
             bench::uintFromArgs(argc, argv, "max-queue", 64);
         opts.cacheCapacity =
             bench::uintFromArgs(argc, argv, "cache-cap", 256);
-        const std::string plan =
-            valueOfArg(argc, argv, "fault-plan");
-        if (!plan.empty())
-            opts.faultPlan = FaultPlan::parse(plan);
         server.emplace(opts);
         server->start();
         port = server->port();
@@ -198,16 +147,7 @@ main(int argc, char **argv)
 
     bench::JsonReport jr("bench_service");
     const bench::WallTimer total;
-    Client client; // raw pipelining path (non-retry mode)
-    std::optional<RetryingClient> rclient;
-    if (retry)
-        rclient.emplace(host, port, harnessPolicy());
-    else
-        client.connect(host, port);
-    RetryStats retryTotals;
-    const auto call = [&](const std::string &line) {
-        return retry ? rclient->call(line) : client.call(line);
-    };
+    Client client(host, port);
     bool pass = true;
 
     // ---- Phase 1: cold synth -----------------------------------
@@ -228,7 +168,7 @@ main(int argc, char **argv)
     const std::uint64_t builtBeforeCold = coresBuilt();
     const bench::WallTimer coldTimer;
     for (std::size_t i = 0; i < coldConfigs.size(); ++i) {
-        const Reply r = parseReply(call(synthRequest(
+        const Reply r = parseReply(client.call(synthRequest(
             "cold" + std::to_string(i), coldConfigs[i])));
         if (!r.ok)
             fatal("cold synth failed: " + r.raw);
@@ -256,7 +196,7 @@ main(int argc, char **argv)
     const bench::WallTimer hotTimer;
     for (unsigned i = 0; i < hotIters; ++i) {
         const bench::WallTimer one;
-        std::string raw = call(hotReq);
+        std::string raw = client.call(hotReq);
         hotLatMs.push_back(one.elapsedMs());
         const Reply r = parseReply(raw);
         if (!r.ok)
@@ -300,56 +240,12 @@ main(int argc, char **argv)
         pass = false;
     }
 
-    // ---- Phase 3: coalesce burst -------------------------------
-    // One fresh, expensive yield computation issued from every
-    // client at once: duplicates dequeued while the leader runs
-    // join its in-flight future instead of recomputing.
-    const std::uint64_t coalesceBefore =
-        serverCounter(host, port, "service.coalesce_hits");
-    {
-        const std::string burstReq = yieldRequest(
-            "burst", coldConfigs.front(), 600, 424242);
-        std::vector<std::string> replies(clients);
-        std::vector<std::thread> threads;
-        std::mutex statsMutex;
-        for (unsigned c = 0; c < clients; ++c)
-            threads.emplace_back([&, c] {
-                if (retry) {
-                    RetryingClient burst(host, port,
-                                         harnessPolicy());
-                    replies[c] = burst.call(burstReq);
-                    const std::lock_guard<std::mutex> lock(
-                        statsMutex);
-                    foldStats(retryTotals, burst.stats());
-                } else {
-                    Client burst(host, port);
-                    replies[c] = burst.call(burstReq);
-                }
-            });
-        for (std::thread &t : threads)
-            t.join();
-        for (unsigned c = 0; c < clients; ++c) {
-            if (!parseReply(replies[c]).ok)
-                fatal("coalesce burst failed: " + replies[c]);
-            if (replies[c] != replies[0]) {
-                std::cout << "FAIL: coalesced replies differ\n";
-                pass = false;
-            }
-        }
-    }
-    const std::uint64_t coalesceHits =
-        serverCounter(host, port, "service.coalesce_hits") -
-        coalesceBefore;
-    std::cout << "coalesce: " << clients
-              << " identical in-flight requests -> "
-              << coalesceHits << " coalesce hits\n";
-
-    // ---- Phase 4: error-path probes ----------------------------
+    // ---- Phase 3: error-path probes ----------------------------
     const Reply malformed =
-        parseReply(call("{not json at all"));
+        parseReply(client.call("{not json at all"));
     const bool malformedOk =
         !malformed.ok && malformed.error == errc::parseError;
-    const Reply expired = parseReply(call(synthRequest(
+    const Reply expired = parseReply(client.call(synthRequest(
         "exp", CoreConfig::standard(3, 32, 4), 1e-4)));
     const bool deadlineOk =
         !expired.ok && expired.error == errc::deadlineExceeded;
@@ -360,13 +256,13 @@ main(int argc, char **argv)
     if (!malformedOk || !deadlineOk)
         pass = false;
 
-    // ---- Phase 5: rejection burst ------------------------------
-    // Pipeline far more distinct (uncoalescible) requests than the
-    // queue holds; the overflow is answered queue_full
-    // immediately, and every request gets exactly one reply.
+    // ---- Phase 4: rejection burst ------------------------------
+    // Pipeline far more distinct requests than the queue holds; the
+    // overflow is answered queue_full immediately, and every
+    // request gets exactly one reply.
     const unsigned burstN = 160;
     unsigned rejected = 0, accepted = 0;
-    if (!retry) {
+    {
         Client pipelined(host, port);
         for (unsigned i = 0; i < burstN; ++i)
             pipelined.send(yieldRequest(
@@ -384,47 +280,9 @@ main(int argc, char **argv)
         std::cout << "reject: " << burstN << " pipelined -> "
                   << accepted << " served, " << rejected
                   << " rejected (queue_full), 0 dropped\n";
-    } else {
-        // RetryingClient turns queue_full into backoff + replay, so
-        // the overload phase instead asserts that the same burst
-        // (spread over --clients connections) completes to the last
-        // request; the pressure shows up as overload replays.
-        std::vector<std::thread> threads;
-        std::mutex statsMutex;
-        std::atomic<unsigned> okCount{0};
-        std::atomic<unsigned> next{0};
-        const std::uint64_t overloadBefore =
-            retryTotals.overloadReplays;
-        for (unsigned c = 0; c < clients; ++c)
-            threads.emplace_back([&] {
-                RetryingClient burst(host, port, harnessPolicy());
-                for (unsigned i = next.fetch_add(1); i < burstN;
-                     i = next.fetch_add(1)) {
-                    const Reply r =
-                        burst.callParsed(yieldRequest(
-                            "rej" + std::to_string(i),
-                            coldConfigs.front(), 20, 90000 + i));
-                    if (r.ok)
-                        ++okCount;
-                }
-                const std::lock_guard<std::mutex> lock(statsMutex);
-                foldStats(retryTotals, burst.stats());
-            });
-        for (std::thread &t : threads)
-            t.join();
-        accepted = okCount.load();
-        if (accepted != burstN) {
-            std::cout << "FAIL: overload burst lost replies ("
-                      << accepted << "/" << burstN << ")\n";
-            pass = false;
-        }
-        std::cout << "reject: " << burstN << " retried -> "
-                  << accepted << " served, "
-                  << (retryTotals.overloadReplays - overloadBefore)
-                  << " overload replays, 0 dropped\n";
     }
 
-    // ---- Phase 6: determinism ----------------------------------
+    // ---- Phase 5: determinism ----------------------------------
     // The serving determinism rule, end to end: serial replies are
     // the reference; concurrent pipelined clients must produce the
     // same bytes for the same ids.
@@ -443,31 +301,15 @@ main(int argc, char **argv)
 
     std::map<std::string, std::string> serial;
     for (const std::string &req : detReqs) {
-        const std::string raw = call(req);
+        const std::string raw = client.call(req);
         serial[parseReply(raw).id] = raw;
     }
     bool identical = true;
     {
         std::vector<std::thread> threads;
         std::vector<bool> same(clients, true);
-        std::mutex statsMutex;
         for (unsigned c = 0; c < clients; ++c)
             threads.emplace_back([&, c] {
-                if (retry) {
-                    // Sequential calls (RetryingClient does not
-                    // pipeline) — replays must not change bytes.
-                    RetryingClient det(host, port,
-                                       harnessPolicy());
-                    for (const std::string &req : detReqs) {
-                        const std::string raw = det.call(req);
-                        if (serial.at(parseReply(raw).id) != raw)
-                            same[c] = false;
-                    }
-                    const std::lock_guard<std::mutex> lock(
-                        statsMutex);
-                    foldStats(retryTotals, det.stats());
-                    return;
-                }
                 Client det(host, port);
                 for (const std::string &req : detReqs)
                     det.send(req);
@@ -497,34 +339,13 @@ main(int argc, char **argv)
         serverCounter(host, port, "service.rejected");
     const std::uint64_t deadlineTotal =
         serverCounter(host, port, "service.deadline_exceeded");
-    const std::uint64_t faultTotal =
-        serverCounter(host, port, "service.fault.drops") +
-        serverCounter(host, port, "service.fault.truncates") +
-        serverCounter(host, port, "service.fault.delays") +
-        serverCounter(host, port, "service.fault.queue_fulls");
-
-    if (rclient) {
-        foldStats(retryTotals, rclient->stats());
-        std::cout << "retry totals: " << retryTotals.calls
-                  << " calls, " << retryTotals.reconnects
-                  << " reconnects, " << retryTotals.lossReplays
-                  << " loss / " << retryTotals.timeoutReplays
-                  << " timeout / " << retryTotals.overloadReplays
-                  << " overload replays; " << faultTotal
-                  << " server faults injected\n";
-    }
 
     if (connect.empty() || shutdownAfter) {
-        const std::string bye =
-            adminRequest("bye", RequestType::Shutdown);
-        const Reply r = parseReply(
-            retry ? rclient->call(bye, /*idempotent=*/false)
-                  : client.call(bye));
+        const Reply r = parseReply(client.call(
+            adminRequest("bye", RequestType::Shutdown)));
         if (!r.ok)
             fatal("shutdown refused: " + r.raw);
     }
-    if (rclient)
-        rclient->close();
     client.close();
     if (server) {
         server->wait();
@@ -548,7 +369,6 @@ main(int argc, char **argv)
         jr.meta("hot_p50_ms", p50);
         jr.meta("hot_p95_ms", p95);
         jr.meta("hot_p99_ms", p99);
-        jr.meta("coalesce_hits", coalesceHits);
         jr.meta("burst_requests", burstN);
         jr.meta("burst_served", accepted);
         jr.meta("burst_rejected", rejected);
@@ -558,15 +378,6 @@ main(int argc, char **argv)
         jr.meta("server_requests_total", servedTotal);
         jr.meta("server_rejected_total", rejectedTotal);
         jr.meta("server_deadline_exceeded_total", deadlineTotal);
-        jr.meta("server_faults_injected", faultTotal);
-        jr.meta("retry_mode", retry);
-        jr.meta("retry_calls", retryTotals.calls);
-        jr.meta("retry_reconnects", retryTotals.reconnects);
-        jr.meta("retry_loss_replays", retryTotals.lossReplays);
-        jr.meta("retry_timeout_replays",
-                retryTotals.timeoutReplays);
-        jr.meta("retry_overload_replays",
-                retryTotals.overloadReplays);
         jr.writeTo(jsonPath);
     }
     return pass ? 0 : 1;

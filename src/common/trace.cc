@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/json_min.hh"
+#include "common/metrics.hh"
 
 namespace printed::trace
 {
@@ -32,12 +33,19 @@ struct Event
 /**
  * All tracer state behind one magic static, constructed on first
  * use — i.e. before the atexit hook that enable() registers, so
- * the hook runs while the state is still alive.
+ * the hook runs while the state is still alive. The metrics
+ * registry is constructed inside it, so it outlives the tracer.
  */
 struct Tracer
 {
     std::mutex mutex;
+    /** The newest kMaxEvents spans; once full, events[next] is the
+     *  oldest and the next span overwrites it. */
     std::vector<Event> events;
+    std::size_t next = 0;
+    std::uint64_t dropped = 0; ///< overwritten since the last clear()
+    metrics::Counter &droppedCounter =
+        metrics::counter("trace.dropped_events");
     std::map<std::uint32_t, std::string> threadNames;
     std::string path;
     bool atexitRegistered = false;
@@ -91,8 +99,17 @@ recordSpan(const char *name, std::uint64_t startUs,
     ev.tsUs = startUs;
     ev.durUs = durationUs;
     Tracer &t = Tracer::instance();
-    std::lock_guard<std::mutex> lock(t.mutex);
-    t.events.push_back(std::move(ev));
+    {
+        std::lock_guard<std::mutex> lock(t.mutex);
+        if (t.events.size() < kMaxEvents) {
+            t.events.push_back(std::move(ev));
+            return;
+        }
+        t.events[t.next] = std::move(ev);
+        t.next = (t.next + 1) % kMaxEvents;
+        ++t.dropped;
+    }
+    t.droppedCounter.add(1);
 }
 
 } // namespace detail
@@ -133,6 +150,8 @@ clear()
     Tracer &t = Tracer::instance();
     std::lock_guard<std::mutex> lock(t.mutex);
     t.events.clear();
+    t.next = 0;
+    t.dropped = 0;
 }
 
 std::size_t
@@ -157,7 +176,9 @@ write(std::ostream &os)
 {
     Tracer &t = Tracer::instance();
     std::lock_guard<std::mutex> lock(t.mutex);
-    os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
+    os << "{\"displayTimeUnit\": \"ms\", \"otherData\": "
+          "{\"dropped_events\": "
+       << t.dropped << "}, \"traceEvents\": [";
     bool first = true;
     auto sep = [&] {
         os << (first ? "\n" : ",\n");
@@ -170,7 +191,8 @@ write(std::ostream &os)
            << tid << ", \"args\": {\"name\": \""
            << json::jsonEscape(name) << "\"}}";
     }
-    for (const Event &ev : t.events) {
+    for (std::size_t i = 0; i < t.events.size(); ++i) {
+        const Event &ev = t.events[(t.next + i) % t.events.size()];
         sep();
         os << "  {\"name\": \"" << json::jsonEscape(ev.name)
            << "\", \"cat\": \"printed\", \"ph\": \"X\", "

@@ -9,6 +9,12 @@
  * and one tid per thread — ThreadPool workers register themselves
  * as "pool-worker-N".
  *
+ * The buffer is a ring of the newest kMaxEvents spans, so a
+ * long-lived process (printedd --trace-out) holds constant memory:
+ * each span recorded into a full ring overwrites the oldest, adds
+ * one to the "trace.dropped_events" counter, and is noted in the
+ * written document as "otherData": {"dropped_events": N}.
+ *
  * Tracing is disabled by default and is *zero-overhead* when
  * disabled: Span's constructor is one relaxed atomic load. Enable
  * it with the PRINTED_TRACE environment variable (value = output
@@ -25,12 +31,21 @@
 #define PRINTED_COMMON_TRACE_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
 
 namespace printed::trace
 {
+
+/**
+ * Capacity of the span ring: 65,536 events (~6 MB, plus names and
+ * details too long for std::string's inline buffer). A traced
+ * printedd smoke load (bench_service) records ~1,400 and a traced
+ * bench_classify run ~3,900.
+ */
+inline constexpr std::size_t kMaxEvents = std::size_t(1) << 16;
 
 namespace detail
 {
@@ -64,10 +79,13 @@ void disable();
 /** If PRINTED_TRACE is set and non-empty, enable(its value). */
 void initFromEnv();
 
-/** Drop all buffered events (thread registrations survive). */
+/**
+ * Drop all buffered events and the dropped-events note (thread
+ * registrations survive).
+ */
 void clear();
 
-/** Number of buffered span events. */
+/** Number of buffered span events (at most kMaxEvents). */
 std::size_t eventCount();
 
 /**

@@ -150,7 +150,7 @@ std::shared_ptr<const ClassifyResult>
 runClassifyCached(const ClassifySpec &spec, ThreadPool &pool,
                   const GenerationCallback &cb = {});
 
-/** Canonical text key of a spec (also the coalesce/route key text). */
+/** Canonical text key of a spec: the classify result cache's key. */
 std::string classifySpecKey(const ClassifySpec &spec);
 
 /** Drop every cached classify result (tests). */

@@ -9,7 +9,6 @@
 #include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -66,10 +65,6 @@ usage()
         "  --max-queue N     admission queue capacity (default 64)\n"
         "  --cache-cap N     SynthCache entry cap, 0 = unbounded\n"
         "                    (default 256)\n"
-        "  --fault-plan SPEC seeded fault injection, e.g.\n"
-        "                    seed=42,drop=0.05,truncate=0.05,\n"
-        "                    delay=0.1:20,queue_full=0.1\n"
-        "                    (env PRINTEDD_FAULT_PLAN as fallback)\n"
         "  --trace-out PATH  write a Chrome trace on exit\n"
         "\n"
         "A request's deadline_ms is checked between its points and\n"
@@ -112,11 +107,6 @@ main(int argc, char **argv)
             } else if (arg == "--cache-cap") {
                 opts.cacheCapacity = numberArg<std::size_t>(
                     argc, argv, i, "--cache-cap");
-            } else if (arg == "--fault-plan") {
-                printed::fatalIf(i + 1 >= argc,
-                                 "--fault-plan needs a value");
-                opts.faultPlan =
-                    printed::service::FaultPlan::parse(argv[++i]);
             } else if (arg == "--trace-out") {
                 printed::fatalIf(i + 1 >= argc,
                                  "--trace-out needs a value");
@@ -139,22 +129,6 @@ main(int argc, char **argv)
     if (!traceOut.empty())
         printed::trace::enable(traceOut);
     printed::trace::setThreadName("main");
-
-    if (!opts.faultPlan.enabled()) {
-        if (const char *env = std::getenv("PRINTEDD_FAULT_PLAN");
-            env && *env) {
-            try {
-                opts.faultPlan =
-                    printed::service::FaultPlan::parse(env);
-            } catch (const printed::FatalError &e) {
-                std::fprintf(stderr, "printedd: %s\n", e.what());
-                return 2;
-            }
-        }
-    }
-    if (opts.faultPlan.enabled())
-        std::fprintf(stderr, "printedd: fault plan %s\n",
-                     opts.faultPlan.describe().c_str());
 
     try {
         Server server(opts);

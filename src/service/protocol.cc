@@ -116,22 +116,6 @@ configField(const Value &root)
     return cfg;
 }
 
-/** Canonical identity text of a config (every netlist-key field). */
-std::string
-configKeyText(const CoreConfig &c)
-{
-    std::string out = c.label();
-    out += "/f" + std::to_string(c.flagMask);
-    out += "b" + std::to_string(c.barBits);
-    out += "o" + std::to_string(c.opcodeMask);
-    out += "a" + std::to_string(c.addrBits);
-    out += c.tristateResultMux ? "t" : "m";
-    out += "p" + std::to_string(c.isa.pcBits);
-    out += "w" + std::to_string(c.isa.operandBits);
-    out += "g" + std::to_string(c.isa.flagCount);
-    return out;
-}
-
 /** {"fmax_hz":..,"area_cm2":..,"power_mw":..} of one tech. */
 std::string
 techBody(const Characterization &ch)
@@ -168,9 +152,8 @@ kernelFromName(const std::string &name)
 }
 
 /** Parse the optional "iss" object of a sweep request. Defaults are
- *  resolved here (not lazily in grid()) so requestLine() renders a
- *  canonical line and coalesceKey() never distinguishes two
- *  spellings of the same sweep. */
+ *  resolved here (not lazily in grid()) so requestLine() renders one
+ *  canonical line for every spelling of the same sweep. */
 IssSweepSpec
 issField(const Value &obj)
 {
@@ -231,8 +214,7 @@ issField(const Value &obj)
     return spec;
 }
 
-/** Canonical rendering of an "iss" object; every field explicit, so
- *  this doubles as the spec's coalesce-key text. */
+/** Canonical rendering of an "iss" object; every field explicit. */
 std::string
 issSpecBody(const IssSweepSpec &spec)
 {
@@ -281,9 +263,8 @@ stringField(const Value &obj, const char *name,
 }
 
 /** Parse the "classify" members of a classify request. Defaults are
- *  resolved here, mirroring issField(), so requestLine() renders a
- *  canonical line and the coalesce key never distinguishes two
- *  spellings of the same search. */
+ *  resolved here, mirroring issField(), so requestLine() renders one
+ *  canonical line for every spelling of the same search. */
 ml::ClassifySpec
 classifyField(const Value &root)
 {
@@ -540,40 +521,6 @@ parseRequest(const std::string &line)
 }
 
 std::string
-coalesceKey(const Request &req)
-{
-    std::string key = requestTypeName(req.type);
-    key += "|";
-    switch (req.type) {
-      case RequestType::Synth:
-        key += configKeyText(req.config);
-        break;
-      case RequestType::Yield:
-        key += configKeyText(req.config);
-        key += "|t" + std::to_string(req.trials);
-        key += "r" + std::to_string(req.replicas);
-        key += "s" + std::to_string(req.seed);
-        key += "y" + formatDouble(req.deviceYield);
-        break;
-      case RequestType::Sweep:
-        if (req.hasIss) {
-            key += "iss|" + issSpecBody(req.iss);
-            break;
-        }
-        key += joinAxis(req.sweep.stages);
-        key += joinAxis(req.sweep.widths);
-        key += joinAxis(req.sweep.bars);
-        break;
-      case RequestType::Classify:
-        key += ml::classifySpecKey(req.classify);
-        break;
-      default:
-        break; // admin requests are never coalesced
-    }
-    return key;
-}
-
-std::string
 synthBody(const DesignPoint &point)
 {
     std::string out = "{\"core\": ";
@@ -718,19 +665,6 @@ errorReply(const std::string &id, const char *code,
     out += ", \"ok\": false, \"error\": ";
     out += jsonQuote(code);
     out += ", \"message\": " + jsonQuote(message) + "}";
-    return out;
-}
-
-std::string
-queueFullReply(const std::string &id, double retryAfterMs)
-{
-    std::string out = "{\"id\": ";
-    out += jsonQuote(id);
-    out += ", \"ok\": false, \"error\": ";
-    out += jsonQuote(errc::queueFull);
-    out += ", \"message\": \"admission queue is full\"";
-    out += ", \"retry_after_ms\": " + formatDouble(retryAfterMs);
-    out += "}";
     return out;
 }
 

@@ -68,7 +68,8 @@
  * with bad_request instead of being rounded to another run's seed.
  *
  * Replies: {"id":...,"ok":true,"type":...,"result":{...}} or
- * {"id":...,"ok":false,"error":CODE,"message":TEXT}.
+ * {"id":...,"ok":false,"error":CODE,"message":TEXT}; every error,
+ * queue_full included, has exactly these members.
  *
  * Streaming. A sweep, yield, or classify request may carry
  * "stream": true; the server then answers with zero or more partial
@@ -88,7 +89,7 @@
  * Determinism rule (DESIGN.md "Serving"): the reply to a compute
  * request (synth/yield/sweep) is a pure function of the request
  * line — same request, same bytes, regardless of concurrency,
- * coalescing, cache state, or which worker served it. Doubles are
+ * cache state, or which worker served it. Doubles are
  * rendered in shortest round-trip form (std::to_chars) to make
  * that byte-exact. Introspection replies (metrics/health) and
  * load-dependent errors (queue_full, deadline_exceeded) are
@@ -201,14 +202,6 @@ struct Request
  */
 Request parseRequest(const std::string &line);
 
-/**
- * Coalescing identity of a compute request: the request type and
- * every result-determining parameter — not the id, not the
- * deadline. Two requests with equal keys get byte-identical result
- * bodies, so in-flight duplicates can share one execution.
- */
-std::string coalesceKey(const Request &req);
-
 /** Shortest round-trip decimal rendering of a double. */
 std::string formatDouble(double v);
 
@@ -259,15 +252,6 @@ std::string okReply(const std::string &id, RequestType type,
 /** Full error reply line (no trailing newline). */
 std::string errorReply(const std::string &id, const char *code,
                        const std::string &message);
-
-/**
- * queue_full error reply carrying a "retry_after_ms" hint: how long
- * the server suggests the client back off before replaying the
- * request. Load-dependent by design (exempt from the determinism
- * rule, like every overload error).
- */
-std::string queueFullReply(const std::string &id,
-                           double retryAfterMs);
 
 // ---------------------------------------------------------------
 // Streaming frames.

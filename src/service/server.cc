@@ -140,8 +140,6 @@ Server::start()
     started_ = Clock::now();
     if (opts_.cacheCapacity)
         SynthCache::global().setCapacity(opts_.cacheCapacity);
-    if (opts_.faultPlan.enabled())
-        fault_ = std::make_unique<FaultInjector>(opts_.faultPlan);
 
     listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listenFd_ < 0)
@@ -376,22 +374,13 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
     }
 
     const std::string id = task.req.id;
-
-    // Injected overload: reject an admissible compute request as if
-    // the queue were full (chaos for the client's retry path).
-    if (fault_ && fault_->forceQueueFull()) {
-        metrics::counter("service.rejected").add(1);
-        sendLine(conn, queueFullReply(id, 10));
-        return;
-    }
-
-    double retryAfterMs = 0;
-    switch (admit(std::move(task), retryAfterMs)) {
+    switch (admit(std::move(task))) {
       case Admit::Ok:
         return;
       case Admit::QueueFull:
         metrics::counter("service.rejected").add(1);
-        sendLine(conn, queueFullReply(id, retryAfterMs));
+        sendLine(conn, errorReply(id, errc::queueFull,
+                                  "admission queue is full"));
         return;
       case Admit::ShuttingDown:
         sendLine(conn, errorReply(id, errc::shuttingDown,
@@ -401,48 +390,14 @@ Server::handleLine(const std::shared_ptr<Connection> &conn,
 }
 
 Server::Admit
-Server::admit(Task task, double &retryAfterMsOut)
+Server::admit(Task task)
 {
-    // Shed by class before the queue is truly full: sweeps (the
-    // heaviest requests, up to 24 synth points each) above 50%
-    // depth, yields above 75%, synths only at capacity. Cheap
-    // requests keep flowing while expensive ones are pushed back.
-    const std::size_t cap = opts_.maxQueue;
-    std::size_t limit = cap;
-    const char *shedCounter = nullptr;
-    switch (task.req.type) {
-      case RequestType::Sweep:
-        limit = std::max<std::size_t>(1, cap / 2);
-        shedCounter = "service.shed_sweep";
-        break;
-      case RequestType::Classify:
-        // Whole evolutionary searches are sweep-class work.
-        limit = std::max<std::size_t>(1, cap / 2);
-        shedCounter = "service.shed_classify";
-        break;
-      case RequestType::Yield:
-        limit = std::max<std::size_t>(1, cap * 3 / 4);
-        shedCounter = "service.shed_yield";
-        break;
-      default:
-        break;
-    }
-    std::size_t depth;
     {
         std::lock_guard lk(queueMutex_);
         if (finishing_)
             return Admit::ShuttingDown;
-        depth = queue_.size();
-        if (depth >= limit) {
-            if (shedCounter && depth < cap)
-                metrics::counter(shedCounter).add(1);
-            // Backoff hint grows with depth: 5 ms near the shed
-            // threshold up to 50 ms at a saturated queue (a zero
-            // capacity is always "saturated").
-            retryAfterMsOut =
-                cap ? 5 + 45.0 * double(depth) / double(cap) : 50;
+        if (queue_.size() >= opts_.maxQueue)
             return Admit::QueueFull;
-        }
         queue_.push_back(std::move(task));
     }
     queueCv_.notify_one();
@@ -479,8 +434,7 @@ Server::execute(Task &task)
     const Clock::time_point execStart = Clock::now();
     const Request &req = task.req;
     // The line that ends the exchange: the monolithic reply, the
-    // stream's done frame, or an error. Every compute line is
-    // faultable.
+    // stream's done frame, or an error.
     std::string last;
     try {
         if (req.stream) {
@@ -490,13 +444,12 @@ Server::execute(Task &task)
             const std::uint64_t total = runPoints(
                 task, [&](std::uint64_t i, std::uint64_t n, std::string body) {
                     sendLine(task.conn,
-                             partialFrame(req.id, req.type, i, n, body),
-                             /*faultable=*/true);
+                             partialFrame(req.id, req.type, i, n, body));
                     metrics::counter("service.stream_partials").add(1);
                 });
             last = doneFrame(req.id, req.type, total);
         } else {
-            last = okReply(req.id, req.type, coalesced(task));
+            last = okReply(req.id, req.type, monolithicBody(task));
         }
         metrics::counter("service.replies_ok").add(1);
     } catch (const ClientGone &) {
@@ -515,15 +468,14 @@ Server::execute(Task &task)
         last = errorReply(req.id, errc::internalError, e.what());
     }
     // Recorded before the answer goes out, so a client that has read
-    // it also sees the sample.
+    // it also sees the samples.
     if (task.hasDeadline)
         metrics::distribution("service.deadline_overrun_ms")
             .record(std::max(0.0, millisSince(task.deadline)));
-    if (!last.empty())
-        sendLine(task.conn, last, /*faultable=*/true);
-
     metrics::distribution("service.exec_ms")
         .record(millisSince(execStart));
+    if (!last.empty())
+        sendLine(task.conn, last);
 }
 
 std::uint64_t
@@ -586,67 +538,6 @@ Server::runPoints(const Task &task, const PointSink &emit)
     for (std::uint64_t i = req.resumeFrom; i < plan.size; ++i)
         step(i, [&] { return plan.evaluate(i, *pool); });
     return plan.size;
-}
-
-std::string
-Server::coalesced(const Task &task)
-{
-    const std::string key = coalesceKey(task.req);
-    for (;;) {
-        // A request that expired in the queue, or while it waited on
-        // a leader that missed its own deadline, is answered now
-        // rather than after another request's computation.
-        if (task.hasDeadline && Clock::now() > task.deadline)
-            throw DeadlineError();
-        std::shared_future<std::string> future;
-        std::uint64_t id = 0;
-        bool leader = false;
-        std::promise<std::string> promise;
-        {
-            std::lock_guard lk(coalesceMutex_);
-            auto it = inflight_.find(key);
-            if (it != inflight_.end()) {
-                future = it->second.future;
-                metrics::counter("service.coalesce_hits").add(1);
-            } else {
-                leader = true;
-                future = promise.get_future().share();
-                id = ++nextInflightId_;
-                inflight_[key] = Inflight{future, id};
-            }
-        }
-
-        if (leader) {
-            std::string body;
-            try {
-                body = monolithicBody(task);
-            } catch (...) {
-                // Same semantics as the SynthCache: store the
-                // exception first, then drop the entry (only if it
-                // is still ours), so every coalesced waiter sees
-                // the original error and later requests retry.
-                promise.set_exception(std::current_exception());
-                std::lock_guard lk(coalesceMutex_);
-                auto it = inflight_.find(key);
-                if (it != inflight_.end() && it->second.id == id)
-                    inflight_.erase(it);
-                throw;
-            }
-            promise.set_value(body);
-            std::lock_guard lk(coalesceMutex_);
-            auto it = inflight_.find(key);
-            if (it != inflight_.end() && it->second.id == id)
-                inflight_.erase(it);
-            return body;
-        }
-
-        try {
-            return future.get();
-        } catch (const DeadlineError &) {
-            // The *leader's* deadline expired, not necessarily
-            // ours: go round again, as leader if ours has room.
-        }
-    }
 }
 
 std::string
@@ -724,44 +615,10 @@ Server::healthBody()
 
 void
 Server::sendLine(const std::shared_ptr<Connection> &conn,
-                 const std::string &line, bool faultable)
+                 const std::string &line)
 {
     std::string framed = line;
     framed += '\n';
-
-    if (faultable && fault_) {
-        double delayMs = 0;
-        switch (fault_->onComputeReply(delayMs)) {
-          case FaultInjector::SendFault::None:
-            break;
-          case FaultInjector::SendFault::Drop: {
-            // The reply vanishes: hang up without sending. The
-            // client must detect the lost connection and replay.
-            std::lock_guard lk(conn->writeMutex);
-            conn->open.store(false);
-            ::shutdown(conn->fd, SHUT_RDWR);
-            return;
-          }
-          case FaultInjector::SendFault::Truncate: {
-            // A torn frame: half the bytes, then hang up. The
-            // client must discard the partial line, not parse it.
-            std::lock_guard lk(conn->writeMutex);
-            conn->open.store(false);
-            netio::sendAll(conn->fd, framed.data(),
-                           framed.size() / 2);
-            ::shutdown(conn->fd, SHUT_RDWR);
-            return;
-          }
-          case FaultInjector::SendFault::Delay:
-            // A slow peer: stall outside the write lock so other
-            // replies on this connection aren't held hostage.
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    delayMs));
-            break;
-        }
-    }
-
     std::lock_guard lk(conn->writeMutex);
     if (!netio::sendAll(conn->fd, framed.data(), framed.size()))
         conn->open.store(false); // client went away; drop the reply

@@ -23,15 +23,15 @@
  * at a time; synth points never touch a pool, and any other plan
  * runs on a one-thread pool, i.e. on its executor thread alone.
  *
- * Admission: compute requests enter a bounded FIFO queue; when it is
- * full the request is answered immediately with a "queue_full" error
- * instead of being buffered without limit. Introspection
- * (metrics/health) and admin (shutdown) are answered inline by the
- * reader thread and never queue.
+ * Admission: compute requests enter a bounded FIFO queue; when it
+ * holds maxQueue requests, any compute request is answered
+ * immediately with a "queue_full" error instead of being buffered
+ * without limit. Introspection (metrics/health) and admin (shutdown)
+ * are answered inline by the reader thread and never queue, so the
+ * control plane stays answerable no matter the load.
  *
  * Deadlines: a request's optional "deadline_ms" is relative to
- * admission and checked before each point, before a monolithic
- * request joins an identical in-flight one, and (as the pool's stop
+ * admission and checked before each point and (as the pool's stop
  * check, with a stream's client-gone test) before every pool item
  * inside a point: one MC trial or 64-copy block, one ISS chunk, one
  * classify candidate. An expired request is answered
@@ -42,38 +42,19 @@
  * resume_from past the last point) answers "bad_request"; any other
  * exception answers "internal_error".
  *
- * Coalescing: identical in-flight monolithic requests (equal
- * coalesceKey) share one execution via a promise/shared_future map
- * — the same idiom as the SynthCache, and the same failure
- * semantics (exception stored before the entry is dropped). A
- * request whose own deadline has expired never joins a leader; a
- * follower woken by a *leader's* deadline abort retries as leader
- * if its own deadline still has room. Streams are not coalesced.
- *
  * Drain: shutdown (the request type, Server::~Server, or a signal
  * via beginShutdown()) stops admission — new compute requests get
  * "shutting_down" — then lets the executors finish every admitted
  * request before the sockets close, so no accepted request is ever
  * silently dropped.
  *
- * Load shedding: under pressure the admission queue rejects by
- * request *class* before it is actually full — heavy sweeps are
- * shed first (above ~50% depth), yields next (~75%), synths only
- * when the queue is truly full. health/metrics never queue, so the
- * control plane stays answerable no matter the load. Every
- * queue_full rejection carries a "retry_after_ms" backoff hint
- * scaled to the current depth.
- *
- * Fault injection: an optional seeded FaultPlan (fault_plan.hh)
- * makes the server misbehave on purpose — drop/truncate/delay
- * compute replies, force queue_full — for chaos tests of the client
- * retry path.
- *
  * Determinism: compute replies are byte-identical functions of the
- * request line (protocol.hh); the executor/coalescing machinery
- * only decides *when* and *by whom* a reply is computed, never its
- * bytes. Everything else the server touches (metrics, traces) is
- * observational only.
+ * request line (protocol.hh); the executors only decide *when* and
+ * *by whom* a reply is computed, never its bytes. The server does
+ * not dedupe requests: identical ones in flight together share a
+ * core being built through the SynthCache, and a settled classify
+ * search is replayed from the classify result cache. Everything else
+ * the server touches (metrics, traces) is observational only.
  */
 
 #ifndef PRINTED_SERVICE_SERVER_HH
@@ -84,8 +65,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -93,7 +72,6 @@
 #include <vector>
 
 #include "common/parallel.hh"
-#include "service/fault_plan.hh"
 #include "service/protocol.hh"
 
 namespace printed::service
@@ -128,9 +106,6 @@ struct ServerOptions
      * the cache unbounded (the bench/test default).
      */
     std::size_t cacheCapacity = 0;
-
-    /** Injected-fault schedule; disabled by default. */
-    FaultPlan faultPlan;
 };
 
 /** The printedd TCP server. */
@@ -191,11 +166,8 @@ class Server
     void handleLine(const std::shared_ptr<Connection> &conn,
                     const std::string &line);
 
-    /**
-     * Class-aware admission (see file comment). On QueueFull,
-     * retryAfterMsOut carries the depth-scaled backoff hint.
-     */
-    Admit admit(Task task, double &retryAfterMsOut);
+    /** Queue a compute request unless full or draining. */
+    Admit admit(Task task);
     /** Run one compute request and send its answer. */
     void execute(Task &task);
 
@@ -215,25 +187,15 @@ class Server
      */
     std::uint64_t runPoints(const Task &task, const PointSink &emit);
 
-    /**
-     * Result body of a monolithic request, deduped against
-     * identical in-flight requests.
-     */
-    std::string coalesced(const Task &task);
-
-    /** All of a monolithic request's points, wrapped (no coalescing). */
+    /** All of a monolithic request's points, wrapped. */
     std::string monolithicBody(const Task &task);
 
     std::string metricsBody() const;
     std::string healthBody();
 
-    /**
-     * Send one reply line on a connection (serialized per-conn).
-     * `faultable` marks compute replies, the only traffic the fault
-     * injector may drop, truncate, or delay.
-     */
+    /** Send one reply line on a connection (serialized per-conn). */
     void sendLine(const std::shared_ptr<Connection> &conn,
-                  const std::string &line, bool faultable = false);
+                  const std::string &line);
 
     void joinEverything();
 
@@ -248,8 +210,6 @@ class Server
     std::thread acceptThread_;
     std::vector<std::thread> executors_;
 
-    std::unique_ptr<FaultInjector> fault_;
-
     std::mutex connMutex_;
     std::vector<std::shared_ptr<Connection>> conns_;
 
@@ -262,16 +222,6 @@ class Server
     std::condition_variable stopCv_;
     bool stopRequested_ = false;
     bool joined_ = false;
-
-    /** In-flight compute executions, by coalesceKey. */
-    struct Inflight
-    {
-        std::shared_future<std::string> future;
-        std::uint64_t id = 0;
-    };
-    std::mutex coalesceMutex_;
-    std::map<std::string, Inflight> inflight_;
-    std::uint64_t nextInflightId_ = 0;
 };
 
 } // namespace printed::service

@@ -6,8 +6,9 @@
  * adds, distribution percentiles must follow the same index rule as
  * analysis/variation.cc, registry references must stay stable
  * across resetAll(), spans must be no-ops while tracing is
- * disabled, and the emitted trace document must be valid JSON of
- * the trace_event shape.
+ * disabled, the span ring must keep only the newest events, and the
+ * emitted trace document must be valid JSON of the trace_event
+ * shape.
  */
 
 #include <gtest/gtest.h>
@@ -249,6 +250,42 @@ TEST(Trace, ClearDropsEventsButKeepsThreadNames)
     std::ostringstream os;
     trace::write(os);
     EXPECT_NO_THROW(json::parse(os.str()));
+}
+
+TEST(Trace, FullRingKeepsTheNewestEventsAndCountsDrops)
+{
+    trace::clear();
+    metrics::Counter &dropped = metrics::counter("trace.dropped_events");
+    const std::uint64_t before = dropped.value();
+    constexpr std::uint64_t k = 5;
+    for (std::uint64_t i = 0; i < trace::kMaxEvents + k; ++i)
+        trace::detail::recordSpan("test.ring", i, 1, "");
+    EXPECT_EQ(trace::eventCount(), trace::kMaxEvents);
+    EXPECT_EQ(dropped.value() - before, k);
+
+    std::ostringstream os;
+    trace::write(os);
+    trace::clear();
+    const json::Value doc = json::parse(os.str());
+    EXPECT_EQ(doc.find("otherData")->find("dropped_events")->number,
+              double(k));
+    // Exactly the newest kMaxEvents spans, oldest first.
+    std::vector<std::uint64_t> ts;
+    for (const json::Value &ev : doc.find("traceEvents")->array)
+        if (ev.find("ph")->string == "X")
+            ts.push_back(std::uint64_t(ev.find("ts")->number));
+    ASSERT_EQ(ts.size(), trace::kMaxEvents);
+    for (std::size_t i = 0; i < ts.size(); ++i)
+        ASSERT_EQ(ts[i], k + i) << "event " << i;
+
+    // clear() also forgets the drops.
+    std::ostringstream empty;
+    trace::write(empty);
+    EXPECT_EQ(json::parse(empty.str())
+                  .find("otherData")
+                  ->find("dropped_events")
+                  ->number,
+              0.0);
 }
 
 } // anonymous namespace

@@ -1,20 +1,25 @@
 /**
  * @file
  * printedd service tests: protocol round-trips, end-to-end TCP
- * request/reply, admission control, deadlines, drain, and the
- * serving determinism rule (concurrent replies byte-identical to
- * serial ones).
+ * request/reply, admission control, deadlines, drain, the serving
+ * determinism rule (concurrent replies byte-identical to serial
+ * ones), and an EINTR signal-storm regression test for the socket
+ * I/O loops.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <map>
-#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <pthread.h>
 
 #include "common/json_min.hh"
 #include "common/logging.hh"
@@ -65,6 +70,37 @@ smallClassifySpec()
     spec.search.generations = 2;
     spec.search.population = 4;
     return spec;
+}
+
+/** Synths, a yield and a sweep, each with its own id. */
+std::vector<std::string>
+mixedRequests()
+{
+    std::vector<std::string> requests;
+    for (unsigned width : {4u, 8u, 16u})
+        requests.push_back(synthRequest(
+            "s" + std::to_string(width),
+            CoreConfig::standard(1, width, 2)));
+    requests.push_back(yieldRequest("y", smallConfig(), 48, 11));
+    SweepSpec spec;
+    spec.stages = {1, 2};
+    spec.widths = {4};
+    spec.bars = {2};
+    requests.push_back(sweepRequest("w", spec));
+    return requests;
+}
+
+/** Each request's reply line, keyed by id, from serial calls. */
+std::map<std::string, std::string>
+serialReplies(std::uint16_t port, const std::vector<std::string> &requests)
+{
+    Client client("127.0.0.1", port);
+    std::map<std::string, std::string> replies;
+    for (const std::string &req : requests) {
+        const std::string raw = client.call(req);
+        replies[parseReply(raw).id] = raw;
+    }
+    return replies;
 }
 
 // ---------------------------------------------------------------
@@ -184,23 +220,25 @@ TEST(ServiceProtocol, RejectsInvalidRequests)
     }
 }
 
-TEST(ServiceProtocol, CoalesceKeyIgnoresIdAndDeadline)
+TEST(ServiceProtocol, RequestLineIdentityIgnoresIdAndDeadline)
 {
+    // What a request computes is its canonical line without the id
+    // and the deadline.
+    const auto identity = [](const std::string &line) {
+        Request req = parseRequest(line);
+        req.id.clear();
+        req.deadlineMs = 0;
+        return requestLine(req);
+    };
     const CoreConfig cfg = smallConfig();
-    const Request a = parseRequest(synthRequest("a", cfg, 0));
-    const Request b = parseRequest(synthRequest("b", cfg, 500));
-    EXPECT_EQ(coalesceKey(a), coalesceKey(b));
-
-    const Request c = parseRequest(
-        synthRequest("c", CoreConfig::standard(1, 8, 2)));
-    EXPECT_NE(coalesceKey(a), coalesceKey(c));
+    EXPECT_EQ(identity(synthRequest("a", cfg, 0)),
+              identity(synthRequest("b", cfg, 500)));
+    EXPECT_NE(identity(synthRequest("a", cfg)),
+              identity(synthRequest("c", CoreConfig::standard(1, 8, 2))));
 
     // Different yield seeds are different computations.
-    const Request y1 =
-        parseRequest(yieldRequest("y", cfg, 64, 1));
-    const Request y2 =
-        parseRequest(yieldRequest("y", cfg, 64, 2));
-    EXPECT_NE(coalesceKey(y1), coalesceKey(y2));
+    EXPECT_NE(identity(yieldRequest("y", cfg, 64, 1)),
+              identity(yieldRequest("y", cfg, 64, 2)));
 }
 
 TEST(ServiceProtocol, ClassifyRequestRoundTrip)
@@ -255,25 +293,29 @@ TEST(ServiceProtocol, ClassifyRequestRoundTrip)
                  FatalError);
 }
 
-TEST(ServiceProtocol, ClassifyCoalesceAndRouteKeys)
+TEST(ServiceProtocol, ClassifySpecKeyNamesTheSearch)
 {
     const ml::ClassifySpec spec = smallClassifySpec();
     const Request a = parseRequest(classifyRequest("a", spec, 0));
     const Request b = parseRequest(classifyRequest("b", spec, 500));
-    EXPECT_EQ(coalesceKey(a), coalesceKey(b));
+    EXPECT_EQ(ml::classifySpecKey(a.classify),
+              ml::classifySpecKey(b.classify));
 
     ml::ClassifySpec other = spec;
     other.search.seed += 1;
     const Request c = parseRequest(classifyRequest("c", other));
-    EXPECT_NE(coalesceKey(a), coalesceKey(c));
+    EXPECT_NE(ml::classifySpecKey(a.classify),
+              ml::classifySpecKey(c.classify));
 
     // An "engine" member names the same search as a line without it.
-    std::string line = classifyRequest("d", spec);
+    std::string line = classifyRequest("a", spec);
     const std::string search = "\"search\": {";
     line.insert(line.find(search) + search.size(),
                 "\"engine\": \"scalar\", ");
     const Request d = parseRequest(line);
-    EXPECT_EQ(coalesceKey(a), coalesceKey(d));
+    EXPECT_EQ(ml::classifySpecKey(a.classify),
+              ml::classifySpecKey(d.classify));
+    EXPECT_EQ(requestLine(d), classifyRequest("a", spec));
 }
 
 TEST(ServiceProtocol, IssSweepRequestRoundTrip)
@@ -315,7 +357,6 @@ TEST(ServiceProtocol, IssSweepRequestRoundTrip)
     // parse -> requestLine -> parse is identity.
     const Request again = parseRequest(line);
     EXPECT_EQ(requestLine(again), line);
-    EXPECT_EQ(coalesceKey(again), coalesceKey(req));
 
     // An empty "iss" object is the four-core {mult, div} grid.
     const Request bare = parseRequest(
@@ -373,6 +414,27 @@ TEST(ServiceProtocol, ReplyParsing)
     EXPECT_EQ(err.id, "r2");
     EXPECT_EQ(err.error, "queue_full");
     EXPECT_EQ(err.message, "full");
+}
+
+TEST(ServiceProtocol, QueueFullReplyCarriesNoRetryHint)
+{
+    const std::string line =
+        errorReply("q7", errc::queueFull, "admission queue is full");
+    std::vector<std::string> members;
+    for (const auto &member : json::parse(line).object)
+        members.push_back(member.first);
+    EXPECT_EQ(members, (std::vector<std::string>{"id", "ok", "error",
+                                                 "message"}));
+
+    // Unknown members, such as an older daemon's hint, are ignored.
+    const Reply plain = parseReply(line);
+    const Reply hinted = parseReply(
+        "{\"id\": \"q7\", \"ok\": false, \"error\": \"queue_full\", "
+        "\"message\": \"admission queue is full\", \"after\": 37.5}");
+    EXPECT_FALSE(hinted.ok);
+    EXPECT_EQ(hinted.id, plain.id);
+    EXPECT_EQ(hinted.error, plain.error);
+    EXPECT_EQ(hinted.message, plain.message);
 }
 
 // ---------------------------------------------------------------
@@ -562,39 +624,6 @@ TEST(ServiceServer, DeadlineExceededAtAdmission)
     EXPECT_EQ(reply.error, "deadline_exceeded");
 }
 
-TEST(ServiceServer, ExpiredRequestDoesNotJoinAnInflightLeader)
-{
-    ServerOptions opts;
-    opts.executors = 2;
-    Server server(opts);
-    server.start();
-
-    // A slow leader, a yield no other test computes. It is in flight
-    // once an executor has dequeued it.
-    const auto yield = [](const std::string &id, double deadlineMs) {
-        return yieldRequest(id, smallConfig(), 10000, 4242, 1,
-                            deadlineMs);
-    };
-    metrics::Distribution &dequeued =
-        metrics::distribution("service.queue_wait_ms");
-    const std::uint64_t before = dequeued.summary().count;
-    Client leader("127.0.0.1", server.port());
-    leader.send(yield("lead", 0));
-    while (dequeued.summary().count == before)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    // The identical request, expired by dequeue time, is answered
-    // deadline_exceeded at once instead of waiting for the leader.
-    metrics::Counter &hits = metrics::counter("service.coalesce_hits");
-    const std::uint64_t hitsBefore = hits.value();
-    Client late("127.0.0.1", server.port());
-    const Reply reply = parseReply(late.call(yield("late", 1e-4)));
-    EXPECT_FALSE(reply.ok);
-    EXPECT_EQ(reply.error, errc::deadlineExceeded);
-    EXPECT_EQ(hits.value(), hitsBefore);
-    EXPECT_TRUE(parseReply(leader.readLine(60000)).ok);
-}
-
 TEST(ServiceServer, QueueFullRejection)
 {
     ServerOptions opts;
@@ -614,27 +643,120 @@ TEST(ServiceServer, QueueFullRejection)
                     .ok);
 }
 
+TEST(ServiceServer, QueueFullOverTcpCarriesNoRetryHint)
+{
+    ServerOptions opts;
+    opts.maxQueue = 0;
+    Server server(opts);
+    server.start();
+    Client client("127.0.0.1", server.port());
+
+    // Every error reply, queue_full included, has the same members.
+    EXPECT_EQ(client.call(synthRequest("q1", smallConfig())),
+              errorReply("q1", errc::queueFull,
+                         "admission queue is full"));
+}
+
+TEST(ServiceServer, EveryComputeClassIsAdmittedUntilTheQueueIsFull)
+{
+    // One admission rule: below maxQueue every compute request
+    // queues, at maxQueue every one is answered queue_full. The lone
+    // executor is held by a long streamed yield, which stops within
+    // one Monte Carlo trial once its client hangs up.
+    ServerOptions opts;
+    opts.executors = 1;
+    opts.maxQueue = 4;
+    Server server(opts);
+    server.start();
+
+    metrics::Distribution &dequeued =
+        metrics::distribution("service.queue_wait_ms");
+    const std::uint64_t before = dequeued.summary().count;
+    Client pin("127.0.0.1", server.port());
+    pin.send(yieldStreamRequest("pin", CoreConfig::standard(1, 8, 2),
+                                100000, 31, 64));
+    while (dequeued.summary().count == before)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    // The probe's lines are handled in order, so its health reply
+    // comes after the verdicts on everything sent before it: a
+    // rejection would be read first (depth -1).
+    Client probe("127.0.0.1", server.port());
+    const auto depthAfter = [&](const std::vector<std::string> &lines) {
+        for (const std::string &line : lines)
+            probe.send(line);
+        const json::Value root = json::parse(
+            probe.call(adminRequest("h", RequestType::Health)));
+        const json::Value *result = root.find("result");
+        return result ? result->find("queue_depth")->number : -1.0;
+    };
+    SweepSpec spec;
+    spec.stages = {1};
+    spec.widths = {4};
+    spec.bars = {2};
+    ASSERT_EQ(depthAfter({synthRequest("f0", smallConfig()),
+                          synthRequest("f1", smallConfig())}),
+              2);
+    ASSERT_EQ(depthAfter({sweepRequest("w", spec)}), 3);
+    ASSERT_EQ(depthAfter({yieldRequest("y", smallConfig(), 16, 5)}), 4);
+
+    const std::string full[] = {
+        synthRequest("s", smallConfig()),
+        yieldRequest("y2", smallConfig(), 16, 5),
+        sweepRequest("w2", spec),
+        classifyRequest("c", smallClassifySpec()),
+    };
+    for (const std::string &line : full) {
+        const std::string id = parseRequest(line).id;
+        EXPECT_EQ(probe.call(line),
+                  errorReply(id, errc::queueFull,
+                             "admission queue is full"));
+    }
+
+    // Release the executor: the four queued requests are answered.
+    pin.close();
+    std::set<std::string> answered;
+    for (int i = 0; i < 4; ++i) {
+        const Reply r = parseReply(probe.readLine(60000));
+        EXPECT_TRUE(r.ok) << r.raw;
+        answered.insert(r.id);
+    }
+    EXPECT_EQ(answered, (std::set<std::string>{"f0", "f1", "w", "y"}));
+}
+
 TEST(ServiceServer, MetricsAndHealthIntrospection)
 {
     Server server;
     server.start();
     Client client("127.0.0.1", server.port());
+    const auto metrics = [&] {
+        return json::parse(
+            client.call(adminRequest("m", RequestType::Metrics)));
+    };
+    const auto execCount = [&] {
+        const json::Value root = metrics();
+        const json::Value *exec = root.find("result")
+                                      ->find("distributions")
+                                      ->find("service.exec_ms");
+        return exec ? exec->find("count")->number : 0.0;
+    };
 
-    client.call(synthRequest("s", smallConfig()));
+    // A request's exec_ms sample is recorded before its answer is
+    // sent, so a metrics read right after the last reply sees all.
+    const double execBefore = execCount();
+    const std::vector<std::string> requests = mixedRequests();
+    for (const std::string &req : requests)
+        ASSERT_TRUE(parseReply(client.call(req)).ok) << req;
+    EXPECT_EQ(execCount(), execBefore + double(requests.size()));
 
     const std::string health =
         client.call(adminRequest("h", RequestType::Health));
     const json::Value hroot = json::parse(health);
     EXPECT_EQ(hroot.find("result")->find("status")->string, "ok");
 
-    const std::string metrics =
-        client.call(adminRequest("m", RequestType::Metrics));
-    const json::Value mroot = json::parse(metrics);
-    const json::Value *counters =
-        mroot.find("result")->find("counters");
-    ASSERT_NE(counters, nullptr);
+    const json::Value mroot = metrics();
     const json::Value *served =
-        counters->find("service.requests");
+        mroot.find("result")->find("counters")->find("service.requests");
     ASSERT_NE(served, nullptr);
     EXPECT_GE(served->number, 2);
 }
@@ -665,6 +787,28 @@ TEST(ServiceServer, ShutdownDrainsAndCloses)
     EXPECT_TRUE(refused);
 }
 
+TEST(ServiceServer, DrainingServerAnswersComputeShuttingDown)
+{
+    // Until wait() closes it, a connection opened before the drain
+    // gets a definite answer to a compute request: shutting_down.
+    Server server;
+    server.start();
+    Client client("127.0.0.1", server.port());
+    ASSERT_TRUE(parseReply(client.call(
+                    adminRequest("h", RequestType::Health)))
+                    .ok);
+
+    server.beginShutdown();
+    EXPECT_EQ(client.call(synthRequest("late", smallConfig())),
+              errorReply("late", errc::shuttingDown,
+                         "server is draining"));
+    // Introspection still answers, and says so.
+    const json::Value health = json::parse(
+        client.call(adminRequest("h2", RequestType::Health)));
+    EXPECT_TRUE(health.find("result")->find("draining")->boolean);
+    server.wait();
+}
+
 TEST(ServiceServer, ConcurrentRepliesAreByteIdentical)
 {
     // The determinism rule: the same requests, issued serially on
@@ -675,27 +819,9 @@ TEST(ServiceServer, ConcurrentRepliesAreByteIdentical)
     Server server(opts);
     server.start();
 
-    std::vector<std::string> requests;
-    for (unsigned width : {4u, 8u, 16u})
-        requests.push_back(synthRequest(
-            "s" + std::to_string(width),
-            CoreConfig::standard(1, width, 2)));
-    requests.push_back(
-        yieldRequest("y", smallConfig(), 48, 11));
-    SweepSpec spec;
-    spec.stages = {1, 2};
-    spec.widths = {4};
-    spec.bars = {2};
-    requests.push_back(sweepRequest("w", spec));
-
-    std::map<std::string, std::string> serial;
-    {
-        Client client("127.0.0.1", server.port());
-        for (const std::string &req : requests) {
-            const std::string raw = client.call(req);
-            serial[parseReply(raw).id] = raw;
-        }
-    }
+    const std::vector<std::string> requests = mixedRequests();
+    const std::map<std::string, std::string> serial =
+        serialReplies(server.port(), requests);
 
     constexpr unsigned kClients = 4;
     std::vector<std::map<std::string, std::string>> got(kClients);
@@ -721,20 +847,6 @@ TEST(ServiceServer, ConcurrentRepliesAreByteIdentical)
     }
 }
 
-TEST(ServiceProtocol, QueueFullReplyCarriesRetryHint)
-{
-    const Reply r = parseReply(queueFullReply("q7", 37.5));
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.id, "q7");
-    EXPECT_EQ(r.error, "queue_full");
-    EXPECT_DOUBLE_EQ(r.retryAfterMs, 37.5);
-
-    // Replies without the hint parse with a zero default.
-    const Reply plain = parseReply(
-        errorReply("q8", errc::queueFull, "full"));
-    EXPECT_DOUBLE_EQ(plain.retryAfterMs, 0.0);
-}
-
 TEST(ServiceProtocol, ParsersRejectMutatedFramesWithoutCrashing)
 {
     // Fuzz both wire parsers with truncations and byte mutations
@@ -746,7 +858,7 @@ TEST(ServiceProtocol, ParsersRejectMutatedFramesWithoutCrashing)
         sweepRequest("f3", SweepSpec{{1, 2}, {4, 8}, {2}}),
         adminRequest("f4", RequestType::Metrics),
         okReply("f5", RequestType::Synth, "{\"gates\": 454}"),
-        queueFullReply("f6", 12.5),
+        errorReply("f6", errc::queueFull, "admission queue is full"),
     };
     // Deeply nested and invalid-escape frames too.
     std::string nested = "{\"id\":\"n\",\"type\":\"health\",\"x\":";
@@ -792,113 +904,6 @@ TEST(ServiceProtocol, ParsersRejectMutatedFramesWithoutCrashing)
         }
     }
     EXPECT_GT(attempts, 500u);
-}
-
-TEST(ServiceServer, QueueFullOverTcpCarriesRetryHint)
-{
-    ServerOptions opts;
-    opts.maxQueue = 0;
-    Server server(opts);
-    server.start();
-    Client client("127.0.0.1", server.port());
-
-    const Reply reply = parseReply(
-        client.call(synthRequest("q1", smallConfig())));
-    EXPECT_FALSE(reply.ok);
-    EXPECT_EQ(reply.error, "queue_full");
-    EXPECT_GT(reply.retryAfterMs, 0.0);
-}
-
-TEST(ServiceServer, ShedsHeavyClassesFirst)
-{
-    // One executor, pinned busy by an expensive yield, and a queue
-    // of 8: sweeps shed at depth 4, yields at depth 6, synths only
-    // at 8. Build known depths, then observe class-ordered
-    // admission verdicts.
-    ServerOptions opts;
-    opts.executors = 1;
-    opts.maxQueue = 8;
-    Server server(opts);
-    server.start();
-
-    const std::uint64_t yieldArrivals =
-        metrics::counter("service.requests_yield").value();
-    Client pin("127.0.0.1", server.port());
-    pin.send(yieldRequest("pin", smallConfig(), 20000, 1));
-
-    // Wait until the pin request was admitted *and* dequeued: from
-    // then on the lone executor is busy for ~a second and queued
-    // requests stay queued.
-    Client filler("127.0.0.1", server.port());
-    Client probe("127.0.0.1", server.port());
-    const auto queueDepth = [&] {
-        const std::string raw = probe.call(
-            adminRequest("h", RequestType::Health));
-        return json::parse(raw)
-            .find("result")
-            ->find("queue_depth")
-            ->number;
-    };
-    for (int spin = 0;
-         spin < 5000 &&
-         metrics::counter("service.requests_yield").value() ==
-             yieldArrivals;
-         ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    for (int spin = 0; spin < 5000 && queueDepth() != 0; ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_EQ(queueDepth(), 0);
-
-    // Fill to depth 5 with yields (each below the yield limit of 6
-    // at admission time; distinct seeds so nothing coalesces).
-    for (int i = 0; i < 5; ++i)
-        filler.send(yieldRequest("f" + std::to_string(i),
-                                 smallConfig(), 2000,
-                                 100 + unsigned(i)));
-    for (int spin = 0; spin < 5000 && queueDepth() < 5; ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_EQ(queueDepth(), 5);
-
-    // Depth 5: sweeps (limit 4) shed; synths (limit 8) admitted.
-    SweepSpec spec;
-    spec.stages = {1};
-    spec.widths = {4};
-    spec.bars = {2};
-    const Reply sweep =
-        parseReply(probe.call(sweepRequest("w", spec)));
-    EXPECT_FALSE(sweep.ok);
-    EXPECT_EQ(sweep.error, "queue_full");
-    EXPECT_GT(sweep.retryAfterMs, 0.0);
-    EXPECT_GE(metrics::counter("service.shed_sweep").value(), 1u);
-
-    probe.send(yieldRequest("y", smallConfig(), 100, 2)); // depth 6
-    probe.send(
-        synthRequest("s", CoreConfig::standard(1, 8, 2))); // 7
-    for (int spin = 0; spin < 5000 && queueDepth() < 7; ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_EQ(queueDepth(), 7);
-
-    // Depth 7: yields (limit 6) shed too — the rejection is sent
-    // inline by the reader, so it overtakes the queued replies...
-    probe.send(yieldRequest("y2", smallConfig(), 100, 3));
-    const Reply yield2 = parseReply(probe.readLine());
-    EXPECT_EQ(yield2.id, "y2");
-    EXPECT_FALSE(yield2.ok);
-    EXPECT_EQ(yield2.error, "queue_full");
-    EXPECT_GE(metrics::counter("service.shed_yield").value(), 1u);
-
-    // ...while a synth still fits (limit 8). Collect the three
-    // queued replies (y, s, s2) in execution order.
-    probe.send(
-        synthRequest("s2", CoreConfig::standard(1, 16, 2)));
-    std::map<std::string, Reply> done;
-    for (int i = 0; i < 3; ++i) {
-        const Reply r = parseReply(probe.readLine());
-        done[r.id] = r;
-    }
-    EXPECT_TRUE(done.at("y").ok) << done.at("y").raw;
-    EXPECT_TRUE(done.at("s").ok) << done.at("s").raw;
-    EXPECT_TRUE(done.at("s2").ok) << done.at("s2").raw;
 }
 
 TEST(ServiceServer, DeadlineStopsAYieldInsideItsPoint)
@@ -964,49 +969,6 @@ TEST(ServiceServer, DeadlineStopsAClassifySearchInsideAGeneration)
     EXPECT_LT(scored.value() - before, 257u);
 }
 
-TEST(ServiceServer, LeaderStoppedMidPointHandsItsFollowerTheWork)
-{
-    // A leader whose deadline stops it inside its one point stores
-    // DeadlineError; the follower that joined it has no deadline, so
-    // it retries as leader and answers what the line gets alone.
-    ServerOptions opts;
-    opts.executors = 2;
-    opts.poolThreads = 2;
-    Server server(opts);
-    server.start();
-    const CoreConfig config = CoreConfig::standard(1, 8, 2);
-    const auto yield = [&](const std::string &id, double deadlineMs) {
-        return yieldRequest(id, config, 10000, 5151, 4, deadlineMs);
-    };
-    const std::string alone =
-        Client("127.0.0.1", server.port()).call(yield("f", 0));
-    ASSERT_TRUE(parseReply(alone).ok) << alone;
-
-    metrics::Counter &hits = metrics::counter("service.coalesce_hits");
-    metrics::Distribution &dequeued =
-        metrics::distribution("service.queue_wait_ms");
-    // Retry with a longer leader deadline in the (unlikely) event the
-    // follower arrived after the leader had already stopped.
-    for (double deadlineMs = 10; deadlineMs <= 40; deadlineMs *= 2) {
-        const std::uint64_t hitsBefore = hits.value();
-        const std::uint64_t before = dequeued.summary().count;
-        Client leader("127.0.0.1", server.port());
-        leader.send(yield("l", deadlineMs));
-        while (dequeued.summary().count == before)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        const std::string follower =
-            Client("127.0.0.1", server.port()).call(yield("f", 0));
-        const Reply lead = parseReply(leader.readLine(60000));
-        EXPECT_EQ(follower, alone);
-        if (hits.value() == hitsBefore)
-            continue; // the follower ran alone
-        EXPECT_FALSE(lead.ok) << lead.raw;
-        EXPECT_EQ(lead.error, errc::deadlineExceeded);
-        return;
-    }
-    FAIL() << "the follower never joined the leader";
-}
-
 TEST(ServiceServer, DrainAnswersALongYieldInFlight)
 {
     // Drain finishes admitted requests: a yield in flight when
@@ -1027,148 +989,6 @@ TEST(ServiceServer, DrainAnswersALongYieldInFlight)
     server.wait();
 }
 
-TEST(ServiceClient, RetryingClientReconnectsAcrossServerRestart)
-{
-    ServerOptions opts;
-    Server *server = new Server(opts);
-    server->start();
-    const std::uint16_t port = server->port();
-
-    RetryPolicy policy;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 10;
-    policy.maxLossRetries = 400; // restart takes a few attempts
-    RetryingClient client("127.0.0.1", port, policy);
-
-    const std::string req = synthRequest("r", smallConfig());
-    const std::string before = client.call(req);
-    ASSERT_TRUE(parseReply(before).ok);
-
-    // Kill the server (connections die) and bring up a new one on
-    // the same port; the client must heal transparently.
-    delete server;
-    ServerOptions opts2;
-    opts2.port = port;
-    Server server2(opts2);
-    server2.start();
-
-    const std::string after = client.call(req);
-    EXPECT_EQ(after, before); // determinism across restarts too
-    EXPECT_GE(client.stats().reconnects, 2u);
-    EXPECT_GE(client.stats().lossReplays, 1u);
-}
-
-TEST(ServiceClient, RetryingClientReplaysPastADrainingServer)
-{
-    auto a = std::make_unique<Server>();
-    a->start();
-    const std::uint16_t port = a->port();
-
-    const std::string req = synthRequest("d", smallConfig());
-    SweepSpec spec;
-    spec.stages = {1};
-    spec.widths = {4, 8};
-    spec.bars = {2};
-    Client raw("127.0.0.1", port);
-    const std::string expected = raw.call(req);
-    ASSERT_TRUE(parseReply(expected).ok) << expected;
-    const std::string expectedSweep = raw.call(sweepRequest("w", spec));
-    ASSERT_TRUE(parseReply(expectedSweep).ok) << expectedSweep;
-
-    RetryPolicy policy;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 10;
-    policy.maxLossRetries = 400; // the restart takes a few attempts
-    RetryingClient client("127.0.0.1", port, policy);
-    RetryingClient streamer("127.0.0.1", port, policy);
-    // Connect before the drain: a draining server accepts no new
-    // connections.
-    const std::string health = adminRequest("h", RequestType::Health);
-    ASSERT_TRUE(client.callParsed(health).ok);
-    ASSERT_TRUE(streamer.callParsed(health).ok);
-
-    // Server A drains but keeps answering its open connections.
-    a->beginShutdown();
-    const Reply draining = parseReply(raw.call(req));
-    EXPECT_FALSE(draining.ok);
-    EXPECT_EQ(draining.error, errc::shuttingDown);
-
-    // A non-idempotent call gets the answer as it is.
-    const Reply once =
-        parseReply(client.call(req, /*idempotent=*/false));
-    EXPECT_EQ(once.error, errc::shuttingDown);
-    EXPECT_EQ(client.stats().lossReplays, 0u);
-
-    // An idempotent call and a stream are replayed until server B,
-    // restarted on A's port, answers them.
-    metrics::Counter &requests = metrics::counter("service.requests");
-    const std::uint64_t before = requests.value();
-    std::string got, gotSweep;
-    std::thread caller([&] {
-        try {
-            got = client.call(req);
-        } catch (const std::exception &e) {
-            got = e.what();
-        }
-    });
-    std::thread streamCaller([&] {
-        try {
-            gotSweep = streamer.streamSweep("w", spec).reply.raw;
-        } catch (const std::exception &e) {
-            gotSweep = e.what();
-        }
-    });
-    // A has seen both (and answered shutting_down) once the counter
-    // has moved twice; only then is it torn down.
-    const auto giveUp =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (requests.value() < before + 2 &&
-           std::chrono::steady_clock::now() < giveUp)
-        std::this_thread::yield();
-    a->wait();
-    a.reset();
-    ServerOptions opts;
-    opts.port = port;
-    Server b(opts);
-    b.start();
-    caller.join();
-    streamCaller.join();
-
-    EXPECT_EQ(got, expected);
-    EXPECT_GE(client.stats().lossReplays, 1u);
-    EXPECT_EQ(gotSweep, expectedSweep);
-    EXPECT_GE(streamer.stats().lossReplays, 1u);
-}
-
-TEST(ServiceClient, NonIdempotentRequestsAreNotReplayed)
-{
-    Server server;
-    server.start();
-
-    RetryPolicy policy;
-    policy.baseBackoffMs = 1;
-    RetryingClient client("127.0.0.1", server.port(), policy);
-
-    // shutdown is the one non-idempotent request: sent once, never
-    // replayed. It succeeds here; the non-replay contract is that a
-    // *failure* after send propagates instead of retrying, which
-    // the lost-connection path below exercises.
-    const Reply bye = client.callParsed(
-        adminRequest("bye", RequestType::Shutdown),
-        /*idempotent=*/false);
-    EXPECT_TRUE(bye.ok);
-    server.wait();
-
-    // With the server gone, a non-idempotent call must fail, never
-    // be replayed once its bytes may have reached a server, and
-    // never be answered twice. (Reconnect attempts for a request
-    // that provably never reached the wire are allowed.)
-    EXPECT_THROW(client.call(adminRequest(
-                                 "bye2", RequestType::Shutdown),
-                             /*idempotent=*/false),
-                 FatalError);
-}
-
 TEST(ServiceClient, CallTimeoutThrowsTimeoutError)
 {
     // An unanswered socket (a listener that never replies) must
@@ -1183,46 +1003,63 @@ TEST(ServiceClient, CallTimeoutThrowsTimeoutError)
     EXPECT_THROW(raw.readLine(50), TimeoutError);
 }
 
-TEST(ServiceServer, CoalescesIdenticalInflightRequests)
+// ---------------------------------------------------------------
+// EINTR / partial-I/O regression (the signal-storm test)
+// ---------------------------------------------------------------
+
+void
+noopHandler(int)
 {
-    ServerOptions opts;
-    opts.executors = 4;
-    Server server(opts);
+}
+
+TEST(ServiceChaos, SocketLoopsSurviveSignalStorm)
+{
+    // Install a SIGUSR1 handler *without* SA_RESTART, so every
+    // blocking send/recv/poll in the storm thread is interrupted
+    // with EINTR instead of transparently restarted — the exact
+    // condition the netio helpers must absorb.
+    struct sigaction sa{};
+    struct sigaction old{};
+    sa.sa_handler = noopHandler;
+    ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
+
+    Server server;
     server.start();
 
-    metrics::Counter &hits =
-        metrics::counter("service.coalesce_hits");
+    const std::vector<std::string> requests = mixedRequests();
+    const std::map<std::string, std::string> ref =
+        serialReplies(server.port(), requests);
 
-    // A fresh, expensive computation, issued from several
-    // connections at once: while the first executor computes it,
-    // the others dequeue the duplicates and join the in-flight
-    // future. Retry with increasing cost in the (unlikely) event
-    // the first burst never overlapped.
-    std::string expected;
-    for (unsigned attempt = 0; attempt < 5; ++attempt) {
-        const std::uint64_t before = hits.value();
-        const unsigned trials = 200 << attempt;
-        const std::string req = yieldRequest(
-            "c", smallConfig(), trials, 1000 + attempt);
+    std::atomic<bool> done{false};
+    std::string failure;
+    std::thread storm([&] {
+        try {
+            Client client("127.0.0.1", server.port());
+            for (unsigned round = 0; round < 8; ++round) {
+                for (const std::string &req : requests) {
+                    const std::string raw = client.call(req);
+                    const Reply parsed = parseReply(raw);
+                    if (raw != ref.at(parsed.id)) {
+                        failure = "mismatched reply: " + raw;
+                        break;
+                    }
+                }
+            }
+        } catch (const std::exception &e) {
+            failure = e.what();
+        }
+        done.store(true);
+    });
 
-        constexpr unsigned kClients = 4;
-        std::vector<std::string> replies(kClients);
-        std::vector<std::thread> threads;
-        for (unsigned c = 0; c < kClients; ++c)
-            threads.emplace_back([&, c] {
-                Client client("127.0.0.1", server.port());
-                replies[c] = client.call(req);
-            });
-        for (std::thread &t : threads)
-            t.join();
-
-        for (unsigned c = 1; c < kClients; ++c)
-            EXPECT_EQ(replies[c], replies[0]);
-        ASSERT_TRUE(parseReply(replies[0]).ok) << replies[0];
-        if (hits.value() > before)
-            return; // coalescing observed
+    // Pepper the client thread with signals while it works.
+    while (!done.load()) {
+        pthread_kill(storm.native_handle(), SIGUSR1);
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(200));
     }
-    FAIL() << "no coalescing observed in any burst";
+    storm.join();
+    sigaction(SIGUSR1, &old, nullptr);
+    EXPECT_TRUE(failure.empty()) << failure;
 }
 
 } // namespace

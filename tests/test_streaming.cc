@@ -3,18 +3,17 @@
  * Protocol-level tests of streaming partial replies: partial frames
  * arrive in strict point order and concatenate byte-identically to
  * the monolithic reply, resume_from starts mid-plan (and past the
- * plan is a bad_request), and a mid-stream disconnect +
- * RetryingClient resume never duplicates or drops a point (reusing
- * the fault_plan drop/truncate machinery).
+ * plan is a bad_request), and a client that hangs up mid-stream and
+ * resumes on a new connection never duplicates or drops a point.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "service/client.hh"
-#include "service/fault_plan.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
 
@@ -321,110 +320,88 @@ TEST(Streaming, RequestLineRoundTripsThroughTheParser)
     EXPECT_FALSE(mono.stream);
 }
 
+/**
+ * A stream cut by its client: send `lineAt(0)`, hang up after `cut`
+ * partial frames, then send `lineAt(cut)` on a new connection and
+ * read to the done frame. Returns the point bodies in hand, which
+ * must arrive in index order across both connections.
+ */
+std::vector<std::string>
+resumeAfterHangUp(std::uint16_t port, std::uint64_t cut,
+                  std::uint64_t total,
+                  const std::function<std::string(std::uint64_t)> &lineAt)
+{
+    std::vector<std::string> points;
+    {
+        Client first("127.0.0.1", port);
+        first.send(lineAt(0));
+        while (points.size() < cut) {
+            const StreamFrame f = classifyFrame(first.readLine());
+            if (f.kind != StreamFrame::Kind::Partial) {
+                ADD_FAILURE() << "stream ended after " << points.size();
+                return points;
+            }
+            EXPECT_EQ(f.index, points.size());
+            points.push_back(f.pointBody);
+        }
+    } // hang up mid-stream
+    Client second("127.0.0.1", port);
+    second.send(lineAt(points.size()));
+    for (;;) {
+        const StreamFrame f = classifyFrame(second.readLine());
+        if (f.kind != StreamFrame::Kind::Partial) {
+            EXPECT_EQ(f.kind, StreamFrame::Kind::Done);
+            EXPECT_EQ(f.points, total);
+            return points;
+        }
+        EXPECT_EQ(f.index, points.size()); // no duplicate, no gap
+        EXPECT_EQ(f.total, total);
+        points.push_back(f.pointBody);
+    }
+}
+
 TEST(Streaming, MidStreamDisconnectResumesWithoutDupOrDrop)
 {
-    Server clean;
-    clean.start();
-    Client ref("127.0.0.1", clean.port());
+    Server server;
+    server.start();
     const SweepSpec spec = fourPointSpec();
-    const std::string expected = ref.call(sweepRequest("w", spec));
+    const std::string expected =
+        Client("127.0.0.1", server.port()).call(sweepRequest("w", spec));
+    ASSERT_TRUE(parseReply(expected).ok) << expected;
 
-    // A server that drops or truncates ~40% of compute frames:
-    // partial frames die mid-stream, forcing resumes.
-    ServerOptions opts;
-    opts.faultPlan =
-        FaultPlan::parse("seed=9,drop=0.25,truncate=0.15");
-    Server faulty(opts);
-    faulty.start();
-
-    RetryPolicy policy;
-    policy.maxLossRetries = 40;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 10;
-    policy.jitterSeed = 3;
-    RetryingClient client("127.0.0.1", faulty.port(), policy);
-
-    constexpr unsigned kRounds = 8;
-    for (unsigned round = 0; round < kRounds; ++round) {
-        std::vector<std::uint64_t> seen;
-        const StreamResult result = client.streamSweep(
-            "w", spec,
-            [&](std::uint64_t index, std::uint64_t total,
-                const std::string &) {
-                EXPECT_EQ(total, 4u);
-                seen.push_back(index);
+    // Every cut, from before the first partial to before the last.
+    for (std::uint64_t cut = 0; cut < 4; ++cut) {
+        const std::vector<std::string> points = resumeAfterHangUp(
+            server.port(), cut, 4, [&](std::uint64_t from) {
+                return sweepStreamRequest("w", spec, from);
             });
-        ASSERT_TRUE(result.reply.ok) << result.reply.raw;
-        ASSERT_GT(result.partials, 0u);
-
-        // The callback fired exactly once per point, in order —
-        // no matter how many resumes the faults forced.
-        ASSERT_EQ(seen.size(), 4u);
-        for (std::uint64_t i = 0; i < seen.size(); ++i)
-            EXPECT_EQ(seen[i], i);
-
-        // And the assembled reply is byte-identical to the clean
-        // monolithic one.
-        EXPECT_EQ(result.reply.raw, expected);
+        EXPECT_EQ(assembleStreamedReply("w", RequestType::Sweep, points),
+                  expected)
+            << "cut " << cut;
     }
-
-    // The chaos must have actually bitten: at least one resume
-    // replay picked up mid-stream (not just full-reply retries).
-    EXPECT_GT(client.stats().streamResumes, 0u);
 }
 
 TEST(Streaming, ClassifyMidSearchDisconnectResumesWithoutDupOrDrop)
 {
-    Server clean;
-    clean.start();
-    Client ref("127.0.0.1", clean.port());
+    Server server;
+    server.start();
     const ml::ClassifySpec spec = streamClassifySpec();
-    const std::string expected = ref.call(classifyRequest("c", spec));
+    const std::string expected =
+        Client("127.0.0.1", server.port()).call(classifyRequest("c", spec));
     ASSERT_TRUE(parseReply(expected).ok) << expected;
 
-    // A server that drops or truncates ~40% of compute frames:
-    // partial frames die mid-search, forcing resumes.
-    ServerOptions opts;
-    opts.faultPlan =
-        FaultPlan::parse("seed=11,drop=0.25,truncate=0.15");
-    Server faulty(opts);
-    faulty.start();
-
-    RetryPolicy policy;
-    policy.maxLossRetries = 40;
-    policy.baseBackoffMs = 1;
-    policy.maxBackoffMs = 10;
-    policy.jitterSeed = 5;
-    RetryingClient client("127.0.0.1", faulty.port(), policy);
-
-    constexpr unsigned kRounds = 8;
-    for (unsigned round = 0; round < kRounds; ++round) {
-        std::vector<std::uint64_t> seen;
-        const StreamResult result = client.streamClassify(
-            "c", spec,
-            [&](std::uint64_t index, std::uint64_t total,
-                const std::string &) {
-                EXPECT_EQ(total, 4u);
-                seen.push_back(index);
+    // The resumed search re-derives the generations it already
+    // streamed bit-identically, without sending them again.
+    for (std::uint64_t cut = 0; cut < 4; ++cut) {
+        const std::vector<std::string> points = resumeAfterHangUp(
+            server.port(), cut, 4, [&](std::uint64_t from) {
+                return classifyStreamRequest("c", spec, from);
             });
-        ASSERT_TRUE(result.reply.ok) << result.reply.raw;
-        ASSERT_GT(result.partials, 0u);
-
-        // The callback fired exactly once per point, in order —
-        // no matter how many resumes the faults forced.
-        ASSERT_EQ(seen.size(), 4u);
-        for (std::uint64_t i = 0; i < seen.size(); ++i)
-            EXPECT_EQ(seen[i], i);
-
-        // And the assembled reply is byte-identical to the clean
-        // server's monolithic one: the resumed search re-derives
-        // the generations it already streamed bit-identically.
-        EXPECT_EQ(result.reply.raw, expected);
+        EXPECT_EQ(
+            assembleStreamedReply("c", RequestType::Classify, points),
+            expected)
+            << "cut " << cut;
     }
-
-    // The chaos must have actually bitten: at least one resume
-    // replay picked up mid-stream (not just full-reply retries).
-    EXPECT_GT(client.stats().streamResumes, 0u);
 }
 
 } // namespace
