@@ -76,14 +76,12 @@ benchSpec(int argc, char **argv)
     spec.dataset.bits = 6;
     spec.dataset.train = 96;
     spec.dataset.holdout = 64;
-    spec.depth =
-        unsigned(bench::uintFromArgs(argc, argv, "depth", 4));
-    spec.hidden =
-        unsigned(bench::uintFromArgs(argc, argv, "hidden", 4));
-    spec.search.generations = unsigned(
-        bench::uintFromArgs(argc, argv, "generations", 4));
-    spec.search.population = unsigned(
-        bench::uintFromArgs(argc, argv, "population", 8));
+    spec.depth = bench::uintFromArgs<unsigned>(argc, argv, "depth", 4);
+    spec.hidden = bench::uintFromArgs<unsigned>(argc, argv, "hidden", 4);
+    spec.search.generations =
+        bench::uintFromArgs<unsigned>(argc, argv, "generations", 4);
+    spec.search.population =
+        bench::uintFromArgs<unsigned>(argc, argv, "population", 8);
     if (const std::string model =
             valueOfArg(argc, argv, "model");
         !model.empty()) {
@@ -246,9 +244,9 @@ main(int argc, char **argv)
     }
 
     const std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
-    const unsigned benchThreads = unsigned(bench::uintFromArgs(
+    const unsigned benchThreads = bench::uintFromArgs<unsigned>(
         argc, argv, "threads",
-        std::max(1u, std::thread::hardware_concurrency())));
+        std::max(1u, std::thread::hardware_concurrency()));
 
     bench::banner("printed classifier search",
                   "evolutionary approximation throughput and the "
@@ -271,7 +269,7 @@ main(int argc, char **argv)
     // One search is a few milliseconds; repeat it so the
     // throughput number is wall-clock, not scheduler noise.
     const unsigned reps =
-        unsigned(bench::uintFromArgs(argc, argv, "reps", 8));
+        bench::uintFromArgs<unsigned>(argc, argv, "reps", 8);
     ThreadPool pool(benchThreads);
     const bench::WallTimer searchTimer;
     const ml::ClassifyResult result = ml::runClassify(spec, pool);

@@ -15,7 +15,8 @@
  * hardening passes (synth/harden.hh): analytic yield *drops* with
  * the added devices while measured functional yield climbs.
  *
- * Options: --trials N (default 1000), --threads N (0 = all cores),
+ * Options: --trials N (default 1000), --threads N (size of the one
+ *          pool every MC runs on; default 0 = all cores),
  *          --seed S, --device-yield-ppm P (default 9999 = 99.99%),
  *          --json <path>.
  */
@@ -26,6 +27,7 @@
 #include "analysis/fault.hh"
 #include "analysis/yield.hh"
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "core/generator.hh"
 #include "legacy/cores.hh"
 #include "synth/harden.hh"
@@ -106,9 +108,9 @@ main(int argc, char **argv)
 {
     printed::bench::initObservability(argc, argv);
     const auto trials =
-        unsigned(bench::uintFromArgs(argc, argv, "trials", 1000));
-    const auto threads =
-        unsigned(bench::uintFromArgs(argc, argv, "threads", 0));
+        bench::uintFromArgs<unsigned>(argc, argv, "trials", 1000);
+    ThreadPool pool(
+        bench::uintFromArgs<unsigned>(argc, argv, "threads", 0));
     const auto seed = bench::uintFromArgs(argc, argv, "seed", 1);
     const double deviceYield =
         double(bench::uintFromArgs(argc, argv, "device-yield-ppm",
@@ -129,7 +131,7 @@ main(int argc, char **argv)
     mc.fault.deviceYield = deviceYield;
     mc.fault.seed = seed;
     mc.trials = trials;
-    mc.threads = threads;
+    mc.pool = &pool;
 
     const auto t0 = std::chrono::steady_clock::now();
 

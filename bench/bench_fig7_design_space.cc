@@ -7,7 +7,8 @@
  * and register (R) shares, as in the figure's stacked bars.
  *
  * Options:
- *   --threads N        parallel sweep workers (0 = hardware
+ *   --threads N        size of the one pool the sweep and the yield
+ *                      leg run on (default 1, 0 = hardware
  *                      concurrency; results are bit-identical for
  *                      every N)
  *   --yield-trials N   when > 0, also run the functional-yield
@@ -22,6 +23,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "dse/sweep.hh"
 #include "legacy/cores.hh"
 #include "synth/cache.hh"
@@ -32,10 +34,11 @@ main(int argc, char **argv)
     printed::bench::initObservability(argc, argv);
     using namespace printed;
     const std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
-    const unsigned threads =
-        unsigned(bench::uintFromArgs(argc, argv, "threads", 1));
-    const auto yieldTrials = unsigned(
-        bench::uintFromArgs(argc, argv, "yield-trials", 0));
+    const auto threads =
+        bench::uintFromArgs<unsigned>(argc, argv, "threads", 1);
+    ThreadPool pool(threads);
+    const auto yieldTrials =
+        bench::uintFromArgs<unsigned>(argc, argv, "yield-trials", 0);
     bench::JsonReport jr("bench_fig7_design_space");
 
     bench::banner("Figure 7",
@@ -43,7 +46,7 @@ main(int argc, char **argv)
                   "pP_D_B core (both technologies)");
 
     SweepOptions opts;
-    opts.threads = threads;
+    opts.pool = &pool;
     const bench::WallTimer timer;
     const auto points = sweepDesignSpace(opts);
     const double sweepMs = timer.elapsedMs();
@@ -110,7 +113,7 @@ main(int argc, char **argv)
     if (yieldTrials > 0) {
         FunctionalYieldConfig mc;
         mc.trials = yieldTrials;
-        mc.threads = threads;
+        mc.pool = &pool;
         mc.kernels = {Kernel::Mult};
 
         const bench::WallTimer ytimer;

@@ -5,12 +5,13 @@
  *
  * For each core, M machines of the 8-bit multiply kernel (machine m
  * seeded with defaultInputs(mult, 8, 1 + m)) run on the core's
- * interpreter with --threads T. The run is repeated --reps times and
- * the best wall-clock is kept (shared machines stall; the best rep
- * is the least-disturbed one). Every rep, and with T > 1 an untimed
- * 1-thread run, must be bit-identical — instruction and cycle
- * totals, per-machine statuses, outputs, and the order-sensitive
- * FNV fingerprint; any mismatch prints FAIL and exits 1.
+ * interpreter over one pool of --threads T threads. The run is
+ * repeated --reps times and the best wall-clock is kept (shared
+ * machines stall; the best rep is the least-disturbed one). Every
+ * rep, and with T > 1 an untimed run on a 1-thread pool, must be
+ * bit-identical — instruction and cycle totals, per-machine
+ * statuses, outputs, and the order-sensitive FNV fingerprint; any
+ * mismatch prints FAIL and exits 1.
  *
  *   bench_iss_batch [--machines N] [--threads T] [--reps R]
  *                   [--max-steps S] [--json out.json]
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "legacy/batch_iss.hh"
 #include "legacy/cores.hh"
 #include "legacy/ir.hh"
@@ -75,11 +77,11 @@ main(int argc, char **argv)
 {
     initObservability(argc, argv);
     const std::size_t machines =
-        std::size_t(uintFromArgs(argc, argv, "machines", 1000));
+        uintFromArgs<std::size_t>(argc, argv, "machines", 1000);
     const unsigned threads =
-        unsigned(uintFromArgs(argc, argv, "threads", 1));
+        uintFromArgs<unsigned>(argc, argv, "threads", 1);
     const unsigned reps =
-        std::max(1u, unsigned(uintFromArgs(argc, argv, "reps", 3)));
+        std::max(1u, uintFromArgs<unsigned>(argc, argv, "reps", 3));
     const std::uint64_t maxSteps =
         uintFromArgs(argc, argv, "max-steps", 50'000'000);
     const std::string jsonPath =
@@ -98,9 +100,10 @@ main(int argc, char **argv)
     for (std::size_t m = 0; m < machines; ++m)
         inputs.push_back(defaultInputs(Kernel::Mult, 8, 1 + m));
 
+    ThreadPool pool(threads);
     legacy::IssBatchOptions opts;
     opts.maxSteps = maxSteps;
-    opts.threads = threads;
+    opts.pool = &pool;
 
     bool allIdentical = true;
     std::uint64_t totalInsns = 0;
@@ -124,9 +127,10 @@ main(int argc, char **argv)
             row.ms = std::min(row.ms, ms);
             row.identical = row.identical && resultsAgree(first, res);
         }
-        if (threads != 1) {
+        if (pool.threadCount() != 1) {
+            ThreadPool one(1);
             legacy::IssBatchOptions serial = opts;
-            serial.threads = 1;
+            serial.pool = &one;
             row.identical =
                 row.identical &&
                 resultsAgree(first, legacy::runLegacyBatch(

@@ -7,8 +7,8 @@
  * cache. These guard the usability of the flow (a full
  * design-space sweep runs hundreds of synthesis+analysis passes).
  *
- * Options: --threads N sets the worker count of the parallel-sweep
- * and variation benchmarks (default 1; stripped before
+ * Options: --threads N sizes the pool the parallel-layer, sweep and
+ * variation benchmarks run on (default 1; stripped before
  * google-benchmark parses the remaining flags). Machine-readable
  * timing comes from google-benchmark itself, e.g.
  * --benchmark_format=json or --benchmark_out=BENCH_micro.json.
@@ -166,8 +166,9 @@ BM_SweepDesignSpace(benchmark::State &state)
 {
     // Cold sweep: every iteration re-synthesizes all 24 Figure 7
     // points (the cache is cleared), spread over --threads workers.
+    ThreadPool pool(gThreads);
     SweepOptions opts;
-    opts.threads = gThreads;
+    opts.pool = &pool;
     for (auto _ : state) {
         SynthCache::global().clear();
         const auto points = sweepDesignSpace(opts);
@@ -181,8 +182,9 @@ void
 BM_SweepDesignSpaceCached(benchmark::State &state)
 {
     // Warm sweep: all 24 points served from the synthesis cache.
+    ThreadPool pool(gThreads);
     SweepOptions opts;
-    opts.threads = gThreads;
+    opts.pool = &pool;
     SynthCache::global().clear();
     {
         const auto warmup = sweepDesignSpace(opts);
@@ -201,9 +203,10 @@ BM_VariationMc(benchmark::State &state)
 {
     const std::shared_ptr<const Netlist> nl =
         SynthCache::global().core(CoreConfig::standard(1, 8, 2));
+    ThreadPool pool(gThreads);
     VariationModel model;
     model.samples = 32;
-    model.threads = gThreads;
+    model.pool = &pool;
     for (auto _ : state) {
         const VariationReport r =
             analyzeVariation(*nl, egfetLibrary(), model);
@@ -256,7 +259,6 @@ runSimComparison(const std::string &json_path)
     mc.fault.deviceYield = 0.999; // nearly every trial defective
     mc.fault.seed = 3;
     mc.trials = 256;
-    mc.threads = 1;
     mc.kernels = {Kernel::Mult};
 
     // The fault-free verification is memoized per process: forget it
@@ -303,7 +305,7 @@ runSimComparison(const std::string &json_path)
     report.meta("gates", std::uint64_t(nl.gateCount()));
     report.meta("sim_cycles", simCycles);
     report.meta("mc_trials", mc.trials);
-    report.meta("mc_threads", mc.threads);
+    report.meta("mc_threads", 1); // no pool: the calling thread
     report.meta("sim_speedup_vs_scalar", batchGcps / scalarGcps);
     report.meta("mc_speedup_vs_scalar", mcSpeedup);
     report.meta("engines_agree", agree);
@@ -349,16 +351,13 @@ main(int argc, char **argv)
         return runSimComparison(json);
 
     // Strip "--threads N" and "--trace-out PATH" (already consumed
-    // by initObservability) before google-benchmark rejects them as
-    // unrecognized flags.
+    // here and by initObservability) before google-benchmark rejects
+    // them as unrecognized flags.
+    gThreads = bench::uintFromArgs<unsigned>(argc, argv, "threads", 1);
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            gThreads = unsigned(std::strtoul(argv[i + 1], nullptr, 10));
-            ++i;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--trace-out") == 0 &&
+        if ((std::strcmp(argv[i], "--threads") == 0 ||
+             std::strcmp(argv[i], "--trace-out") == 0) &&
             i + 1 < argc) {
             ++i;
             continue;

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/variation.hh"
 #include "bench_util.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
@@ -50,18 +51,6 @@ using namespace printed::service;
 
 namespace
 {
-
-/** Percentile of a sample vector (sorted in place). */
-double
-percentile(std::vector<double> &samples, double p)
-{
-    if (samples.empty())
-        return 0;
-    std::sort(samples.begin(), samples.end());
-    const std::size_t idx = std::size_t(
-        p * double(samples.size() - 1) + 0.5);
-    return samples[std::min(idx, samples.size() - 1)];
-}
 
 /** A named service counter out of a metrics reply, or 0. */
 std::uint64_t
@@ -106,10 +95,11 @@ main(int argc, char **argv)
 {
     bench::initObservability(argc, argv);
     const std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
-    const unsigned clients = unsigned(
-        bench::uintFromArgs(argc, argv, "clients", 4));
-    const unsigned hotIters = unsigned(
-        bench::uintFromArgs(argc, argv, "hot-iters", 200));
+    const unsigned clients =
+        bench::uintFromArgs<unsigned>(argc, argv, "clients", 4);
+    const unsigned hotIters =
+        bench::uintFromArgs<unsigned>(argc, argv, "hot-iters", 200);
+    fatalIf(hotIters == 0, "--hot-iters needs at least one request");
     const std::string connect = valueOfArg(argc, argv, "connect");
     const bool shutdownAfter =
         hasFlag(argc, argv, "shutdown-after");
@@ -124,12 +114,12 @@ main(int argc, char **argv)
     std::optional<Server> server;
     if (connect.empty()) {
         ServerOptions opts;
-        opts.executors = unsigned(
-            bench::uintFromArgs(argc, argv, "executors", 4));
+        opts.executors =
+            bench::uintFromArgs<unsigned>(argc, argv, "executors", 4);
         opts.maxQueue =
-            bench::uintFromArgs(argc, argv, "max-queue", 64);
-        opts.cacheCapacity =
-            bench::uintFromArgs(argc, argv, "cache-cap", 256);
+            bench::uintFromArgs<std::size_t>(argc, argv, "max-queue", 64);
+        opts.cacheCapacity = bench::uintFromArgs<std::size_t>(
+            argc, argv, "cache-cap", 256);
         server.emplace(opts);
         server->start();
         port = server->port();
@@ -215,6 +205,8 @@ main(int argc, char **argv)
     const double speedup =
         (coldMs / double(coldConfigs.size())) /
         (hotMs / double(hotIters));
+    // The repo's one percentile rule (analysis/variation.hh).
+    std::sort(hotLatMs.begin(), hotLatMs.end());
     const double p50 = percentile(hotLatMs, 0.50);
     const double p95 = percentile(hotLatMs, 0.95);
     const double p99 = percentile(hotLatMs, 0.99);

@@ -7,9 +7,9 @@
  * through the same engine that characterizes TP-ISA cores).
  *
  * Options:
- *   --threads N   evaluate the core x technology matrix in
- *                 parallel (0 = hardware concurrency; output is
- *                 bit-identical for every N)
+ *   --threads N   evaluate the core x technology matrix on one
+ *                 pool of N threads (default 1, 0 = hardware
+ *                 concurrency; output is bit-identical for every N)
  *   --json PATH   machine-readable report with wall-clock timing
  */
 
@@ -26,8 +26,9 @@ main(int argc, char **argv)
     using namespace printed;
     using namespace printed::legacy;
     const std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
-    const unsigned threads =
-        unsigned(bench::uintFromArgs(argc, argv, "threads", 1));
+    const auto threads =
+        bench::uintFromArgs<unsigned>(argc, argv, "threads", 1);
+    ThreadPool pool(threads);
     bench::JsonReport jr("bench_table4_legacy_cores");
     const bench::WallTimer timer;
 
@@ -39,7 +40,7 @@ main(int argc, char **argv)
     // results land in index-ordered slots, so the table below reads
     // identically for any thread count.
     const std::size_t n = allLegacyCores.size();
-    const auto models = parallelMap(threads, 2 * n, [&](std::size_t i) {
+    const auto models = pool.parallelMap(2 * n, [&](std::size_t i) {
         const LegacyCore core = allLegacyCores[i / 2];
         const TechKind tech =
             (i % 2) ? TechKind::CNT_TFT : TechKind::EGFET;

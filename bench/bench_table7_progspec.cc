@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "progspec/analyze.hh"
 #include "progspec/profile.hh"
 #include "workloads/kernels.hh"
@@ -87,17 +88,19 @@ main(int argc, char **argv)
     // ISS fleet. The table is a pure function of (core, machines),
     // never of the thread count.
     const std::size_t machines =
-        bench::uintFromArgs(argc, argv, "machines", 64);
+        bench::uintFromArgs<std::size_t>(argc, argv, "machines", 64);
     const std::string coreId =
         argString(argc, argv, "--core", "msp430");
     const auto core = legacy::issCoreFromId(coreId);
     if (!core)
         fatal("unknown --core " + coreId);
 
+    const auto threads =
+        bench::uintFromArgs<unsigned>(argc, argv, "threads", 1);
+    ThreadPool pool(threads);
     legacy::IssBatchOptions opts;
-    opts.threads =
-        unsigned(bench::uintFromArgs(argc, argv, "threads", 1));
-    std::cerr << "[dynamic leg: " << opts.threads << " thread(s)]\n";
+    opts.pool = &pool;
+    std::cerr << "[dynamic leg: " << threads << " thread(s)]\n";
 
     std::cout << "\nDynamic profile on " << coreId << " ("
               << machines << " machines per benchmark, outputs "

@@ -10,14 +10,18 @@
 #ifndef PRINTED_BENCH_BENCH_UTIL_HH
 #define PRINTED_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -278,20 +282,30 @@ initObservability(int argc, char **argv)
     trace::setThreadName("main");
 }
 
-/** Value of "--<name> <integer>" in argv, or fallback when absent. */
-inline std::uint64_t
+/**
+ * Value of "--<name> <number>" in argv, or fallback when absent.
+ * The whole value must parse as a T: an empty value, a sign,
+ * trailing characters, or a value outside T's range fatal()s with a
+ * message naming the flag.
+ */
+template <typename T = std::uint64_t>
+T
 uintFromArgs(int argc, char **argv, const std::string &name,
-             std::uint64_t fallback)
+             std::type_identity_t<T> fallback)
 {
+    static_assert(std::is_unsigned_v<T>);
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::string(argv[i]) != "--" + name)
             continue;
-        try {
-            return std::stoull(argv[i + 1]);
-        } catch (const std::exception &) {
-            fatal("--" + name + " expects an unsigned integer, got '" +
-                  std::string(argv[i + 1]) + "'");
-        }
+        const std::string_view text = argv[i + 1];
+        T value{};
+        const auto [end, ec] = std::from_chars(
+            text.data(), text.data() + text.size(), value);
+        if (ec != std::errc() || end != text.data() + text.size())
+            fatal("--" + name + " expects a whole number from 0 to " +
+                  std::to_string(std::numeric_limits<T>::max()) +
+                  ", got '" + std::string(text) + "'");
+        return value;
     }
     return fallback;
 }

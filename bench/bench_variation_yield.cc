@@ -13,8 +13,9 @@
  *
  * Options:
  *   --json PATH    machine-readable report (incl. wall-clock time)
- *   --threads N    Monte-Carlo worker threads (0 = hardware
- *                  concurrency; results identical for every N)
+ *   --threads N    size of the one pool the variation Monte Carlo
+ *                  runs on (default 1, 0 = hardware concurrency;
+ *                  results identical for every N)
  *   --samples N    variation samples per core (default 200; smoke
  *                  runs in CI use a small count)
  */
@@ -25,6 +26,7 @@
 #include "analysis/variation.hh"
 #include "analysis/yield.hh"
 #include "bench_util.hh"
+#include "common/parallel.hh"
 #include "core/generator.hh"
 #include "legacy/cores.hh"
 #include "synth/cache.hh"
@@ -36,9 +38,10 @@ main(int argc, char **argv)
     using namespace printed;
     const std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
     const unsigned threads =
-        unsigned(bench::uintFromArgs(argc, argv, "threads", 1));
+        bench::uintFromArgs<unsigned>(argc, argv, "threads", 1);
+    ThreadPool pool(threads);
     const unsigned samples =
-        unsigned(bench::uintFromArgs(argc, argv, "samples", 200));
+        bench::uintFromArgs<unsigned>(argc, argv, "samples", 200);
     bench::JsonReport jr("bench_variation_yield");
     const bench::WallTimer timer;
 
@@ -47,7 +50,7 @@ main(int argc, char **argv)
                   "of EGFET cores");
 
     VariationModel model;
-    model.threads = threads;
+    model.pool = &pool;
     model.samples = samples;
 
     std::cout << "Timing under process variation (lognormal cell "

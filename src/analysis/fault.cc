@@ -494,12 +494,12 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
     const std::vector<KernelHarness> kernels =
         verifiedKernels(core, config, cfg.kernels);
 
-    unsigned threads = cfg.threads ? cfg.threads
-                                   : ThreadPool::defaultThreadCount();
+    std::optional<ThreadPool> local;
+    ThreadPool &pool = cfg.pool ? *cfg.pool : local.emplace(1);
 
     // Every defective copy is fully determined by (seed, trial,
     // replica), and each trial is classified into its own slot of
-    // `outcome`, so the report is bit-identical for any thread count
+    // `outcome`, so the report is bit-identical for any pool size
     // and schedule (the determinism contract of common/parallel.hh).
     // The gate-level cosims are expensive to construct, so each pool
     // worker lazily builds one set and reuses it across the work it
@@ -528,14 +528,6 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
         // one, and the block worker finishes that draw into its own
         // lane scratch.
         constexpr unsigned L = BatchGateSimulator::laneCount;
-        const std::size_t nBlocks = (cfg.trials + L - 1) / L;
-        threads = unsigned(
-            std::min<std::size_t>(threads, nBlocks));
-        std::optional<ThreadPool> owned;
-        if (!cfg.pool)
-            owned.emplace(threads);
-        ThreadPool &pool = cfg.pool ? *cfg.pool : *owned;
-
         const GateId noCopy = GateId(core.gateCount());
         struct TrialState
         {
@@ -628,11 +620,6 @@ measureFunctionalYield(const Netlist &core, const CoreConfig &config,
                                        : TrialClass::Benign;
         }
     } else {
-        threads = std::min(threads, cfg.trials);
-        std::optional<ThreadPool> owned;
-        if (!cfg.pool)
-            owned.emplace(threads);
-        ThreadPool &pool = cfg.pool ? *cfg.pool : *owned;
         std::vector<std::vector<std::unique_ptr<CoreCosim>>>
             workerSims(pool.threadCount());
         std::vector<DefectMap> workerMap(pool.threadCount());

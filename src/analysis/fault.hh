@@ -122,15 +122,11 @@ struct FunctionalYieldConfig
     /** Monte-Carlo trials (each one full defect draw + run). */
     unsigned trials = 1000;
 
-    /** Worker threads; 0 = hardware concurrency. */
-    unsigned threads = 0;
-
     /**
-     * When set, trials run on this caller-owned pool instead of a
-     * transient one (`threads` is ignored). Long-running callers —
-     * the printedd server — share one pool across requests so the
-     * process never oversubscribes. Results are identical either
-     * way (the determinism contract is per-trial, not per-pool).
+     * The caller's pool the trials run on; null runs them on the
+     * calling thread (a one-thread pool local to the call). Results
+     * are identical for every pool (the determinism contract is
+     * per-trial, not per-pool).
      */
     ThreadPool *pool = nullptr;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
@@ -137,7 +138,7 @@ analyzeVariation(const Netlist &netlist, const CellLibrary &lib,
 
     // Each sample owns an RNG stream seeded from its index, so the
     // period vector — and everything reduced from it below, in
-    // index order — is bit-identical for any thread count. Workers
+    // index order — is bit-identical for any pool size. Workers
     // claim samples in blocks of 64 (matching the fault MC's lane
     // blocks) and reuse one multiplier and one arrival buffer each,
     // so the hot loop never allocates; per-sample seeds depend only
@@ -145,11 +146,8 @@ analyzeVariation(const Netlist &netlist, const CellLibrary &lib,
     constexpr std::size_t blockSamples = 64;
     const std::size_t nBlocks =
         (model.samples + blockSamples - 1) / blockSamples;
-    unsigned threads = model.threads
-                           ? model.threads
-                           : ThreadPool::defaultThreadCount();
-    threads = unsigned(std::min<std::size_t>(threads, nBlocks));
-    ThreadPool pool(threads);
+    std::optional<ThreadPool> local;
+    ThreadPool &pool = model.pool ? *model.pool : local.emplace(1);
 
     struct WorkerScratch
     {

@@ -24,6 +24,8 @@
 namespace printed
 {
 
+class ThreadPool;
+
 /** Parameters of the per-cell delay-variation model. */
 struct VariationModel
 {
@@ -39,12 +41,15 @@ struct VariationModel
     /**
      * PRNG seed. Sample s draws its multipliers from an
      * independent stream seeded mixSeed(seed, s), so the report is
-     * bit-identical for every thread count.
+     * bit-identical for every pool size.
      */
     std::uint64_t seed = 1;
 
-    /** Worker threads; 0 = hardware concurrency, 1 = serial. */
-    unsigned threads = 1;
+    /**
+     * The caller's pool the samples run on; null runs them on the
+     * calling thread (a one-thread pool local to the call).
+     */
+    ThreadPool *pool = nullptr;
 };
 
 /** Distribution of the minimum clock period over process samples. */

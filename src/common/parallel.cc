@@ -208,12 +208,4 @@ ThreadPool::parallelFor(std::size_t n,
     parallelForWorkers(n, [&](std::size_t i, unsigned) { fn(i); });
 }
 
-void
-parallelFor(unsigned threads, std::size_t n,
-            const std::function<void(std::size_t)> &fn)
-{
-    ThreadPool pool(threads);
-    pool.parallelFor(n, fn);
-}
-
 } // namespace printed

@@ -21,6 +21,13 @@
  * fn(i) into a vector by index. A stop check (StopScope) lets the
  * pool's owner cancel a job within one item.
  *
+ * One execution context: a pool's owner (a bench main, printedd,
+ * perfbench) creates it and decides its size. Library entries take
+ * the caller's pool through a `ThreadPool *pool` option; a null pool
+ * means a one-thread pool local to the call, which runs the items on
+ * the calling thread. No library creates a thread of its own, so
+ * every item runs where the owner's stop check can reach it.
+ *
  * Determinism rules for callers (see DESIGN.md):
  *   1. fn(i) must not read mutable state shared with other items.
  *   2. Randomness inside an item must come from an Rng seeded by
@@ -157,20 +164,6 @@ class ThreadPool
     bool stop_ = false;
     std::shared_ptr<Job> current_;
 };
-
-/** One-shot parallelFor on a transient pool of `threads` threads. */
-void parallelFor(unsigned threads, std::size_t n,
-                 const std::function<void(std::size_t)> &fn);
-
-/** One-shot parallelMap on a transient pool of `threads` threads. */
-template <typename Fn>
-auto
-parallelMap(unsigned threads, std::size_t n, Fn &&fn)
-    -> std::vector<decltype(fn(std::size_t(0)))>
-{
-    ThreadPool pool(threads);
-    return pool.parallelMap(n, std::forward<Fn>(fn));
-}
 
 } // namespace printed
 

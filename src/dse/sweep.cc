@@ -1,5 +1,6 @@
 #include "sweep.hh"
 
+#include <optional>
 #include <string>
 
 #include "common/metrics.hh"
@@ -45,9 +46,9 @@ sweepConfigs(const std::vector<CoreConfig> &configs,
     auto eval = [&](std::size_t i) {
         return evaluateDesignPoint(configs[i]);
     };
-    if (opts.pool)
-        return opts.pool->parallelMap(configs.size(), eval);
-    return parallelMap(opts.threads, configs.size(), eval);
+    std::optional<ThreadPool> local;
+    ThreadPool &pool = opts.pool ? *opts.pool : local.emplace(1);
+    return pool.parallelMap(configs.size(), eval);
 }
 
 std::vector<DesignPoint>
@@ -91,7 +92,6 @@ evaluateIssPoint(legacy::LegacyCore core, Kernel kernel,
 
     legacy::IssBatchOptions bopts;
     bopts.maxSteps = spec.maxSteps;
-    bopts.threads = opts.threads;
     bopts.pool = opts.pool;
     const legacy::IssBatchResult res =
         legacy::runLegacyBatch(core, prog, inputs, bopts);
@@ -127,8 +127,8 @@ sweepLegacyIss(const IssSweepSpec &spec, const SweepOptions &opts)
                          " machines");
     std::vector<IssSweepPoint> points;
     points.reserve(grid.size());
-    // Points run sequentially: each point already spreads its
-    // machines over the pool, and nesting pools would oversubscribe.
+    // Points run one after another: each point already spreads its
+    // machines over opts.pool, which runs one job at a time.
     for (const auto &[core, kernel] : grid)
         points.push_back(
             evaluateIssPoint(core, kernel, spec, opts));

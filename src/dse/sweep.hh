@@ -7,11 +7,11 @@
  *
  * Every design point is independent, so the sweep runs on the
  * deterministic parallel layer (common/parallel.hh): points are
- * evaluated concurrently and collected by index, making the result
- * vector bit-identical for any thread count. Synthesis and
- * characterization go through the process-wide SynthCache, so a
- * second sweep over the same configs (or a bench re-using a core a
- * test already built) is served from memory.
+ * evaluated concurrently on the caller's pool and collected by
+ * index, making the result vector bit-identical for any pool size.
+ * Synthesis and characterization go through the process-wide
+ * SynthCache, so a second sweep over the same configs (or a bench
+ * re-using a core a test already built) is served from memory.
  */
 
 #ifndef PRINTED_DSE_SWEEP_HH
@@ -42,13 +42,10 @@ class ThreadPool;
 /** Options of a design-space sweep. */
 struct SweepOptions
 {
-    /** Worker threads; 0 = hardware concurrency, 1 = serial. */
-    unsigned threads = 1;
-
     /**
-     * When set, points are evaluated on this caller-owned pool
-     * instead of a transient one (`threads` is ignored). Used by
-     * the printedd server so every request shares one pool.
+     * The caller's pool the points (or an ISS point's machines) run
+     * on; null runs them on the calling thread (a one-thread pool
+     * local to the call).
      */
     ThreadPool *pool = nullptr;
 };
@@ -60,7 +57,7 @@ std::vector<CoreConfig> figure7Configs();
  * The Figure 7 sweep: stages in {1,2,3}, datawidth in
  * {4,8,16,32}, BARs in {2,4} - 24 cores, each actually
  * synthesized to gates and analyzed. Deterministic for any
- * opts.threads.
+ * pool size.
  */
 std::vector<DesignPoint> sweepDesignSpace(const SweepOptions &opts = {});
 
@@ -88,12 +85,12 @@ struct YieldPoint
 /**
  * The yield leg of the Figure 7 sweep: run the functional-yield
  * Monte Carlo on every configuration (cores served by the global
- * SynthCache). Configurations are evaluated sequentially — the
- * Monte Carlo parallelizes internally over mc.threads trial blocks
- * (nesting two thread pools would oversubscribe) — and every
- * trial's defects depend only on (mc.fault.seed, trial, replica),
- * so the result vector is bit-identical across runs, thread counts,
- * and engines (SimEngine::Batch vs Scalar).
+ * SynthCache). Configurations are evaluated one after another,
+ * each Monte Carlo spreading its trial blocks over mc.pool (a pool
+ * runs one job at a time), and every trial's defects depend only on
+ * (mc.fault.seed, trial, replica), so the result vector is
+ * bit-identical across runs, pool sizes, and engines
+ * (SimEngine::Batch vs Scalar).
  */
 std::vector<YieldPoint>
 sweepFunctionalYield(const std::vector<CoreConfig> &configs,
@@ -125,8 +122,8 @@ struct IssSweepSpec
 /**
  * One (core, kernel) grid point: aggregate retirement tallies and
  * an order-sensitive FNV-1a checksum of every machine's outputs and
- * status. The point is a pure function of the spec: the thread
- * count never changes any field (Golden.LegacyIssCounts pins the
+ * status. The point is a pure function of the spec: the pool size
+ * never changes any field (Golden.LegacyIssCounts pins the
  * values, the IssBatch tests the thread-count identity).
  */
 struct IssSweepPoint
@@ -144,15 +141,15 @@ struct IssSweepPoint
     std::uint64_t outputsFnv = 0;
 };
 
-/** Evaluate one grid point (machines run over opts.pool/threads). */
+/** Evaluate one grid point (machines run over opts.pool). */
 IssSweepPoint evaluateIssPoint(legacy::LegacyCore core, Kernel kernel,
                                const IssSweepSpec &spec,
                                const SweepOptions &opts = {});
 
 /**
  * The full ISS sweep: one IssSweepPoint per grid entry, in grid
- * order. Points run sequentially; each point's machines are
- * distributed over the pool in 64-machine chunks.
+ * order. Points run one after another; each point's machines are
+ * distributed over opts.pool in 64-machine chunks.
  */
 std::vector<IssSweepPoint>
 sweepLegacyIss(const IssSweepSpec &spec,

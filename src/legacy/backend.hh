@@ -56,14 +56,14 @@ enum class MachineStatus : std::uint8_t
  * Options for a fleet ISS run.
  *
  * Results are a pure function of (program, inputs, maxSteps,
- * timing): the thread count never changes counts, outputs, or
+ * timing): the pool size never changes counts, outputs, or
  * statuses, only throughput.
  */
 struct IssBatchOptions
 {
     std::uint64_t maxSteps = 50'000'000;
-    unsigned threads = 1;          ///< 0 = hardware concurrency
-    ThreadPool *pool = nullptr;    ///< optional shared pool
+    /** The caller's pool; null = the calling thread alone. */
+    ThreadPool *pool = nullptr;
 };
 
 /** Result of running M machines of one program. */

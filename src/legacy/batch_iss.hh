@@ -9,9 +9,9 @@
  * pages, the MSP430's RAM window, the ZPU's word RAM) and keeps its
  * registers in locals while it runs one program to completion. A
  * fleet is split into issChunkMachines-machine chunks spread over
- * the deterministic ThreadPool; each pool worker reuses one Machine,
+ * the caller's ThreadPool; each pool worker reuses one Machine,
  * reset per machine. A machine's result depends only on its index,
- * so any thread count is bit-identical.
+ * so any pool size is bit-identical.
  *
  * Trap contract: a machine is Killed on an undecodable or
  * unimplemented opcode, a PC leaving the code region, or a write
@@ -67,10 +67,11 @@ IssBatchResult issNewResult(std::size_t machines,
 
 /**
  * Run body(machine, m) for every m in [0, machines) in
- * issChunkMachines-machine chunks over opts.pool (or a transient
- * pool of opts.threads). Each worker reuses one copy of `proto`,
- * so body resets it before each run. A fleet of one chunk, or one
- * thread without a pool, runs inline on the caller.
+ * issChunkMachines-machine chunks over opts.pool, or without one
+ * over a one-thread pool local to the call: one job of `chunks`
+ * items either way, so parallel.jobs/items do not depend on the
+ * pool. Each worker reuses one copy of `proto`, so body resets it
+ * before each run. A fleet of one chunk runs inline on the caller.
  */
 template <typename Machine, typename Body>
 void
@@ -85,14 +86,14 @@ issRunFleet(const IssBatchOptions &opts, std::size_t machines,
         for (std::size_t m = lo; m < hi; ++m)
             body(mach, m);
     };
-    if (chunks <= 1 || (!opts.pool && opts.threads == 1)) {
+    if (chunks <= 1) {
         Machine mach = proto;
         for (std::size_t c = 0; c < chunks; ++c)
             runChunk(mach, c);
         return;
     }
-    std::optional<ThreadPool> own;
-    ThreadPool &pool = opts.pool ? *opts.pool : own.emplace(opts.threads);
+    std::optional<ThreadPool> local;
+    ThreadPool &pool = opts.pool ? *opts.pool : local.emplace(1);
     std::vector<Machine> perWorker(pool.threadCount(), proto);
     pool.parallelForWorkers(chunks, [&](std::size_t c, unsigned w) {
         runChunk(perWorker[w], c);

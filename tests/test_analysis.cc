@@ -14,6 +14,7 @@
 #include "analysis/variation.hh"
 #include "analysis/yield.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "netlist/netlist.hh"
 #include "synth/blocks.hh"
 
@@ -231,15 +232,16 @@ makeVariationTestNetlist()
 TEST(Variation, BitIdenticalAcrossThreadCounts)
 {
     const Netlist nl = makeVariationTestNetlist();
+    // 200 samples are four 64-sample blocks, so workers race.
     VariationModel model;
-    model.samples = 64;
+    model.samples = 200;
     model.seed = 99;
 
-    model.threads = 1;
     const VariationReport serial =
         analyzeVariation(nl, egfetLibrary(), model);
     for (unsigned threads : {2u, 8u}) {
-        model.threads = threads;
+        ThreadPool pool(threads);
+        model.pool = &pool;
         const VariationReport parallel =
             analyzeVariation(nl, egfetLibrary(), model);
         // Bit-identical, not merely close: per-sample seeding plus

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <future>
 
 #include "analysis/fault.hh"
+#include "analysis/variation.hh"
 #include "apps/applications.hh"
 #include "apps/battery.hh"
 #include "common/logging.hh"
@@ -22,6 +24,8 @@
 #include "legacy/cores.hh"
 #include "ml/evolve.hh"
 #include "synth/cache.hh"
+#include "tech/library.hh"
+#include "workloads/kernels.hh"
 
 namespace printed
 {
@@ -135,13 +139,12 @@ expectSameCharacterization(const Characterization &a,
 
 TEST(Dse, SweepBitIdenticalAcrossThreadCounts)
 {
-    SweepOptions serialOpts;
-    serialOpts.threads = 1;
-    const auto serial = sweepDesignSpace(serialOpts);
+    const auto serial = sweepDesignSpace();
 
     for (unsigned threads : {4u, 8u}) {
+        ThreadPool pool(threads);
         SweepOptions opts;
-        opts.threads = threads;
+        opts.pool = &pool;
         const auto parallel = sweepDesignSpace(opts);
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -160,8 +163,9 @@ TEST(Dse, SecondSweepIsServedFromSynthCache)
     SynthCache &cache = SynthCache::global();
     cache.clear();
 
+    ThreadPool pool(4);
     SweepOptions opts;
-    opts.threads = 4;
+    opts.pool = &pool;
     const auto first = sweepDesignSpace(opts);
     const SynthCacheStats cold = cache.stats();
     // 24 configs, each characterized in two technologies: 24
@@ -226,7 +230,8 @@ TEST(Dse, CacheIsThreadSafeUnderConcurrentLookups)
     // (config, tech) and the miss counters must match the key
     // count exactly (each key synthesized once).
     std::vector<std::shared_ptr<const Characterization>> results(64);
-    parallelFor(8, results.size(), [&](std::size_t i) {
+    ThreadPool pool(8);
+    pool.parallelFor(results.size(), [&](std::size_t i) {
         const CoreConfig &cfg = configs[i % 8];
         const TechKind tech =
             (i / 8) % 2 ? TechKind::CNT_TFT : TechKind::EGFET;
@@ -249,10 +254,11 @@ TEST(Dse, CacheExceptionPropagatesToAllWaiters)
     // the race window; any future_error is a hard failure.
     CoreConfig bad = CoreConfig::standard(1, 8, 2);
     bad.stages = 7; // rejected by CoreConfig::check() in buildCore
+    ThreadPool pool(8);
     for (int iter = 0; iter < 16; ++iter) {
         SynthCache cache;
         std::atomic<unsigned> fatals{0};
-        parallelFor(8, 8, [&](std::size_t) {
+        pool.parallelFor(8, [&](std::size_t) {
             try {
                 cache.core(bad);
                 ADD_FAILURE() << "bad config produced a netlist";
@@ -336,7 +342,8 @@ TEST(Dse, CacheCapStressUnderConcurrentLookups)
     bad.stages = 7; // rejected by CoreConfig::check()
 
     std::atomic<unsigned> fatals{0};
-    parallelFor(8, 96, [&](std::size_t i) {
+    ThreadPool pool(8);
+    pool.parallelFor(96, [&](std::size_t i) {
         if (i % 12 == 7) {
             try {
                 cache.core(bad);
@@ -391,15 +398,16 @@ countersForThreadCount(unsigned threads)
     goldenVerifyMemoClear();
     metrics::Registry::global().resetAll();
 
+    ThreadPool pool(threads);
     std::vector<CoreConfig> configs = figure7Configs();
     configs.resize(4);
     SweepOptions opts;
-    opts.threads = threads;
+    opts.pool = &pool;
     sweepConfigs(configs, opts);
 
     FunctionalYieldConfig mc;
     mc.trials = 96;
-    mc.threads = threads;
+    mc.pool = &pool;
     mc.fault.seed = 11;
     const auto nl = SynthCache::global().core(configs[0]);
     measureFunctionalYield(*nl, configs[0], mc);
@@ -417,7 +425,6 @@ countersForThreadCount(unsigned threads)
     spec.depth = 2;
     spec.search.generations = 2;
     spec.search.population = 3;
-    ThreadPool pool(threads);
     ml::runClassifyCached(spec, pool);
     ml::runClassifyCached(spec, pool);
     return deterministicCounters();
@@ -484,6 +491,103 @@ TEST(Dse, TracingDoesNotChangeResults)
                      pointPlain.egfet.powerMw());
     EXPECT_EQ(pointTraced.egfet.gateCount(),
               pointPlain.egfet.gateCount());
+}
+
+/** The stop check's own exception type, to see it reach the caller. */
+struct Stopped
+{
+};
+
+TEST(PoolContract, OwnersStopCheckStopsEveryLibraryEntry)
+{
+    // Every library entry runs its items on the caller's pool, so
+    // the owner's stop check reaches inside each one: a check that
+    // throws after k items stops the call with the check's own
+    // exception, on the inline path (1 thread) and the workers' (4),
+    // and the pool then runs its next job whole.
+    const CoreConfig cfg = CoreConfig::standard(1, 8, 2);
+    const std::shared_ptr<const Netlist> core =
+        SynthCache::global().core(cfg);
+    const auto yieldOn = [&](SimEngine engine) {
+        return [&, engine](ThreadPool &pool) {
+            FunctionalYieldConfig mc;
+            mc.fault.deviceYield = 0.999;
+            mc.trials = 128;
+            mc.engine = engine;
+            mc.pool = &pool;
+            measureFunctionalYield(*core, cfg, mc);
+        };
+    };
+    const std::vector<CoreConfig> configs = figure7Configs();
+    const legacy::IrProgram mult = legacy::irKernel(Kernel::Mult, 8);
+    std::vector<std::vector<std::uint64_t>> inputs; // 4 chunks
+    for (unsigned m = 0; m < 4 * legacy::issChunkMachines; ++m)
+        inputs.push_back(defaultInputs(Kernel::Mult, 8, 1 + m));
+    ml::ClassifySpec spec;
+    spec.dataset.features = 2;
+    spec.dataset.classes = 2;
+    spec.dataset.bits = 4;
+    spec.dataset.train = 32;
+    spec.dataset.holdout = 24;
+    spec.depth = 2;
+    spec.search.generations = 2;
+    spec.search.population = 4;
+
+    const std::vector<
+        std::pair<std::string, std::function<void(ThreadPool &)>>>
+        entries = {
+            {"batch measureFunctionalYield", yieldOn(SimEngine::Batch)},
+            {"scalar measureFunctionalYield",
+             yieldOn(SimEngine::Scalar)},
+            {"analyzeVariation",
+             [&](ThreadPool &pool) {
+                 VariationModel model;
+                 model.samples = 256; // 4 blocks
+                 model.pool = &pool;
+                 analyzeVariation(*core, egfetLibrary(), model);
+             }},
+            {"sweepConfigs",
+             [&](ThreadPool &pool) {
+                 SweepOptions opts;
+                 opts.pool = &pool;
+                 sweepConfigs(configs, opts);
+             }},
+            {"runLegacyBatch",
+             [&](ThreadPool &pool) {
+                 legacy::IssBatchOptions opts;
+                 opts.pool = &pool;
+                 legacy::runLegacyBatch(legacy::LegacyCore::ZpuSmall,
+                                        mult, inputs, opts);
+             }},
+            {"ml::runClassify",
+             [&](ThreadPool &pool) { ml::runClassify(spec, pool); }},
+        };
+
+    constexpr std::size_t k = 2, n = 256;
+    for (unsigned threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        for (const auto &[name, run] : entries) {
+            SCOPED_TRACE(name + " on " + std::to_string(threads) +
+                         " thread(s)");
+            std::atomic<std::size_t> calls{0};
+            {
+                ThreadPool::StopScope scope(pool, [&] {
+                    if (calls.fetch_add(1, std::memory_order_relaxed) >=
+                        k)
+                        throw Stopped{};
+                });
+                EXPECT_THROW(run(pool), Stopped);
+            }
+            EXPECT_GT(calls.load(), k);
+
+            std::vector<std::atomic<unsigned>> hits(n);
+            pool.parallelFor(n, [&](std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+            });
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
+        }
+    }
 }
 
 TEST(Dse, SingleStageDominates)

@@ -11,9 +11,11 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "bench_util.hh"
 #include "common/json_min.hh"
+#include "common/logging.hh"
 
 namespace printed
 {
@@ -239,6 +241,35 @@ TEST(BenchArgs, UintFromArgsParsesAndDefaults)
     // A flag in the last slot has no value and falls back.
     EXPECT_EQ(uintFromArgs(2, av, "trials", 9), 9u);
     EXPECT_EQ(bench::jsonPathFromArgs(5, av), "out.json");
+}
+
+TEST(BenchArgs, UintFromArgsTakesOnlyAWholeNumberInTheFlagsType)
+{
+    // A sign, an empty value, trailing characters, or a value past
+    // the flag's type end the program with a message naming the
+    // flag; none may reach the caller (a --threads of -1 or 2^32
+    // would ask a ThreadPool for 4,294,967,295 threads or for
+    // hardware concurrency).
+    for (const char *bad : {"-1", "+5", "12ab", "", "4294967296"}) {
+        SCOPED_TRACE(std::string("value '") + bad + "'");
+        const char *argv[] = {"prog", "--threads", bad};
+        char **av = const_cast<char **>(argv);
+        try {
+            uintFromArgs<unsigned>(3, av, "threads", 1);
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("--threads"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const char *argv[] = {"prog", "--threads", "4294967295", "--seed",
+                          "4294967296", "--trials", "-1"};
+    char **av = const_cast<char **>(argv);
+    EXPECT_EQ(uintFromArgs<unsigned>(7, av, "threads", 1),
+              4294967295u);
+    EXPECT_EQ(uintFromArgs(7, av, "seed", 1), 4294967296ull);
+    EXPECT_THROW(uintFromArgs(7, av, "trials", 1), FatalError);
 }
 
 TEST(BenchArgs, JsonPathFallsBackWhenValueIsAFlag)

@@ -20,6 +20,7 @@
 #include "analysis/yield.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "common/parallel.hh"
 #include "common/trace.hh"
 #include "core/generator.hh"
 #include "netlist/netlist.hh"
@@ -349,10 +350,11 @@ TEST(FunctionalYield, DeterministicAcrossThreadCounts)
         mc.replicas = c.replicas;
         mc.kernels = {Kernel::Mult};
 
-        mc.threads = 1;
+        ThreadPool one(1), four(4);
+        mc.pool = &one;
         const FunctionalYieldReport serial =
             measureFunctionalYield(core, cfg, mc);
-        mc.threads = 4;
+        mc.pool = &four;
         const FunctionalYieldReport parallel =
             measureFunctionalYield(core, cfg, mc);
 
@@ -389,7 +391,6 @@ TEST(FunctionalYield, PerfectDeviceYieldIsAllDefectFree)
     FunctionalYieldConfig mc;
     mc.fault.deviceYield = 1.0;
     mc.trials = 4;
-    mc.threads = 1;
     mc.kernels = {Kernel::Mult};
 
     const FunctionalYieldReport r =
@@ -426,13 +427,14 @@ TEST(FunctionalYield, BatchEngineMatchesScalarBitExactly)
         unsigned replicas;
         double deviceYield;
     };
+    ThreadPool pool(2);
     for (const Case c : {Case{70, 1, 0.999}, Case{40, 2, 0.999},
                          Case{80, 12, 0.9998}}) {
         FunctionalYieldConfig mc;
         mc.fault.deviceYield = c.deviceYield; // frequent defects
         mc.fault.seed = 7;
         mc.trials = c.trials;
-        mc.threads = 2;
+        mc.pool = &pool;
         mc.replicas = c.replicas;
         mc.kernels = {Kernel::Mult, Kernel::THold};
 
@@ -489,12 +491,13 @@ TEST(FunctionalYield, StopsDrawingAtTheFirstFatalCopy)
     const Netlist core = buildCore(cfg);
     metrics::Counter &draws = metrics::counter("fault.draws");
 
+    ThreadPool pool(2);
     FunctionalYieldConfig mc;
     mc.fault.deviceYield = 0.9;
     mc.fault.seed = 5;
     mc.trials = 96;
     mc.replicas = 26;
-    mc.threads = 2;
+    mc.pool = &pool;
     mc.kernels = {Kernel::Mult};
     for (const SimEngine engine : {SimEngine::Scalar, SimEngine::Batch}) {
         mc.engine = engine;
@@ -519,7 +522,6 @@ smallMc()
     mc.fault.deviceYield = 0.999;
     mc.fault.seed = 3;
     mc.trials = 16;
-    mc.threads = 1;
     mc.kernels = {Kernel::Mult, Kernel::THold};
     return mc;
 }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.hh"
+#include "common/parallel.hh"
 #include "legacy/batch_iss.hh"
 #include "legacy/cores.hh"
 #include "legacy/i8080.hh"
@@ -33,8 +34,9 @@ runFleet(LegacyCore core, const IrProgram &prog,
          const std::vector<std::vector<std::uint64_t>> &inputs,
          unsigned threads = 1, std::uint64_t max_steps = 50'000'000)
 {
+    ThreadPool pool(threads);
     IssBatchOptions opts;
-    opts.threads = threads;
+    opts.pool = &pool;
     opts.maxSteps = max_steps;
     return runLegacyBatch(core, prog, inputs, opts);
 }
@@ -99,6 +101,35 @@ TEST(IssBatch, BatchMatchesScalarForAllCoresCountsAndThreads)
                 expectIdentical(serial,
                                 runFleet(core, prog, inputs, threads));
         }
+    }
+}
+
+TEST(IssBatch, FleetCountsTheSameJobOnEveryPool)
+{
+    // The determinism rule for parallel.jobs/items: a multi-chunk
+    // fleet is one pool job of one item per chunk, with no pool (a
+    // one-thread pool local to the call), a 1-thread pool and a
+    // 4-thread pool alike.
+    const IrProgram prog = irKernel(Kernel::Mult, 8);
+    const auto inputs =
+        fleetInputs(Kernel::Mult, 8, 4 * issChunkMachines);
+    metrics::Counter &jobs = metrics::counter("parallel.jobs");
+    metrics::Counter &items = metrics::counter("parallel.items");
+    ThreadPool one(1), four(4);
+    for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr), &one,
+                             &four}) {
+        SCOPED_TRACE(pool ? std::to_string(pool->threadCount()) +
+                                "-thread pool"
+                          : std::string("no pool"));
+        IssBatchOptions opts;
+        opts.pool = pool;
+        const std::uint64_t jobs0 = jobs.value();
+        const std::uint64_t items0 = items.value();
+        const IssBatchResult r =
+            runLegacyBatch(LegacyCore::ZpuSmall, prog, inputs, opts);
+        EXPECT_EQ(jobs.value() - jobs0, 1u);
+        EXPECT_EQ(items.value() - items0, 4u);
+        EXPECT_EQ(issResultFnv(r), 0x3eea328f78c7bed5ull);
     }
 }
 

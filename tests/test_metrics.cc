@@ -46,7 +46,8 @@ TEST(Counter, AddValueReset)
 TEST(Counter, ConcurrentAddsSumExactly)
 {
     metrics::Counter c;
-    parallelFor(8, 1000, [&](std::size_t i) { c.add(i + 1); });
+    ThreadPool pool(8);
+    pool.parallelFor(1000, [&](std::size_t i) { c.add(i + 1); });
     // 1 + 2 + ... + 1000
     EXPECT_EQ(c.value(), 500500u);
 }

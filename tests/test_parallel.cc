@@ -190,7 +190,8 @@ TEST(ThreadPoolTest, SeededMapBitIdenticalAcrossThreadCounts)
             acc += std::sqrt(double(rng.next() >> 11));
         return acc;
     };
-    const auto serial = parallelMap(1, 500, item);
+    ThreadPool one(1);
+    const auto serial = one.parallelMap(500, item);
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
         for (bool checked : {false, true}) {
             ThreadPool pool(threads);
@@ -211,15 +212,9 @@ TEST(ThreadPoolTest, SeededMapBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(ThreadPoolTest, FreeFunctionsAndDefaultThreadCount)
+TEST(ThreadPoolTest, DefaultThreadCount)
 {
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
-    std::atomic<std::size_t> sum{0};
-    parallelFor(3, 10, [&](std::size_t i) {
-        sum.fetch_add(i, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 45u);
-
     ThreadPool hw(0); // 0 = hardware concurrency
     EXPECT_EQ(hw.threadCount(), ThreadPool::defaultThreadCount());
 }
