@@ -26,6 +26,10 @@
  *                       fresh report must carry the baseline's
  *                       string.
  *
+ * A gated baseline key that no fresh report carries is a regression
+ * too (printed as MISSING): a counter that vanishes from the reports
+ * must not pass the gate unnoticed.
+ *
  * Exit codes: 0 all compared keys pass, 1 at least one regression,
  * 2 usage/parse error or no comparable keys (a silent pass on
  * disjoint reports would make the CI gate vacuous).
@@ -179,13 +183,14 @@ main(int argc, char **argv)
         const bool exact = matchesAny(name, exactKeys);
         if (!exact && !matchesAny(name, keys))
             continue;
+        ++compared;
         const auto it = fresh.find(name);
         if (it == fresh.end()) {
             std::cout << "  MISSING " << name
                       << " (in baseline only)\n";
+            ++regressions;
             continue;
         }
-        ++compared;
         const double freshV = it->second;
         if (exact) {
             const bool bad = freshV != base;

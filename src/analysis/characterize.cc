@@ -13,14 +13,13 @@ characterize(const Netlist &netlist, const CellLibrary &lib,
     trace::Span span("analysis.characterize", netlist.name());
     metrics::counter("analysis.characterizations").add(1);
     netlist.validate();
-    const std::vector<GateId> order = netlist.levelize();
 
     Characterization ch;
     ch.label = netlist.name();
     ch.tech = lib.tech();
-    ch.stats = computeStats(netlist, order);
+    ch.stats = computeStats(netlist);
     ch.area = analyzeArea(netlist, lib);
-    ch.timing = analyzeTiming(netlist, lib, order);
+    ch.timing = analyzeTiming(netlist, lib);
     ch.powerAtFmax = analyzePower(netlist, lib, ch.timing.fmaxHz,
                                   activity);
     return ch;

@@ -49,8 +49,11 @@ struct Characterization
 
 /**
  * Characterize a netlist: validates, collects structural stats, and
- * runs area / timing / power analysis. One call validates once and
- * levelizes once; stats and timing share the order.
+ * runs area / timing / power analysis. A sealed netlist (whatever
+ * synth::optimize() or synth::harden() returned) is neither
+ * validated nor levelized again: stats and timing read its stored
+ * schedule. An unsealed one is validated here and levelized by
+ * computeStats() and analyzeTiming() each.
  *
  * @param netlist the gate-level design
  * @param lib technology library (EGFET or CNT-TFT)

@@ -25,13 +25,6 @@ struct Arrival
 TimingReport
 analyzeTiming(const Netlist &netlist, const CellLibrary &lib)
 {
-    return analyzeTiming(netlist, lib, netlist.levelize());
-}
-
-TimingReport
-analyzeTiming(const Netlist &netlist, const CellLibrary &lib,
-              const std::vector<GateId> &order)
-{
     std::vector<Arrival> arrival(netlist.netCount());
 
     // Launch points: sequential outputs start at clk-to-q.
@@ -46,7 +39,7 @@ analyzeTiming(const Netlist &netlist, const CellLibrary &lib,
             std::max(arrival[g.out].fall, spec.fall_us);
     }
 
-    for (GateId gi : order) {
+    for (GateId gi : netlist.levelize()) {
         const Gate &g = netlist.gate(gi);
         const CellSpec &spec = lib.cell(g.kind);
 

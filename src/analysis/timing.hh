@@ -17,8 +17,6 @@
 #ifndef PRINTED_ANALYSIS_TIMING_HH
 #define PRINTED_ANALYSIS_TIMING_HH
 
-#include <vector>
-
 #include "netlist/netlist.hh"
 #include "tech/library.hh"
 
@@ -48,13 +46,12 @@ struct TimingReport
     double fmaxHz = 0;
 };
 
-/** Run static timing analysis of a netlist in a technology. */
+/**
+ * Run static timing analysis of a netlist in a technology, over its
+ * levelize() schedule (stored, when the netlist is sealed).
+ */
 TimingReport analyzeTiming(const Netlist &netlist,
                            const CellLibrary &lib);
-
-/** analyzeTiming over an order already returned by levelize(). */
-TimingReport analyzeTiming(const Netlist &netlist, const CellLibrary &lib,
-                           const std::vector<GateId> &order);
 
 } // namespace printed
 

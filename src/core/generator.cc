@@ -531,7 +531,7 @@ buildCore(const CoreConfig &cfg)
     trace::Span span("synth.buildCore", cfg.label());
     Netlist nl = elaborateCore(cfg);
     metrics::counter("synth.core.gates_pre_opt").add(nl.gateCount());
-    synth::optimize(nl); // ends with validate()
+    synth::optimize(nl); // ends with seal()
     metrics::counter("synth.cores_built").add(1);
     metrics::counter("synth.core.gates").add(nl.gateCount());
     return nl;

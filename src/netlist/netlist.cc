@@ -4,6 +4,7 @@
 #include <array>
 
 #include "common/logging.hh"
+#include "common/metrics.hh"
 
 namespace printed
 {
@@ -12,50 +13,10 @@ Netlist::Netlist(std::string name)
     : name_(std::move(name))
 {}
 
-Netlist
-Netlist::restore(std::string name, std::vector<NetSource> sources,
-                 std::vector<std::pair<NetId, std::string>> netNames,
-                 std::vector<Gate> gates,
-                 std::vector<PortBinding> inputs,
-                 std::vector<PortBinding> outputs, NetId const0,
-                 NetId const1)
-{
-    Netlist nl(std::move(name));
-    nl.netSource_ = std::move(sources);
-    nl.netNameRef_.assign(nl.netSource_.size(), 0);
-    for (auto &[net, nname] : netNames) {
-        panicIf(net >= nl.netSource_.size(),
-                "Netlist::restore: named net out of range");
-        nl.netNameRef_[net] = nl.internName(nname);
-    }
-    nl.gateKind_.reserve(gates.size());
-    nl.gateIn0_.reserve(gates.size());
-    nl.gateIn1_.reserve(gates.size());
-    nl.gateOut_.reserve(gates.size());
-    for (const Gate &g : gates) {
-        panicIf(g.out >= nl.netSource_.size(),
-                "Netlist::restore: gate with out-of-range output");
-        nl.gateKind_.push_back(g.kind);
-        nl.gateIn0_.push_back(g.in0);
-        nl.gateIn1_.push_back(g.in1);
-        nl.gateOut_.push_back(g.out);
-    }
-    nl.inputs_ = std::move(inputs);
-    nl.outputs_ = std::move(outputs);
-    nl.const0_ = const0;
-    nl.const1_ = const1;
-
-    // Serialized blobs carry no driver lists or use-index; rebuild
-    // both from the gates before validate() checks them.
-    nl.rebuildDrivers();
-    nl.rebuildUseIndex();
-    nl.validate();
-    return nl;
-}
-
 std::uint32_t
 Netlist::internName(const std::string &name)
 {
+    unseal();
     if (name.empty())
         return 0;
     const auto it = internMap_.find(name);
@@ -85,6 +46,7 @@ Netlist::netName(NetId n) const
 void
 Netlist::appendDriver(NetId n, GateId gi)
 {
+    unseal();
     if (driverHead_[n] == invalidGate)
         driverHead_[n] = gi;
     else
@@ -95,6 +57,7 @@ Netlist::appendDriver(NetId n, GateId gi)
 void
 Netlist::rebuildDrivers()
 {
+    unseal();
     driverHead_.assign(netSource_.size(), invalidGate);
     driverTail_.assign(netSource_.size(), invalidGate);
     driverNext_.assign(gateKind_.size(), invalidGate);
@@ -130,6 +93,7 @@ Netlist::netDriverCount(NetId n) const
 void
 Netlist::linkUse(NetId n, UseNode u)
 {
+    unseal();
     const UseNode old = useHead_[n];
     useNext_[u] = old;
     usePrev_[u] = useHeadFlag | n;
@@ -141,6 +105,7 @@ Netlist::linkUse(NetId n, UseNode u)
 void
 Netlist::unlinkUse(UseNode u)
 {
+    unseal();
     const UseNode next = useNext_[u];
     const UseNode prev = usePrev_[u];
     panicIf(prev == invalidUseNode, "unlinkUse: node not linked");
@@ -157,6 +122,7 @@ Netlist::unlinkUse(UseNode u)
 void
 Netlist::linkGateUses(GateId gi)
 {
+    unseal();
     useNext_.push_back(invalidUseNode);
     useNext_.push_back(invalidUseNode);
     usePrev_.push_back(invalidUseNode);
@@ -170,6 +136,7 @@ Netlist::linkGateUses(GateId gi)
 void
 Netlist::rebuildUseIndex()
 {
+    unseal();
     useHead_.assign(netSource_.size(), invalidUseNode);
     useNext_.assign(gateKind_.size() * 2, invalidUseNode);
     usePrev_.assign(gateKind_.size() * 2, invalidUseNode);
@@ -230,6 +197,7 @@ Netlist::netUseCount(NetId n) const
 NetId
 Netlist::addDrivenNet(NetSource source, std::string name)
 {
+    unseal();
     netSource_.push_back(source);
     netNameRef_.push_back(internName(name));
     driverHead_.push_back(invalidGate);
@@ -241,12 +209,14 @@ Netlist::addDrivenNet(NetSource source, std::string name)
 NetId
 Netlist::addNet(std::string name)
 {
+    unseal();
     return addDrivenNet(NetSource::Undriven, std::move(name));
 }
 
 NetId
 Netlist::addInput(const std::string &name)
 {
+    unseal();
     const NetId id = addDrivenNet(NetSource::Input, name);
     inputs_.push_back({name, id});
     return id;
@@ -255,6 +225,7 @@ Netlist::addInput(const std::string &name)
 void
 Netlist::addOutput(const std::string &name, NetId net)
 {
+    unseal();
     panicIf(net >= netSource_.size(), "addOutput: bad net");
     outputs_.push_back({name, net});
 }
@@ -262,6 +233,7 @@ Netlist::addOutput(const std::string &name, NetId net)
 NetId
 Netlist::constZero()
 {
+    unseal();
     if (const0_ == invalidNet)
         const0_ = addDrivenNet(NetSource::Const0, "const0");
     return const0_;
@@ -270,6 +242,7 @@ Netlist::constZero()
 NetId
 Netlist::constOne()
 {
+    unseal();
     if (const1_ == invalidNet)
         const1_ = addDrivenNet(NetSource::Const1, "const1");
     return const1_;
@@ -278,6 +251,7 @@ Netlist::constOne()
 NetId
 Netlist::addGate(CellKind kind, NetId a, NetId b)
 {
+    unseal();
     panicIf(kind == CellKind::TSBUFX1,
             "addGate: use addTristate for TSBUFX1");
     const unsigned wants = cellInputCount(kind);
@@ -302,6 +276,7 @@ Netlist::addGate(CellKind kind, NetId a, NetId b)
 GateId
 Netlist::addTristate(NetId a, NetId en, NetId bus)
 {
+    unseal();
     panicIf(a >= netSource_.size() || en >= netSource_.size() ||
             bus >= netSource_.size(), "addTristate: bad net");
     panicIf(netSource_[bus] == NetSource::Input ||
@@ -324,6 +299,7 @@ Netlist::addTristate(NetId a, NetId en, NetId bus)
 void
 Netlist::setGate(GateId id, CellKind kind, NetId in0, NetId in1)
 {
+    unseal();
     panicIf(id >= gateKind_.size(), "setGate: bad gate");
     panicIf(kind == CellKind::TSBUFX1 ||
                 gateKind_[id] == CellKind::TSBUFX1,
@@ -358,12 +334,14 @@ Netlist::setGate(GateId id, CellKind kind, NetId in0, NetId in1)
 NetId
 Netlist::addFlop(NetId d)
 {
+    unseal();
     return addGate(CellKind::DFFX1, d);
 }
 
 NetId
 Netlist::addFlopReset(NetId d, NetId rn)
 {
+    unseal();
     return addGate(CellKind::DFFNRX1, d, rn);
 }
 
@@ -417,16 +395,23 @@ Netlist::gateLabel(GateId id) const
 std::size_t
 Netlist::flopCount() const
 {
+    const auto histo = cellHistogram();
     std::size_t n = 0;
-    for (CellKind kind : gateKind_)
-        if (cellIsSequential(kind))
-            ++n;
+    for (std::size_t k = 0; k < numCellKinds; ++k)
+        if (cellIsSequential(static_cast<CellKind>(k)))
+            n += histo[k];
     return n;
 }
 
 void
 Netlist::validate() const
 {
+    if (seal_)
+        return;
+    static metrics::Counter &validations =
+        metrics::counter("netlist.validations");
+    validations.add(1);
+
     panicIf(netNameRef_.size() != netSource_.size() ||
                 driverHead_.size() != netSource_.size() ||
                 driverTail_.size() != netSource_.size() ||
@@ -516,6 +501,12 @@ Netlist::validate() const
 std::vector<GateId>
 Netlist::levelize() const
 {
+    if (seal_)
+        return seal_->order;
+    static metrics::Counter &levelizations =
+        metrics::counter("netlist.levelizations");
+    levelizations.add(1);
+
     // Kahn's algorithm over combinational gates only, with a FIFO
     // ready list. A net is "ready" when all its (combinational)
     // drivers have been scheduled; sequential outputs, inputs, and
@@ -605,6 +596,8 @@ Netlist::levelize() const
 std::array<std::size_t, numCellKinds>
 Netlist::cellHistogram() const
 {
+    if (seal_)
+        return seal_->histogram;
     std::array<std::size_t, numCellKinds> histo{};
     for (CellKind kind : gateKind_)
         ++histo[static_cast<std::size_t>(kind)];
@@ -612,8 +605,19 @@ Netlist::cellHistogram() const
 }
 
 void
+Netlist::seal()
+{
+    if (seal_)
+        return;
+    validate();
+    seal_ = std::make_shared<const Seal>(
+        Seal{levelize(), cellHistogram()});
+}
+
+void
 Netlist::rewireUses(NetId from, NetId to)
 {
+    unseal();
     panicIf(from >= netSource_.size() || to >= netSource_.size(),
             "rewireUses: bad net");
     if (from == to)
@@ -649,6 +653,7 @@ Netlist::rewireUses(NetId from, NetId to)
 void
 Netlist::rewireUsesByScan(NetId from, NetId to)
 {
+    unseal();
     panicIf(from >= netSource_.size() || to >= netSource_.size(),
             "rewireUses: bad net");
     if (from == to)
@@ -668,12 +673,14 @@ Netlist::rewireUsesByScan(NetId from, NetId to)
 NetId
 Netlist::makeFeedback()
 {
+    unseal();
     return addDrivenNet(NetSource::Undriven, "feedback");
 }
 
 void
 Netlist::resolveFeedback(NetId placeholder, NetId actual)
 {
+    unseal();
     panicIf(placeholder >= netSource_.size() ||
                 actual >= netSource_.size(),
             "resolveFeedback: bad net");
@@ -688,6 +695,7 @@ Netlist::resolveFeedback(NetId placeholder, NetId actual)
 std::vector<GateId>
 Netlist::removeGates(const std::vector<bool> &dead)
 {
+    unseal();
     panicIf(dead.size() != gateKind_.size(),
             "removeGates: flag vector size mismatch");
 
@@ -725,6 +733,7 @@ Netlist::removeGates(const std::vector<bool> &dead)
 std::vector<NetId>
 Netlist::compact()
 {
+    unseal();
     const std::size_t old_nets = netSource_.size();
     std::vector<bool> keep(old_nets, false);
     for (GateId gi = 0; gi < gateKind_.size(); ++gi) {

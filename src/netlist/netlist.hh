@@ -23,16 +23,22 @@
  *   - printed::sim     (functional gate-level simulation + activity)
  *   - printed::analysis (area, static timing, power)
  *   - printed::synth   (optimization passes)
+ *
+ * A finished netlist is sealed (seal()): it has been validated once
+ * and carries its level schedule and cell histogram, so the
+ * consumers above read them instead of recomputing them. Every
+ * mutating member drops the seal.
  */
 
 #ifndef PRINTED_NETLIST_NETLIST_HH
 #define PRINTED_NETLIST_NETLIST_HH
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "tech/cell.hh"
@@ -196,22 +202,6 @@ class Netlist
     /** The constant-1 net id, or invalidNet if never created. */
     NetId constOneId() const { return const1_; }
 
-    /**
-     * Rebuild a netlist from serialized structural state (the disk
-     * synthesis cache's load path). Net names arrive sparse as
-     * (net, name) pairs; driver lists and the use-index are
-     * recomputed from the gates, and the result is validate()d, so
-     * a corrupted blob that decodes into an inconsistent structure
-     * panics rather than entering the flow.
-     */
-    static Netlist
-    restore(std::string name, std::vector<NetSource> sources,
-            std::vector<std::pair<NetId, std::string>> netNames,
-            std::vector<Gate> gates,
-            std::vector<PortBinding> inputs,
-            std::vector<PortBinding> outputs, NetId const0,
-            NetId const1);
-
     /** Assembled value view of one gate. */
     Gate
     gate(GateId id) const
@@ -261,7 +251,9 @@ class Netlist
     /**
      * Check structural invariants: every net is driven (or is an
      * input/constant), gate pins reference valid nets, only TSBUFs
-     * share output nets. panic()s on violation.
+     * share output nets. panic()s on violation. Returns at once on
+     * a sealed netlist; each full check counts one
+     * `netlist.validations`.
      */
     void validate() const;
 
@@ -273,15 +265,33 @@ class Netlist
      * is scheduled releases its readers in ascending gate id. The
      * optimizer's CSE keeps the first duplicate in this order, so
      * the schedule is part of the contract. fatal()s on a
-     * combinational cycle.
+     * combinational cycle. A sealed netlist returns its stored
+     * schedule; each fresh one counts one `netlist.levelizations`.
      *
      * @return gate ids in evaluation order (sequential cells are not
      *         included; they are clocked separately).
      */
     std::vector<GateId> levelize() const;
 
-    /** Per-cell-kind instance histogram. */
+    /** Per-cell-kind instance histogram (stored while sealed). */
     std::array<std::size_t, numCellKinds> cellHistogram() const;
+
+    /**
+     * Seal a finished netlist: validate() it, then store its
+     * levelize() schedule and cellHistogram(). While sealed,
+     * validate() returns at once and levelize(), cellHistogram() and
+     * flopCount() return the stored results. Every non-const member
+     * drops the seal; copies and moves carry it (a moved-from
+     * netlist is unsealed). synth::optimize() and synth::harden()
+     * seal what they return, while one thread owns it: const
+     * members never write, so a shared const netlist stays race-free.
+     * A no-op on a sealed netlist; panic()s/fatal()s as validate()
+     * and levelize() do.
+     */
+    void seal();
+
+    /** True from seal() until the next mutation. */
+    bool sealed() const { return seal_ != nullptr; }
 
     // Mutation hooks for the optimizer (printed::synth).
 
@@ -350,6 +360,21 @@ class Netlist
     std::vector<NetId> compact();
 
   private:
+    /** What seal() stores; immutable, so copies share it. */
+    struct Seal
+    {
+        std::vector<GateId> order;
+        std::array<std::size_t, numCellKinds> histogram{};
+    };
+
+    /** Drop the seal; every non-const member calls this first. */
+    void
+    unseal()
+    {
+        if (seal_)
+            seal_.reset();
+    }
+
     NetId addDrivenNet(NetSource source, std::string name = {});
 
     /** Intern a name into the pool; 0 for the empty name. */
@@ -413,6 +438,8 @@ class Netlist
     std::vector<UseNode> usePrev_; ///< per node: prev node or head
     NetId const0_ = invalidNet;
     NetId const1_ = invalidNet;
+
+    std::shared_ptr<const Seal> seal_; ///< null while unsealed
 };
 
 /** A bus is simply an ordered list of nets, LSB first. */

@@ -8,12 +8,6 @@ namespace printed
 NetlistStats
 computeStats(const Netlist &netlist)
 {
-    return computeStats(netlist, netlist.levelize());
-}
-
-NetlistStats
-computeStats(const Netlist &netlist, const std::vector<GateId> &order)
-{
     NetlistStats stats;
     stats.histogram = netlist.cellHistogram();
     stats.totalGates = netlist.gateCount();
@@ -26,7 +20,7 @@ computeStats(const Netlist &netlist, const std::vector<GateId> &order)
     // levelized order.
     std::vector<std::size_t> net_depth(netlist.netCount(), 0);
     std::size_t max_depth = 0;
-    for (GateId gi : order) {
+    for (GateId gi : netlist.levelize()) {
         const Gate &g = netlist.gate(gi);
         std::size_t d = net_depth[g.in0];
         if (g.in1 != invalidNet)

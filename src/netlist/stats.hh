@@ -10,7 +10,6 @@
 #include <array>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "netlist/netlist.hh"
 
@@ -29,12 +28,11 @@ struct NetlistStats
     std::size_t outputCount = 0;
 };
 
-/** Compute structural statistics (includes a levelization pass). */
+/**
+ * Compute structural statistics over the netlist's levelize()
+ * schedule and cellHistogram() (stored, when it is sealed).
+ */
 NetlistStats computeStats(const Netlist &netlist);
-
-/** computeStats over an order already returned by levelize(). */
-NetlistStats computeStats(const Netlist &netlist,
-                          const std::vector<GateId> &order);
 
 /** Print a one-block human-readable summary. */
 void printStats(std::ostream &os, const std::string &label,

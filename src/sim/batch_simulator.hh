@@ -85,6 +85,12 @@ class BatchGateSimulator
         Harness,     ///< killed by the harness (e.g. wild RAM write)
     };
 
+    /**
+     * Validates and levelizes `netlist`, which must outlive the
+     * simulator. A sealed netlist (Netlist::seal()) costs neither,
+     * so a simulator built per pool worker on a shared core does no
+     * per-worker graph work.
+     */
     explicit BatchGateSimulator(const Netlist &netlist);
 
     /**

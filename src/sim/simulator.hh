@@ -111,6 +111,11 @@ struct InjectedFault
 class GateSimulator
 {
   public:
+    /**
+     * Validates and levelizes `netlist`, which must outlive the
+     * simulator. A sealed netlist (Netlist::seal()) costs neither:
+     * every simulator built on it copies its stored schedule.
+     */
     explicit GateSimulator(const Netlist &netlist);
 
     /**

@@ -252,7 +252,7 @@ harden(const Netlist &src, HardenStrategy strategy,
                       : tmrSequential(src, local);
 
     local.gatesAfter = dst.gateCount();
-    dst.validate();
+    dst.seal();
     if (report)
         *report = local;
     return dst;

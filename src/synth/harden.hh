@@ -64,7 +64,8 @@ NetId majority3(Netlist &nl, NetId a, NetId b, NetId c);
 
 /**
  * Return a hardened copy of `src` (same ports, same function in the
- * absence of defects). `src` must validate(); the result does.
+ * absence of defects). `src` must validate(); the result is sealed
+ * (Netlist::seal()).
  *
  * For TmrFull the gate order of the result is: all triplicated
  * combinational gates (three consecutive copies per original gate,

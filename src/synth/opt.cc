@@ -357,7 +357,7 @@ optimize(Netlist &nl)
         stats.netsRemoved = nets_before - nl.netCount();
     }
 
-    nl.validate();
+    nl.seal();
     stats.gatesAfter = nl.gateCount();
 
     static metrics::Counter &runs = metrics::counter("synth.opt.runs");

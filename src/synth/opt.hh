@@ -36,7 +36,8 @@ struct OptStats
 
 /**
  * Optimize a netlist in place until no pass makes progress.
- * The netlist must validate() before and will validate() after.
+ * The netlist must validate() before; it leaves sealed
+ * (Netlist::seal()), validated once with its schedule stored.
  */
 OptStats optimize(Netlist &nl);
 

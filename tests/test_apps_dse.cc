@@ -190,6 +190,29 @@ TEST(Dse, SecondSweepIsServedFromSynthCache)
     }
 }
 
+TEST(Dse, SweepValidatesAndLevelizesEachCoreOnce)
+{
+    // optimize() levelizes each core twice (fold, share), then seals
+    // it: one validation and one more schedule. Characterizing the
+    // sealed core in two technologies reads the stored results, so a
+    // cold sweep of the 24 cores makes 24 validations and 72
+    // schedules.
+    SynthCache::global().clear();
+    metrics::Counter &validations =
+        metrics::counter("netlist.validations");
+    metrics::Counter &levelizations =
+        metrics::counter("netlist.levelizations");
+    const std::uint64_t v0 = validations.value();
+    const std::uint64_t l0 = levelizations.value();
+
+    ThreadPool pool(2);
+    SweepOptions opts;
+    opts.pool = &pool;
+    EXPECT_EQ(sweepDesignSpace(opts).size(), 24u);
+    EXPECT_EQ(validations.value() - v0, 24u);
+    EXPECT_EQ(levelizations.value() - l0, 72u);
+}
+
 TEST(Dse, CacheKeySeparatesDistinctConfigs)
 {
     const CoreConfig a = CoreConfig::standard(1, 8, 2);
@@ -378,7 +401,8 @@ std::vector<std::pair<std::string, std::uint64_t>>
 deterministicCounters()
 {
     static const char *prefixes[] = {"synth.", "parallel.", "fault.",
-                                     "dse.", "analysis.", "ml."};
+                                     "dse.", "analysis.", "ml.",
+                                     "netlist."};
     std::vector<std::pair<std::string, std::uint64_t>> out;
     for (const auto &entry :
          metrics::Registry::global().snapshot().counters)

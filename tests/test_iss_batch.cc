@@ -29,12 +29,15 @@ namespace
 
 using namespace legacy;
 
+/**
+ * Run a fleet on `pool`. A test builds one pool per tested size and
+ * passes it to every run.
+ */
 IssBatchResult
-runFleet(LegacyCore core, const IrProgram &prog,
+runFleet(ThreadPool &pool, LegacyCore core, const IrProgram &prog,
          const std::vector<std::vector<std::uint64_t>> &inputs,
-         unsigned threads = 1, std::uint64_t max_steps = 50'000'000)
+         std::uint64_t max_steps = 50'000'000)
 {
-    ThreadPool pool(threads);
     IssBatchOptions opts;
     opts.pool = &pool;
     opts.maxSteps = max_steps;
@@ -81,9 +84,10 @@ TEST(IssBatch, BatchMatchesScalarForAllCoresCountsAndThreads)
     // Golden.LegacyIssCounts; here every machine must also match the
     // golden model, whatever the fleet size and thread count.
     const IrProgram prog = irKernel(Kernel::Mult, 8);
+    ThreadPool one(1), four(4), sixteen(16);
     for (const LegacyCore core : allLegacyCores) {
         const auto big = fleetInputs(Kernel::Mult, 8, 1000);
-        const auto ref = runFleet(core, prog, big);
+        const auto ref = runFleet(one, core, prog, big);
         for (std::size_t m = 0; m < big.size(); ++m) {
             ASSERT_EQ(ref.status[m], MachineStatus::Halted)
                 << issCoreId(core) << " machine " << m;
@@ -93,13 +97,13 @@ TEST(IssBatch, BatchMatchesScalarForAllCoresCountsAndThreads)
         }
         for (const std::size_t machines : {1u, 64u, 1000u}) {
             const auto inputs = fleetInputs(Kernel::Mult, 8, machines);
-            const auto serial = runFleet(core, prog, inputs);
+            const auto serial = runFleet(one, core, prog, inputs);
             for (std::size_t m = 0; m < machines; ++m)
                 EXPECT_EQ(serial.runs[m].cycles, ref.runs[m].cycles)
                     << issCoreId(core) << " machine " << m;
-            for (const unsigned threads : {4u, 16u})
+            for (ThreadPool *pool : {&four, &sixteen})
                 expectIdentical(serial,
-                                runFleet(core, prog, inputs, threads));
+                                runFleet(*pool, core, prog, inputs));
         }
     }
 }
@@ -142,9 +146,10 @@ TEST(IssBatch, MidBatchHaltAndBudgetMixAgrees)
     // Golden.LegacyIssCounts pins the full runs (the div/8 rows).
     const IrProgram prog = irKernel(Kernel::Div, 8);
     const auto inputs = fleetInputs(Kernel::Div, 8, 200);
+    ThreadPool one(1), four(4), sixteen(16);
     for (const LegacyCore core : allLegacyCores) {
         // Full run first, to find a budget that splits the fleet.
-        const auto full = runFleet(core, prog, inputs);
+        const auto full = runFleet(one, core, prog, inputs);
         std::uint64_t lo = UINT64_MAX, hi = 0;
         for (const LegacyRun &r : full.runs) {
             lo = std::min(lo, r.instructions);
@@ -152,7 +157,7 @@ TEST(IssBatch, MidBatchHaltAndBudgetMixAgrees)
         }
         ASSERT_LT(lo, hi) << issCoreId(core);
         const std::uint64_t budget = (lo + hi) / 2;
-        const auto cut = runFleet(core, prog, inputs, 1, budget);
+        const auto cut = runFleet(one, core, prog, inputs, budget);
         unsigned halted = 0, out = 0;
         for (std::size_t m = 0; m < inputs.size(); ++m) {
             if (cut.status[m] == MachineStatus::Halted) {
@@ -170,9 +175,9 @@ TEST(IssBatch, MidBatchHaltAndBudgetMixAgrees)
         }
         EXPECT_GT(halted, 0u) << issCoreId(core);
         EXPECT_GT(out, 0u) << issCoreId(core);
-        for (const unsigned threads : {4u, 16u})
+        for (ThreadPool *pool : {&four, &sixteen})
             expectIdentical(cut,
-                            runFleet(core, prog, inputs, threads, budget));
+                            runFleet(*pool, core, prog, inputs, budget));
     }
 }
 
@@ -191,11 +196,12 @@ TEST(IssBatch, TightBudgetSweepAgreesInstructionByInstruction)
     // runs' counts and outputs for the first four machines.
     const IrProgram prog = irKernel(Kernel::Mult, 8);
     const auto inputs = fleetInputs(Kernel::Mult, 8, 130);
+    ThreadPool one(1), four(4), sixteen(16);
     for (const LegacyCore core : allLegacyCores) {
-        const auto full = runFleet(core, prog, inputs);
+        const auto full = runFleet(one, core, prog, inputs);
         std::vector<std::uint64_t> lastCycles(inputs.size(), 0);
         for (std::uint64_t budget = 1; budget <= 60; ++budget) {
-            const auto cut = runFleet(core, prog, inputs, 1, budget);
+            const auto cut = runFleet(one, core, prog, inputs, budget);
             for (std::size_t m = 0; m < inputs.size(); ++m) {
                 const std::uint64_t want =
                     std::min(budget, full.runs[m].instructions);
@@ -208,9 +214,9 @@ TEST(IssBatch, TightBudgetSweepAgreesInstructionByInstruction)
                 EXPECT_GE(cut.runs[m].cycles, lastCycles[m]);
                 lastCycles[m] = cut.runs[m].cycles;
             }
-            for (const unsigned threads : {4u, 16u})
+            for (ThreadPool *pool : {&four, &sixteen})
                 expectIdentical(
-                    cut, runFleet(core, prog, inputs, threads, budget));
+                    cut, runFleet(*pool, core, prog, inputs, budget));
         }
     }
 }
@@ -230,6 +236,7 @@ TEST(IssBatch, FullWidth8RunsStepOnlyTheirHalt)
     const auto count = [](const char *name) {
         return metrics::counter(name).value();
     };
+    ThreadPool one(1);
     for (const LegacyCore core : allLegacyCores)
         for (unsigned k = 0; k < numKernels; ++k) {
             const Kernel kernel = Kernel(k);
@@ -242,7 +249,7 @@ TEST(IssBatch, FullWidth8RunsStepOnlyTheirHalt)
                                 stepped0 =
                                     count("iss.stepped_instructions"),
                                 insns0 = count("iss.instructions");
-            const auto full = runFleet(core, prog, inputs);
+            const auto full = runFleet(one, core, prog, inputs);
             const std::uint64_t fused = count("iss.fused_ops") - fused0,
                                 stepped =
                                     count("iss.stepped_instructions") -
@@ -257,7 +264,7 @@ TEST(IssBatch, FullWidth8RunsStepOnlyTheirHalt)
                 ASSERT_EQ(full.status[m], MachineStatus::Halted) << label;
                 EXPECT_LE(run.steppedInstructions, 1u) << label;
                 const auto cut =
-                    runFleet(core, prog, {inputs[m]}, 1,
+                    runFleet(one, core, prog, {inputs[m]},
                              run.instructions - 1);
                 EXPECT_EQ(cut.status[0], MachineStatus::OutOfBudget)
                     << label;

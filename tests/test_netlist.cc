@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/metrics.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/generator.hh"
 #include "dse/sweep.hh"
@@ -554,6 +557,193 @@ TEST(NetlistStats, DepthOfChain)
     EXPECT_EQ(stats.totalGates, 5u);
     EXPECT_EQ(stats.combGates, 5u);
     EXPECT_EQ(stats.seqGates, 0u);
+}
+
+// ----------------------------------------------------------------
+// Sealed netlists
+// ----------------------------------------------------------------
+
+std::uint64_t
+validations()
+{
+    return metrics::counter("netlist.validations").value();
+}
+
+std::uint64_t
+levelizations()
+{
+    return metrics::counter("netlist.levelizations").value();
+}
+
+/**
+ * A copy without the seal: rewiring a net to itself changes nothing,
+ * but it is a mutator, so it drops the seal.
+ */
+Netlist
+unsealedCopy(const Netlist &nl)
+{
+    Netlist copy = nl;
+    copy.rewireUses(0, 0);
+    EXPECT_FALSE(copy.sealed());
+    return copy;
+}
+
+TEST(NetlistSeal, EveryPublicMutatorDropsTheSeal)
+{
+    Netlist base("sealed");
+    const NetId a = base.addInput("a");
+    const NetId b = base.addInput("b");
+    const NetId bus = base.addNet("bus"); // unread, so it may float
+    const NetId fb = base.makeFeedback();
+    const NetId n = base.addGate(CellKind::NAND2X1, a, b);
+    const NetId q = base.addFlop(n);
+    base.addOutput("y", base.addGate(CellKind::INVX1, q));
+    base.seal();
+    ASSERT_TRUE(base.sealed());
+
+    using Mutator = std::function<void(Netlist &)>;
+    const std::vector<std::pair<std::string, Mutator>> mutators = {
+        {"addNet", [](Netlist &nl) { nl.addNet(); }},
+        {"addInput", [](Netlist &nl) { nl.addInput("c"); }},
+        {"addOutput", [&](Netlist &nl) { nl.addOutput("z", a); }},
+        {"constZero", [](Netlist &nl) { nl.constZero(); }},
+        {"constOne", [](Netlist &nl) { nl.constOne(); }},
+        {"addGate",
+         [&](Netlist &nl) { nl.addGate(CellKind::INVX1, a); }},
+        {"addTristate", [&](Netlist &nl) { nl.addTristate(a, b, bus); }},
+        {"addFlop", [&](Netlist &nl) { nl.addFlop(a); }},
+        {"addFlopReset", [&](Netlist &nl) { nl.addFlopReset(a, b); }},
+        {"setGate",
+         [&](Netlist &nl) { nl.setGate(0, CellKind::NOR2X1, a, b); }},
+        {"rewireUses", [&](Netlist &nl) { nl.rewireUses(q, n); }},
+        {"rewireUsesByScan",
+         [&](Netlist &nl) { nl.rewireUsesByScan(q, n); }},
+        {"makeFeedback", [](Netlist &nl) { nl.makeFeedback(); }},
+        {"resolveFeedback",
+         [&](Netlist &nl) { nl.resolveFeedback(fb, a); }},
+        {"removeGates",
+         [](Netlist &nl) {
+             nl.removeGates(std::vector<bool>(nl.gateCount(), false));
+         }},
+        {"compact", [](Netlist &nl) { nl.compact(); }},
+    };
+    for (const auto &[name, mutate] : mutators) {
+        Netlist nl = base;
+        ASSERT_TRUE(nl.sealed()) << name << ": a copy carries the seal";
+        mutate(nl);
+        EXPECT_FALSE(nl.sealed()) << name;
+        // What the seal stood for is checked afresh, and resealing
+        // stores the new netlist's schedule.
+        const std::uint64_t v0 = validations(), l0 = levelizations();
+        EXPECT_NO_THROW(nl.validate()) << name;
+        const std::vector<GateId> order = nl.levelize();
+        EXPECT_EQ(validations() - v0, 1u) << name;
+        EXPECT_EQ(levelizations() - l0, 1u) << name;
+        nl.seal();
+        EXPECT_EQ(nl.levelize(), order) << name;
+    }
+
+    // A move carries the seal and leaves the source unsealed.
+    Netlist from = base;
+    const Netlist to = std::move(from);
+    EXPECT_TRUE(to.sealed());
+    EXPECT_FALSE(from.sealed());
+}
+
+TEST(NetlistSeal, StoredAnswersCountNothing)
+{
+    Netlist nl("count");
+    const NetId a = nl.addInput("a");
+    nl.addOutput("y", nl.addFlop(nl.addGate(CellKind::INVX1, a)));
+
+    std::uint64_t v0 = validations(), l0 = levelizations();
+    nl.seal();
+    EXPECT_EQ(validations() - v0, 1u);
+    EXPECT_EQ(levelizations() - l0, 1u);
+
+    v0 = validations();
+    l0 = levelizations();
+    nl.seal();
+    nl.validate();
+    EXPECT_EQ(nl.levelize(), std::vector<GateId>{0});
+    EXPECT_EQ(nl.cellHistogram()[std::size_t(CellKind::DFFX1)], 1u);
+    EXPECT_EQ(nl.flopCount(), 1u);
+    EXPECT_EQ(computeStats(nl).logicDepth, 1u);
+    EXPECT_EQ(validations(), v0);
+    EXPECT_EQ(levelizations(), l0);
+}
+
+TEST(NetlistSeal, SealPanicsAsValidateAndLevelizeDo)
+{
+    Netlist open("open");
+    const NetId floating = open.addNet("floating");
+    open.addOutput("y", open.addGate(CellKind::INVX1, floating));
+    try {
+        open.seal();
+        FAIL() << "expected PanicError";
+    } catch (const PanicError &e) {
+        EXPECT_STREQ(e.what(), "Netlist 'open': net 0 (floating) is "
+                               "read but undriven");
+    }
+    EXPECT_FALSE(open.sealed());
+
+    Netlist loop("loop");
+    const NetId fb = loop.makeFeedback();
+    const NetId y = loop.addGate(CellKind::INVX1, fb);
+    loop.resolveFeedback(fb, y);
+    loop.addOutput("y", y);
+    EXPECT_THROW(loop.seal(), FatalError);
+    EXPECT_FALSE(loop.sealed());
+}
+
+/** Sealed answers equal a fresh unsealed copy's. */
+void
+expectSealMatchesFresh(const Netlist &nl, const std::string &what)
+{
+    ASSERT_TRUE(nl.sealed()) << what;
+    const Netlist fresh = unsealedCopy(nl);
+    EXPECT_EQ(nl.levelize(), fresh.levelize()) << what;
+    EXPECT_EQ(nl.cellHistogram(), fresh.cellHistogram()) << what;
+    EXPECT_EQ(nl.flopCount(), fresh.flopCount()) << what;
+}
+
+TEST(NetlistSeal, StoredResultsMatchAFreshCopyOnEveryCore)
+{
+    for (const CoreConfig &cfg : figure7Configs())
+        expectSealMatchesFresh(buildCore(cfg), cfg.label());
+    for (const KernelPoint &point : paperKernelPoints()) {
+        const Workload wl = makeWorkload(point.kind, point.dataWidth,
+                                         point.dataWidth);
+        expectSealMatchesFresh(
+            buildCore(specializedConfig(wl.program, wl.dmemWords)),
+            wl.program.name);
+    }
+    const Netlist p1 = buildCore(CoreConfig::standard(1, 8, 2));
+    expectSealMatchesFresh(
+        synth::harden(p1, synth::HardenStrategy::TmrFull),
+        "p1_8_2 TMR-full");
+}
+
+TEST(NetlistSeal, SharedSealedNetlistReadsFromAPool)
+{
+    // Const reads of a sealed netlist write nothing, so any number
+    // of workers may read one at once (CI runs this under TSan).
+    const Netlist nl = buildCore(CoreConfig::standard(1, 8, 2));
+    const Netlist fresh = unsealedCopy(nl);
+    const std::vector<GateId> order = fresh.levelize();
+    const auto histo = fresh.cellHistogram();
+
+    const std::uint64_t v0 = validations(), l0 = levelizations();
+    ThreadPool pool(8);
+    const std::vector<bool> same =
+        pool.parallelMap(64, [&](std::size_t) {
+            nl.validate();
+            return nl.levelize() == order &&
+                   nl.cellHistogram() == histo;
+        });
+    EXPECT_EQ(std::count(same.begin(), same.end(), true), 64);
+    EXPECT_EQ(validations(), v0);
+    EXPECT_EQ(levelizations(), l0);
 }
 
 } // anonymous namespace
