@@ -1,10 +1,8 @@
 /**
  * @file
  * Acceptance + throughput harness for the printed classifier
- * subsystem (src/ml) and the classify service endpoint.
- *
- * Default mode (no --connect) runs the reference evolutionary
- * search in-process and gates hard on the determinism contract:
+ * subsystem (src/ml). It runs the reference evolutionary search
+ * in-process and gates hard on the determinism contract:
  *
  *   search    timed runClassify over --generations x --population
  *             candidates -> candidates_per_s
@@ -15,17 +13,13 @@
  *   front     the exact Pareto front (gates, accuracy) lands in the
  *             JSON report so CI can gate with --exact-key
  *
- * With --connect HOST:PORT the harness instead drives a live
- * printedd: a monolithic classify request, a
- * streamed one whose assembled reply must be byte-identical to the
- * monolithic bytes, and a resume-mid-search probe (resume_from=2
- * must replay only frames 2..G, then the front, then done).
+ * The classify endpoint's streamed and monolithic replies are
+ * checked by tests/test_streaming.cc and perfbench's serve workload.
  *
- * Exit status: 1 on any determinism or byte-identity failure, 0
+ * Exit status: 1 on any determinism failure or an empty front, 0
  * otherwise. Options: --model tree|ternary, --depth N, --hidden N,
  * --generations N, --population N, --threads N, --reps N,
- * --connect HOST:PORT, --shutdown-after, --json PATH,
- * --trace-out PATH.
+ * --json PATH, --trace-out PATH.
  */
 
 #include <cstdint>
@@ -36,7 +30,6 @@
 #include "bench_util.hh"
 #include "common/parallel.hh"
 #include "ml/evolve.hh"
-#include "service/client.hh"
 #include "service/protocol.hh"
 
 using namespace printed;
@@ -52,15 +45,6 @@ valueOfArg(int argc, char **argv, const std::string &flag)
         if (argv[i] == "--" + flag)
             return argv[i + 1];
     return "";
-}
-
-bool
-hasFlag(int argc, char **argv, const std::string &flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (argv[i] == "--" + flag)
-            return true;
-    return false;
 }
 
 /** The bench's reference search: small enough to run four times
@@ -94,154 +78,12 @@ benchSpec(int argc, char **argv)
     return spec;
 }
 
-/**
- * Smoke a live server: monolithic classify, streamed classify
- * byte-compared against it, and a resume-mid-search probe.
- */
-int
-runConnected(int argc, char **argv, const std::string &connect)
-{
-    const std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
-    const std::size_t colon = connect.rfind(':');
-    fatalIf(colon == std::string::npos,
-            "--connect expects HOST:PORT");
-    const std::string host = connect.substr(0, colon);
-    const auto port =
-        std::uint16_t(std::stoul(connect.substr(colon + 1)));
-
-    bench::banner("classify service smoke",
-                  "monolithic vs streamed vs resumed classify "
-                  "against a live server");
-    std::cout << "connecting to " << host << ":" << port << "\n";
-
-    const ml::ClassifySpec spec = benchSpec(argc, argv);
-    const std::uint64_t total = spec.search.generations + 1;
-    bench::JsonReport jr("bench_classify");
-    const bench::WallTimer timer;
-    bool pass = true;
-
-    // ---- Monolithic reference ----------------------------------
-    Client mono(host, port);
-    const std::string reference =
-        mono.call(classifyRequest("bc", spec));
-    if (!parseReply(reference).ok)
-        fatal("classify failed: " + reference);
-    std::cout << "monolithic: " << reference.size() << " bytes\n";
-
-    // ---- Streamed, assembled == monolithic ---------------------
-    // Partial frames until a done frame that counts them all; any
-    // other line ends the exchange as an error.
-    Client streamer(host, port);
-    streamer.send(classifyStreamRequest("bc", spec));
-    std::vector<std::uint64_t> seen;
-    std::vector<std::string> points;
-    for (;;) {
-        const std::string line = streamer.readLine();
-        const StreamFrame frame = classifyFrame(line);
-        if (frame.kind == StreamFrame::Kind::Partial) {
-            seen.push_back(frame.index);
-            points.push_back(frame.pointBody);
-            continue;
-        }
-        if (frame.kind != StreamFrame::Kind::Done ||
-            frame.points != points.size())
-            fatal("streamed classify failed: " + line);
-        break;
-    }
-    streamer.close();
-    const std::string assembled =
-        assembleStreamedReply("bc", RequestType::Classify, points);
-    std::cout << "streamed: " << seen.size() << "/" << total
-              << " frames, assembled reply "
-              << (assembled == reference ? "== monolithic" : "DIFFERS")
-              << "\n";
-    if (seen.size() != total) {
-        std::cout << "FAIL: expected a " << total
-                  << "-frame stream\n";
-        pass = false;
-    }
-    for (std::uint64_t i = 0; i < seen.size(); ++i)
-        if (seen[i] != i) {
-            std::cout << "FAIL: frame " << i << " arrived as index "
-                      << seen[i] << "\n";
-            pass = false;
-            break;
-        }
-    if (assembled != reference)
-        pass = false;
-
-    // ---- Resume probe: pick up mid-search ----------------------
-    // A raw client resuming from frame 2 must see only frames
-    // 2..total-1 (the server re-derives earlier generations
-    // bit-identically without re-sending them), then done.
-    Client probe(host, port);
-    probe.send(classifyStreamRequest("bc", spec, /*resumeFrom=*/2));
-    std::vector<std::uint64_t> resumed;
-    bool resumeDone = false;
-    for (;;) {
-        const StreamFrame frame = classifyFrame(probe.readLine());
-        if (frame.kind == StreamFrame::Kind::Partial) {
-            resumed.push_back(frame.index);
-            continue;
-        }
-        resumeDone = frame.kind == StreamFrame::Kind::Done &&
-                     frame.points == total;
-        break;
-    }
-    probe.close();
-    const bool resumeOk =
-        resumeDone && resumed.size() == total - 2 &&
-        !resumed.empty() && resumed.front() == 2 &&
-        resumed.back() == total - 1;
-    std::cout << "resume: from frame 2 -> " << resumed.size()
-              << " frames replayed "
-              << (resumeOk ? "(2.." : "(UNEXPECTED ")
-              << (resumed.empty() ? 0 : resumed.back()) << ")\n";
-    if (!resumeOk) {
-        std::cout << "FAIL: resume_from=2 did not replay exactly "
-                     "frames 2.." << total - 1 << "\n";
-        pass = false;
-    }
-
-    if (hasFlag(argc, argv, "shutdown-after")) {
-        Client bye(host, port);
-        const Reply r = parseReply(
-            bye.call(adminRequest("bye", RequestType::Shutdown)));
-        if (!r.ok)
-            fatal("shutdown refused: " + r.raw);
-    }
-
-    const double wallMs = timer.elapsedMs();
-    std::cout << "\nclassify smoke: " << (pass ? "PASS" : "FAIL")
-              << " in " << TableWriter::fixed(wallMs, 0) << " ms\n";
-
-    if (!jsonPath.empty()) {
-        jr.meta("connected", true);
-        jr.meta("wall_ms", wallMs);
-        jr.meta("stream_frames", std::uint64_t(seen.size()));
-        jr.meta("assembled_identical", assembled == reference);
-        jr.meta("resume_ok", resumeOk);
-        jr.writeTo(jsonPath);
-    }
-    return pass ? 0 : 1;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     bench::initObservability(argc, argv);
-    if (const std::string connect =
-            valueOfArg(argc, argv, "connect");
-        !connect.empty()) {
-        try {
-            return runConnected(argc, argv, connect);
-        } catch (const std::exception &e) {
-            std::cerr << "bench_classify: " << e.what() << "\n";
-            return 1;
-        }
-    }
 
     const std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
     const unsigned benchThreads = bench::uintFromArgs<unsigned>(

@@ -1,228 +1,37 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the toolchain itself:
- * synthesis (core generation + optimization), static timing,
- * gate-level simulation, the assembler, the instruction-set
- * simulator, the parallel execution layer, and the synthesis
- * cache. These guard the usability of the flow (a full
- * design-space sweep runs hundreds of synthesis+analysis passes).
+ * Scalar-vs-batch simulator comparison: raw gate-level settle
+ * throughput and Monte-Carlo fault-trial throughput of both engines
+ * on the paper's p1_8_2 core, with a hard agreement check on the
+ * yield numbers (exit 1 on mismatch).
  *
- * Options: --threads N sizes the pool the parallel-layer, sweep and
- * variation benchmarks run on (default 1; stripped before
- * google-benchmark parses the remaining flags). Machine-readable
- * timing comes from google-benchmark itself, e.g.
- * --benchmark_format=json or --benchmark_out=BENCH_micro.json.
- *
- * --json PATH switches to a standalone scalar-vs-batch simulator
- * comparison (no google-benchmark): raw gate-level settle
- * throughput and Monte-Carlo fault-trial throughput of both
- * engines on the p1_8_2 core, with a hard agreement check on the
- * yield numbers (exit 1 on mismatch). CI smoke-runs this as
- * BENCH_sim.json.
+ * Options: --json [PATH] writes the report (a bare --json writes
+ * BENCH_sim.json; CI smoke-runs it and gates it against
+ * bench/baselines/BENCH_sim.json), --trace-out PATH writes a Chrome
+ * trace. Layer-by-layer timing of the toolchain is perfbench's job
+ * (perfbench/README.md).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstring>
+#include <string>
 
-#include "analysis/characterize.hh"
 #include "analysis/fault.hh"
-#include "analysis/variation.hh"
-#include "arch/machine.hh"
 #include "bench_util.hh"
-#include "common/parallel.hh"
-#include "common/rng.hh"
 #include "core/generator.hh"
-#include "dse/sweep.hh"
-#include "isa/assembler.hh"
 #include "sim/batch_simulator.hh"
 #include "sim/simulator.hh"
-#include "synth/cache.hh"
-#include "workloads/kernels.hh"
 
 namespace
 {
 
 using namespace printed;
 
-/** Worker count for the parallel benchmarks (--threads N). */
-unsigned gThreads = 1;
-
-void
-BM_BuildCore(benchmark::State &state)
-{
-    const CoreConfig cfg =
-        CoreConfig::standard(1, unsigned(state.range(0)), 2);
-    for (auto _ : state) {
-        Netlist nl = buildCore(cfg);
-        benchmark::DoNotOptimize(nl.gateCount());
-    }
-}
-BENCHMARK(BM_BuildCore)->Arg(8)->Arg(32);
-
-void
-BM_Characterize(benchmark::State &state)
-{
-    const Netlist nl = buildCore(CoreConfig::standard(1, 8, 2));
-    for (auto _ : state) {
-        const Characterization ch = characterize(nl, egfetLibrary());
-        benchmark::DoNotOptimize(ch.fmaxHz());
-    }
-}
-BENCHMARK(BM_Characterize);
-
-void
-BM_StaticTiming(benchmark::State &state)
-{
-    const Netlist nl = buildCore(CoreConfig::standard(1, 32, 2));
-    for (auto _ : state) {
-        const TimingReport t = analyzeTiming(nl, egfetLibrary());
-        benchmark::DoNotOptimize(t.fmaxHz);
-    }
-}
-BENCHMARK(BM_StaticTiming);
-
-void
-BM_GateSimCycle(benchmark::State &state)
-{
-    const Netlist nl = buildCore(CoreConfig::standard(1, 8, 2));
-    GateSimulator sim(nl);
-    for (auto _ : state)
-        sim.cycle();
-    state.SetItemsProcessed(std::int64_t(state.iterations()));
-}
-BENCHMARK(BM_GateSimCycle);
-
-void
-BM_BatchGateSimCycle(benchmark::State &state)
-{
-    // One batch cycle advances 64 independent trials; items = lane
-    // cycles, so items/s is directly comparable to BM_GateSimCycle.
-    const Netlist nl = buildCore(CoreConfig::standard(1, 8, 2));
-    BatchGateSimulator sim(nl);
-    for (auto _ : state)
-        sim.cycle();
-    state.SetItemsProcessed(std::int64_t(
-        state.iterations() * BatchGateSimulator::laneCount));
-}
-BENCHMARK(BM_BatchGateSimCycle);
-
-void
-BM_Assembler(benchmark::State &state)
-{
-    const std::string src = R"(
-        STORE [0], #5
-        loop:
-            ADD [0], [1]
-            ADC [2], [3]
-            SUB [4], [5]
-            BRN loop, Z
-        halt: BRN halt, #0
-    )";
-    const IsaConfig cfg;
-    for (auto _ : state) {
-        const Program p = assemble(src, cfg);
-        benchmark::DoNotOptimize(p.size());
-    }
-}
-BENCHMARK(BM_Assembler);
-
-void
-BM_IssMultIteration(benchmark::State &state)
-{
-    const Workload wl = makeWorkload(Kernel::Mult, 8, 8);
-    const auto inputs = defaultInputs(Kernel::Mult, 8);
-    for (auto _ : state) {
-        TpIsaMachine m(wl.program, wl.dmemWords);
-        wl.load([&](std::size_t a, std::uint64_t v) {
-            m.setMem(a, v);
-        }, inputs);
-        m.run();
-        benchmark::DoNotOptimize(m.stats().instructions);
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations()));
-}
-BENCHMARK(BM_IssMultIteration);
-
-void
-BM_ParallelForOverhead(benchmark::State &state)
-{
-    ThreadPool pool(gThreads);
-    std::vector<std::uint64_t> out(1024);
-    for (auto _ : state) {
-        pool.parallelFor(out.size(), [&](std::size_t i) {
-            out[i] = mixSeed(0xABCD, i);
-        });
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(
-        std::int64_t(state.iterations() * out.size()));
-}
-BENCHMARK(BM_ParallelForOverhead);
-
-void
-BM_SweepDesignSpace(benchmark::State &state)
-{
-    // Cold sweep: every iteration re-synthesizes all 24 Figure 7
-    // points (the cache is cleared), spread over --threads workers.
-    ThreadPool pool(gThreads);
-    SweepOptions opts;
-    opts.pool = &pool;
-    for (auto _ : state) {
-        SynthCache::global().clear();
-        const auto points = sweepDesignSpace(opts);
-        benchmark::DoNotOptimize(points.size());
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations() * 24));
-}
-BENCHMARK(BM_SweepDesignSpace)->Unit(benchmark::kMillisecond);
-
-void
-BM_SweepDesignSpaceCached(benchmark::State &state)
-{
-    // Warm sweep: all 24 points served from the synthesis cache.
-    ThreadPool pool(gThreads);
-    SweepOptions opts;
-    opts.pool = &pool;
-    SynthCache::global().clear();
-    {
-        const auto warmup = sweepDesignSpace(opts);
-        benchmark::DoNotOptimize(warmup.size());
-    }
-    for (auto _ : state) {
-        const auto points = sweepDesignSpace(opts);
-        benchmark::DoNotOptimize(points.size());
-    }
-    state.SetItemsProcessed(std::int64_t(state.iterations() * 24));
-}
-BENCHMARK(BM_SweepDesignSpaceCached)->Unit(benchmark::kMillisecond);
-
-void
-BM_VariationMc(benchmark::State &state)
-{
-    const std::shared_ptr<const Netlist> nl =
-        SynthCache::global().core(CoreConfig::standard(1, 8, 2));
-    ThreadPool pool(gThreads);
-    VariationModel model;
-    model.samples = 32;
-    model.pool = &pool;
-    for (auto _ : state) {
-        const VariationReport r =
-            analyzeVariation(*nl, egfetLibrary(), model);
-        benchmark::DoNotOptimize(r.p95Us);
-    }
-    state.SetItemsProcessed(
-        std::int64_t(state.iterations() * model.samples));
-}
-BENCHMARK(BM_VariationMc)->Unit(benchmark::kMillisecond);
-
 /**
- * The --json mode: time the scalar and 64-lane batch engines on the
- * same work — raw settle throughput (gate·cycles/s) and the
- * functional-yield Monte Carlo (trials/s) on the paper's p1_8_2
- * core at one thread each — and assert that both engines report
- * identical yield numbers.
+ * Time the scalar and 64-lane batch engines on the same work — raw
+ * settle throughput (gate·cycles/s) and the functional-yield Monte
+ * Carlo (trials/s) on the paper's p1_8_2 core at one thread each —
+ * and assert that both engines report identical yield numbers. The
+ * report goes to `json_path` unless it is empty.
  * @return 0 when the engines agree, 1 otherwise
  */
 int
@@ -331,7 +140,8 @@ runSimComparison(const std::string &json_path)
                 {"benign_trials", batchRep.benignTrials},
                 {"defect_free_trials",
                  batchRep.defectFreeTrials}});
-    report.writeTo(json_path);
+    if (!json_path.empty())
+        report.writeTo(json_path);
     return agree ? 0 : 1;
 }
 
@@ -341,35 +151,8 @@ int
 main(int argc, char **argv)
 {
     printed::bench::initObservability(argc, argv);
-
-    // --json [PATH]: standalone engine comparison, no
-    // google-benchmark. A bare --json (e.g. "--json --trace-out
-    // trace.json") writes the default report name.
-    const std::string json =
-        bench::jsonPathFromArgs(argc, argv, "BENCH_sim.json");
-    if (!json.empty())
-        return runSimComparison(json);
-
-    // Strip "--threads N" and "--trace-out PATH" (already consumed
-    // here and by initObservability) before google-benchmark rejects
-    // them as unrecognized flags.
-    gThreads = bench::uintFromArgs<unsigned>(argc, argv, "threads", 1);
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if ((std::strcmp(argv[i], "--threads") == 0 ||
-             std::strcmp(argv[i], "--trace-out") == 0) &&
-            i + 1 < argc) {
-            ++i;
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    // A bare --json (e.g. "--json --trace-out trace.json") writes
+    // the default report name.
+    return runSimComparison(
+        bench::jsonPathFromArgs(argc, argv, "BENCH_sim.json"));
 }

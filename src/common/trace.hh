@@ -42,8 +42,7 @@ namespace printed::trace
 /**
  * Capacity of the span ring: 65,536 events (~6 MB, plus names and
  * details too long for std::string's inline buffer). A traced
- * printedd smoke load (bench_service) records ~1,400 and a traced
- * bench_classify run ~3,900.
+ * bench_classify run records ~3,900.
  */
 inline constexpr std::size_t kMaxEvents = std::size_t(1) << 16;
 

@@ -72,7 +72,11 @@ struct CoreConfig
     /** Validate; fatal() on inconsistent settings. */
     void check() const;
 
-    bool operator==(const CoreConfig &) const = default;
+    /**
+     * Identity: every field, in declaration order. SynthCache keys
+     * on it, so each new field is part of the key by construction.
+     */
+    auto operator<=>(const CoreConfig &) const = default;
 
     /** Standard (non-program-specific) core, as in Figure 7. */
     static CoreConfig

@@ -183,7 +183,7 @@ struct IsaConfig
     /** Validate ranges; fatal() on nonsense. */
     void check() const;
 
-    bool operator==(const IsaConfig &) const = default;
+    auto operator<=>(const IsaConfig &) const = default;
 };
 
 /** One decoded TP-ISA instruction. */

@@ -332,7 +332,6 @@ buildTreeNetlist(const TreeModel &model)
     for (unsigned c = 0; c < model.classes; ++c)
         nl.addOutput(classOutputName(c),
                      synth::orReduce(nl, emitter.leafActs[c]));
-    nl.validate();
     return nl;
 }
 
@@ -522,7 +521,6 @@ buildTernaryNetlist(const TernaryModel &model)
 
     for (unsigned c = 0; c < model.classes; ++c)
         nl.addOutput(classOutputName(c), hot[c]);
-    nl.validate();
     return nl;
 }
 

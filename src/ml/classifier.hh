@@ -107,7 +107,10 @@ struct TreeModel
  */
 TreeModel trainTree(const Dataset &data, unsigned maxDepth);
 
-/** Elaborate a tree into a netlist (inputs f<i>[b], outputs class<k>). */
+/**
+ * Elaborate a tree into a netlist (inputs f<i>[b], outputs
+ * class<k>). Unvalidated: synth::optimize() validates and seals it.
+ */
 Netlist buildTreeNetlist(const TreeModel &model);
 
 // ----------------------------------------------------------------
@@ -159,7 +162,10 @@ struct TernaryModel
 TernaryModel seedTernary(const DatasetSpec &spec, unsigned hidden,
                          std::uint64_t seed);
 
-/** Elaborate a ternary net (inputs f<i>[b], outputs class<k>). */
+/**
+ * Elaborate a ternary net (inputs f<i>[b], outputs class<k>).
+ * Unvalidated: synth::optimize() validates and seals it.
+ */
 Netlist buildTernaryNetlist(const TernaryModel &model);
 
 // ----------------------------------------------------------------

@@ -466,14 +466,15 @@ parseRequest(const std::string &line)
                 "request field 'stream' must be a boolean");
         req.stream = s->boolean;
     }
-    req.resumeFrom = uintField(root, "resume_from", 0, 0, 1 << 20);
     fatalIf(req.stream && req.type != RequestType::Sweep &&
                 req.type != RequestType::Yield &&
                 req.type != RequestType::Classify,
             "'stream' is only valid for sweep, yield, and classify "
             "requests");
-    fatalIf(req.resumeFrom != 0 && !req.stream,
-            "'resume_from' requires 'stream': true");
+    // Unknown members are ignored, but a client written for the
+    // removed "resume_from" must get an error, not the whole stream.
+    fatalIf(root.find("resume_from") != nullptr,
+            "'resume_from' is not supported: replay the request");
 
     switch (req.type) {
       case RequestType::Synth:
@@ -845,12 +846,11 @@ classifyOf(const std::string &id, const ml::ClassifySpec &spec,
     return req;
 }
 
-/** `req` rendered as a stream that starts at point `resumeFrom`. */
+/** `req` rendered as a stream. */
 std::string
-streamLine(Request req, std::uint64_t resumeFrom)
+streamLine(Request req)
 {
     req.stream = true;
-    req.resumeFrom = resumeFrom;
     return requestLine(req);
 }
 
@@ -890,11 +890,8 @@ requestLine(const Request &req)
       case RequestType::Shutdown:
         break;
     }
-    if (req.stream) {
+    if (req.stream)
         out += ", \"stream\": true";
-        if (req.resumeFrom != 0)
-            out += ", \"resume_from\": " + std::to_string(req.resumeFrom);
-    }
     return out + "}";
 }
 
@@ -938,28 +935,25 @@ adminRequest(const std::string &id, RequestType type)
 
 std::string
 sweepStreamRequest(const std::string &id, const SweepSpec &spec,
-                   std::uint64_t resumeFrom, double deadlineMs)
+                   double deadlineMs)
 {
-    return streamLine(sweepOf(id, spec, deadlineMs), resumeFrom);
+    return streamLine(sweepOf(id, spec, deadlineMs));
 }
 
 std::string
 yieldStreamRequest(const std::string &id, const CoreConfig &config,
                    unsigned trials, std::uint64_t seed,
-                   unsigned replicas, std::uint64_t resumeFrom,
-                   double deadlineMs)
+                   unsigned replicas, double deadlineMs)
 {
     return streamLine(
-        yieldOf(id, config, trials, seed, replicas, deadlineMs),
-        resumeFrom);
+        yieldOf(id, config, trials, seed, replicas, deadlineMs));
 }
 
 std::string
 classifyStreamRequest(const std::string &id,
-                      const ml::ClassifySpec &spec,
-                      std::uint64_t resumeFrom, double deadlineMs)
+                      const ml::ClassifySpec &spec, double deadlineMs)
 {
-    return streamLine(classifyOf(id, spec, deadlineMs), resumeFrom);
+    return streamLine(classifyOf(id, spec, deadlineMs));
 }
 
 } // namespace printed::service

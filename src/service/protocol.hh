@@ -82,9 +82,11 @@
  * Partials arrive in strict index order; concatenating the point
  * bodies of indices 0..N-1 reproduces the monolithic "result" body
  * byte-for-byte (assembleStreamedReply), because the server builds
- * both from the same ordered points. "resume_from": K asks the
- * server to start at point index K — the replay rule after a
- * mid-stream disconnect; a K past the last point is a bad_request.
+ * both from the same ordered points. A client that hangs up
+ * mid-stream stops the computation; to get the points it missed it
+ * replays the request, which by the determinism rule streams the
+ * same bytes again. A request carrying "resume_from" (a field of
+ * earlier protocol builds) is a bad_request.
  *
  * Determinism rule (DESIGN.md "Serving"): the reply to a compute
  * request (synth/yield/sweep) is a pure function of the request
@@ -189,9 +191,6 @@ struct Request
 
     /** Stream partial frames (sweep/yield/classify only). */
     bool stream = false;
-
-    /** First point index to emit (streamed resume). */
-    std::uint64_t resumeFrom = 0;
 };
 
 /**
@@ -335,13 +334,9 @@ std::string classifyRequest(const std::string &id,
 /** Render a metrics / health / shutdown request line. */
 std::string adminRequest(const std::string &id, RequestType type);
 
-/**
- * Render a streamed sweep request ("stream": true), resuming at
- * point index `resumeFrom` (0 = the whole sweep).
- */
+/** Render a streamed sweep request ("stream": true). */
 std::string sweepStreamRequest(const std::string &id,
                                const SweepSpec &spec,
-                               std::uint64_t resumeFrom = 0,
                                double deadlineMs = 0);
 
 /** Render a streamed yield request. */
@@ -350,13 +345,11 @@ std::string yieldStreamRequest(const std::string &id,
                                unsigned trials,
                                std::uint64_t seed = 1,
                                unsigned replicas = 1,
-                               std::uint64_t resumeFrom = 0,
                                double deadlineMs = 0);
 
 /** Render a streamed classify request. */
 std::string classifyStreamRequest(const std::string &id,
                                   const ml::ClassifySpec &spec,
-                                  std::uint64_t resumeFrom = 0,
                                   double deadlineMs = 0);
 
 /**

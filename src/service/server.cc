@@ -113,12 +113,20 @@ planOf(const Request &req)
 
 } // anonymous namespace
 
-/** One client connection: socket, reader thread, write lock. */
+/**
+ * One client connection: its socket and write lock. The socket
+ * closes when the last holder (its reader, a queued or running Task)
+ * lets go, so a late reply never reaches a recycled descriptor.
+ */
 struct Server::Connection
 {
-    int fd = -1;
+    explicit Connection(int fd) : fd(fd) {}
+    ~Connection() { ::close(fd); }
+    Connection(const Connection &) = delete;
+    Connection &operator=(const Connection &) = delete;
+
+    const int fd;
     std::mutex writeMutex;
-    std::thread reader;
     std::atomic<bool> open{true};
 };
 
@@ -223,19 +231,18 @@ Server::joinEverything()
         if (t.joinable())
             t.join();
 
-    // 3. Hang up: readers see EOF and exit; then close sockets.
-    std::vector<std::shared_ptr<Connection>> conns;
+    // 3. Hang up: readers see EOF and return, and each socket
+    //    closes with its last holder.
+    std::list<Reader> readers;
     {
         std::lock_guard lk(connMutex_);
-        conns.swap(conns_);
+        for (const Reader &r : readers_)
+            if (r.conn)
+                ::shutdown(r.conn->fd, SHUT_RD);
+        readers.swap(readers_);
     }
-    for (const auto &c : conns)
-        ::shutdown(c->fd, SHUT_RD);
-    for (const auto &c : conns) {
-        if (c->reader.joinable())
-            c->reader.join();
-        ::close(c->fd);
-    }
+    for (Reader &r : readers)
+        r.thread.join();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -247,34 +254,55 @@ Server::acceptLoop()
 {
     for (;;) {
         const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // listen socket shut down
-        }
+        reapReaders();
+        bool finishing;
         {
             std::lock_guard lk(queueMutex_);
-            if (finishing_) {
-                ::close(fd);
-                continue;
-            }
+            finishing = finishing_;
+        }
+        if (fd < 0) {
+            if (finishing)
+                return; // the drain shut the listen socket down
+            // EINTR, or a transient error such as EMFILE: the
+            // connection stays queued, so pause and accept again.
+            if (errno != EINTR)
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            continue;
+        }
+        if (finishing) {
+            ::close(fd);
+            continue;
         }
         int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
                      sizeof(one));
         metrics::counter("service.connections").add(1);
 
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
-        {
-            std::lock_guard lk(connMutex_);
-            conns_.push_back(conn);
-        }
-        conn->reader = std::thread([this, conn] {
+        auto conn = std::make_shared<Connection>(fd);
+        std::lock_guard lk(connMutex_);
+        const auto reader = readers_.emplace(readers_.end());
+        reader->conn = conn;
+        reader->thread = std::thread([this, conn, reader] {
             trace::setThreadName("service-reader");
             readerLoop(conn);
+            std::lock_guard lk(connMutex_);
+            reader->conn.reset(); // reapReaders() may join it now
         });
     }
+}
+
+void
+Server::reapReaders()
+{
+    // A reader that reset its conn never takes connMutex_ again, so
+    // joining it under the lock cannot deadlock.
+    std::lock_guard lk(connMutex_);
+    readers_.remove_if([](Reader &r) {
+        if (r.conn)
+            return false;
+        r.thread.join();
+        return true;
+    });
 }
 
 void
@@ -302,10 +330,11 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
                 handleLine(conn, line);
         }
         buffer.erase(0, start);
-        if (buffer.size() > opts_.maxRequestBytes) {
+        if (buffer.size() > kMaxRequestBytes) {
             sendLine(conn,
                      errorReply("", errc::parseError,
                                 "request line too long"));
+            ::shutdown(conn->fd, SHUT_RDWR);
             break;
         }
     }
@@ -483,10 +512,6 @@ Server::runPoints(const Task &task, const PointSink &emit)
 {
     const Request &req = task.req;
     const Plan plan = planOf(req);
-    if (req.resumeFrom > plan.size)
-        fatal("resume_from " + std::to_string(req.resumeFrom) +
-              " is past the request's " + std::to_string(plan.size) +
-              " points");
 
     // The one stop check: run before every point and, for a request
     // with a deadline or a stream, before every item of the pool
@@ -516,16 +541,13 @@ Server::runPoints(const Task &task, const PointSink &emit)
     // The body of the one loop, run for every point in index order.
     const auto step = [&](std::uint64_t i, const auto &evaluate) {
         stop();
-        if (i >= req.resumeFrom)
-            emit(i, plan.size, evaluate());
+        emit(i, plan.size, evaluate());
     };
 
     if (req.type == RequestType::Classify) {
         // The search hands over each generation as it completes, so
-        // its points are stepped from the search's callback: the
-        // generations before resume_from are recomputed (or replayed
-        // from the classify cache) but not emitted. The Pareto front
-        // is the last point.
+        // its points are stepped from the search's callback. The
+        // Pareto front is the last point.
         const auto result = ml::runClassifyCached(
             req.classify, *pool, [&](const ml::GenerationReport &gen) {
                 step(gen.generation,
@@ -535,7 +557,7 @@ Server::runPoints(const Task &task, const PointSink &emit)
         return plan.size;
     }
 
-    for (std::uint64_t i = req.resumeFrom; i < plan.size; ++i)
+    for (std::uint64_t i = 0; i < plan.size; ++i)
         step(i, [&] { return plan.evaluate(i, *pool); });
     return plan.size;
 }

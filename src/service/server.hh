@@ -13,8 +13,8 @@
  * a synth or a yield is one point, a sweep its configs, an ISS sweep
  * its (core, kernel) grid, a classify its generation summaries and
  * then the Pareto front. One loop (runPoints) evaluates them in
- * index order from resume_from, with one deadline check per point
- * and, for a stream, one client-gone check. A stream sends each
+ * index order, with one deadline check per point and, for a
+ * stream, one client-gone check. A stream sends each
  * point as a partial frame and then a done frame; a monolithic
  * request collects the points and wraps them with resultBody(), the
  * rule assembleStreamedReply() applies to a finished stream, so the
@@ -38,9 +38,20 @@
  * "deadline_exceeded" within one item; "service.deadline_overrun_ms"
  * records how late each request with a deadline was answered.
  *
- * Errors: a FatalError while running a plan (an invalid spec, a
- * resume_from past the last point) answers "bad_request"; any other
- * exception answers "internal_error".
+ * Errors: a FatalError while running a plan (an invalid spec)
+ * answers "bad_request"; any other exception answers
+ * "internal_error".
+ *
+ * Connections: a reader thread serves each one until its client
+ * hangs up or sends a line longer than kMaxRequestBytes (answered
+ * "parse_error", then the server closes the connection). A stream
+ * whose client hangs up stops within one point or pool item; the
+ * client replays the request to get the points it missed. The
+ * socket closes once the reader and every Task holding the
+ * connection let go, and the accept thread joins returned readers,
+ * so a long-lived server holds only its live connections. A failed
+ * accept (EMFILE, say) is retried until the drain shuts the listen
+ * socket down.
  *
  * Drain: shutdown (the request type, Server::~Server, or a signal
  * via beginShutdown()) stops admission — new compute requests get
@@ -65,6 +76,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,6 +88,9 @@
 
 namespace printed::service
 {
+
+/** Longest request line a server reads (see the file comment). */
+inline constexpr std::size_t kMaxRequestBytes = 1 << 20;
 
 /** Configuration of a Server. */
 struct ServerOptions
@@ -97,9 +112,6 @@ struct ServerOptions
 
     /** Admission-queue capacity; beyond it requests are rejected. */
     std::size_t maxQueue = 64;
-
-    /** Largest accepted request line; longer closes the client. */
-    std::size_t maxRequestBytes = 1 << 20;
 
     /**
      * SynthCache::global() entry cap installed at start(); 0 leaves
@@ -159,6 +171,8 @@ class Server
     };
 
     void acceptLoop();
+    /** Join every reader that has returned (the accept thread). */
+    void reapReaders();
     void readerLoop(std::shared_ptr<Connection> conn);
     void executorLoop();
 
@@ -177,13 +191,12 @@ class Server
 
     /**
      * The one loop (see file comment): evaluate the task's points
-     * from resume_from in index order and hand each to `emit`; a
-     * monolithic yield, ISS sweep or classify holds the shared pool
-     * meanwhile. Returns the plan's point count. Throws
-     * DeadlineError (internal) when the deadline expires, ClientGone
-     * (internal) when a stream's client hangs up (both between
-     * points or before a pool item), and FatalError when
-     * resume_from is past the plan.
+     * in index order and hand each to `emit`; a monolithic yield,
+     * ISS sweep or classify holds the shared pool meanwhile.
+     * Returns the plan's point count. Throws DeadlineError
+     * (internal) when the deadline expires and ClientGone (internal)
+     * when a stream's client hangs up, both between points or
+     * before a pool item.
      */
     std::uint64_t runPoints(const Task &task, const PointSink &emit);
 
@@ -210,8 +223,18 @@ class Server
     std::thread acceptThread_;
     std::vector<std::thread> executors_;
 
+    /**
+     * A reader thread and the connection it serves. The reader
+     * resets `conn` as it returns; reapReaders() then joins it.
+     */
+    struct Reader
+    {
+        std::thread thread;
+        std::shared_ptr<Connection> conn;
+    };
+
     std::mutex connMutex_;
-    std::vector<std::shared_ptr<Connection>> conns_;
+    std::list<Reader> readers_;
 
     std::mutex queueMutex_;
     std::condition_variable queueCv_;

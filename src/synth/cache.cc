@@ -3,7 +3,6 @@
 #include <bit>
 #include <chrono>
 
-#include "common/rng.hh"
 #include "common/trace.hh"
 #include "core/generator.hh"
 
@@ -55,40 +54,6 @@ SynthCache::SynthCache(bool publishMetrics)
     }
 }
 
-CoreConfigKey
-coreConfigKey(const CoreConfig &config)
-{
-    CoreConfigKey key;
-    key.stages = config.stages;
-    key.datawidth = config.isa.datawidth;
-    key.barCount = config.isa.barCount;
-    key.pcBits = config.isa.pcBits;
-    key.operandBits = config.isa.operandBits;
-    key.isaFlagCount = config.isa.flagCount;
-    key.flagMask = config.flagMask;
-    key.barBits = config.barBits;
-    key.opcodeMask = config.opcodeMask;
-    key.addrBits = config.addrBits;
-    key.tristateResultMux = config.tristateResultMux;
-    return key;
-}
-
-std::uint64_t
-coreConfigHash(const CoreConfig &config)
-{
-    const CoreConfigKey k = coreConfigKey(config);
-    std::uint64_t h = 0x243f6a8885a308d3ULL;
-    for (std::uint64_t field :
-         {std::uint64_t(k.stages), std::uint64_t(k.datawidth),
-          std::uint64_t(k.barCount), std::uint64_t(k.pcBits),
-          std::uint64_t(k.operandBits), std::uint64_t(k.isaFlagCount),
-          std::uint64_t(k.flagMask), std::uint64_t(k.barBits),
-          std::uint64_t(k.opcodeMask), std::uint64_t(k.addrBits),
-          std::uint64_t(k.tristateResultMux)})
-        h = mixSeed(h, field);
-    return h;
-}
-
 template <typename Map>
 void
 SynthCache::enforceCap(Map &map, metrics::Counter &evictions)
@@ -115,19 +80,18 @@ SynthCache::enforceCap(Map &map, metrics::Counter &evictions)
 std::shared_ptr<const Netlist>
 SynthCache::core(const CoreConfig &config)
 {
-    const CoreConfigKey key = coreConfigKey(config);
     std::promise<std::shared_ptr<const Netlist>> promise;
     std::shared_future<std::shared_ptr<const Netlist>> future;
     bool builder = false;
     std::uint64_t entryId = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cores_.find(key);
+        auto it = cores_.find(config);
         if (it == cores_.end()) {
             builder = true;
             future = promise.get_future().share();
             entryId = ++nextId_;
-            cores_.emplace(key,
+            cores_.emplace(config,
                            Entry<Netlist>{future, ++tick_, entryId});
             netlistMisses_->add();
             enforceCap(cores_, *netlistEvictions_);
@@ -147,7 +111,7 @@ SynthCache::core(const CoreConfig &config)
             // the cap (inserts that raced with the build skipped
             // it as unevictable).
             std::lock_guard<std::mutex> lock(mutex_);
-            auto it = cores_.find(key);
+            auto it = cores_.find(config);
             if (it != cores_.end() && it->second.id == entryId)
                 it->second.lastUse = ++tick_;
             enforceCap(cores_, *netlistEvictions_);
@@ -163,7 +127,7 @@ SynthCache::core(const CoreConfig &config)
             // key from losing an innocent entry.
             promise.set_exception(std::current_exception());
             std::lock_guard<std::mutex> lock(mutex_);
-            auto it = cores_.find(key);
+            auto it = cores_.find(config);
             if (it != cores_.end() && it->second.id == entryId)
                 cores_.erase(it);
         }
@@ -183,10 +147,8 @@ std::shared_ptr<const Characterization>
 SynthCache::characterization(const CoreConfig &config, TechKind tech,
                              double activity)
 {
-    CharKey key;
-    key.config = coreConfigKey(config);
-    key.tech = tech;
-    key.activityBits = std::bit_cast<std::uint64_t>(activity);
+    const auto key =
+        std::tuple(config, tech, std::bit_cast<std::uint64_t>(activity));
 
     std::promise<std::shared_ptr<const Characterization>> promise;
     std::shared_future<std::shared_ptr<const Characterization>> future;

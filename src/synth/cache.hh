@@ -8,18 +8,15 @@
  * is by far the hottest path in the flow. This cache memoizes both
  * stages:
  *
- *   netlist          = f(canonical CoreConfig key)
- *   characterization = f(canonical CoreConfig key, tech, activity)
+ *   netlist          = f(CoreConfig)
+ *   characterization = f(CoreConfig, tech, activity)
  *
  * Keying rules (documented in DESIGN.md):
- *   - The netlist key is the exhaustive tuple of every CoreConfig
- *     field that buildCore() reads: stages, the full IsaConfig
- *     (datawidth, barCount, pcBits, operandBits, flagCount),
- *     flagMask, barBits, opcodeMask, tristateResultMux, addrBits.
- *     Two configs with equal keys elaborate identical netlists, so
- *     sharing is sound; coreConfigHash() is a mixed hash of the
- *     same tuple used for bucketing, with full-key equality on
- *     lookup (a hash collision can never alias two configs).
+ *   - The netlist key is the CoreConfig itself, ordered by its
+ *     defaulted operator<=> over every field (the IsaConfig
+ *     included). buildCore() reads nothing else, so two equal
+ *     configs elaborate identical netlists and sharing is sound,
+ *     and a field added to CoreConfig joins the key with it.
  *   - The characterization key extends the netlist key with the
  *     technology kind and the exact activity-factor bits.
  *
@@ -58,6 +55,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <tuple>
 
 #include "analysis/characterize.hh"
 #include "common/metrics.hh"
@@ -67,34 +65,6 @@
 
 namespace printed
 {
-
-/**
- * Canonical identity of a CoreConfig for caching: every field
- * buildCore() consumes, nothing else (the label is derived, not
- * identity).
- */
-struct CoreConfigKey
-{
-    unsigned stages = 0;
-    unsigned datawidth = 0;
-    unsigned barCount = 0;
-    unsigned pcBits = 0;
-    unsigned operandBits = 0;
-    unsigned isaFlagCount = 0;
-    unsigned flagMask = 0;
-    unsigned barBits = 0;
-    unsigned opcodeMask = 0;
-    unsigned addrBits = 0;
-    bool tristateResultMux = false;
-
-    auto operator<=>(const CoreConfigKey &) const = default;
-};
-
-/** Canonical cache key of a config. */
-CoreConfigKey coreConfigKey(const CoreConfig &config);
-
-/** Mixed 64-bit hash of the canonical key (for bucketing/reports). */
-std::uint64_t coreConfigHash(const CoreConfig &config);
 
 /** Cache hit/miss counters (monotonic since construction/clear). */
 struct SynthCacheStats
@@ -124,8 +94,8 @@ class SynthCache
 
     /**
      * The netlist of buildCore(config), synthesized at most once
-     * per canonical key. Concurrent callers block until the one
-     * builder finishes.
+     * per config. Concurrent callers block until the one builder
+     * finishes.
      */
     std::shared_ptr<const Netlist> core(const CoreConfig &config);
 
@@ -157,15 +127,6 @@ class SynthCache
     static SynthCache &global();
 
   private:
-    struct CharKey
-    {
-        CoreConfigKey config;
-        TechKind tech = TechKind::EGFET;
-        std::uint64_t activityBits = 0;
-
-        auto operator<=>(const CharKey &) const = default;
-    };
-
     /**
      * One cached build: the shared future plus the LRU bookkeeping.
      * `id` identifies this *installation* of the key, so a failed
@@ -185,8 +146,11 @@ class SynthCache
     void enforceCap(Map &map, metrics::Counter &evictions);
 
     mutable std::mutex mutex_;
-    std::map<CoreConfigKey, Entry<Netlist>> cores_;
-    std::map<CharKey, Entry<Characterization>> chars_;
+    std::map<CoreConfig, Entry<Netlist>> cores_;
+    /** Keyed on (config, technology, activity factor's bits). */
+    std::map<std::tuple<CoreConfig, TechKind, std::uint64_t>,
+             Entry<Characterization>>
+        chars_;
     std::size_t capacity_ = 0; ///< per-map entry cap; 0 = unbounded
     std::uint64_t tick_ = 0;   ///< LRU clock (bumped per access)
     std::uint64_t nextId_ = 0; ///< entry installation ids

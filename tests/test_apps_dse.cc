@@ -215,16 +215,22 @@ TEST(Dse, SweepValidatesAndLevelizesEachCoreOnce)
 
 TEST(Dse, CacheKeySeparatesDistinctConfigs)
 {
+    // SynthCache keys on CoreConfig's defaulted ordering: configs
+    // that differ in any field, IsaConfig's included, are distinct
+    // keys, and equal configs are one key.
     const CoreConfig a = CoreConfig::standard(1, 8, 2);
     CoreConfig b = a;
     b.tristateResultMux = false;
     CoreConfig c = a;
     c.opcodeMask &= ~1u;
-    EXPECT_EQ(coreConfigKey(a), coreConfigKey(a));
-    EXPECT_NE(coreConfigKey(a), coreConfigKey(b));
-    EXPECT_NE(coreConfigKey(a), coreConfigKey(c));
-    EXPECT_NE(coreConfigHash(a), coreConfigHash(b));
-    EXPECT_NE(coreConfigHash(a), coreConfigHash(c));
+    CoreConfig d = a;
+    d.isa.pcBits = 6;
+    EXPECT_EQ(a, CoreConfig::standard(1, 8, 2));
+    EXPECT_FALSE(a < CoreConfig::standard(1, 8, 2));
+    for (const CoreConfig &other : {b, c, d}) {
+        EXPECT_NE(a, other);
+        EXPECT_TRUE(a < other || other < a);
+    }
 
     // Cached netlists for distinct keys are distinct objects;
     // repeated lookups of one key share one object.

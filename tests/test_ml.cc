@@ -380,6 +380,27 @@ TEST(MlEvolve, DeterministicAcrossThreadCounts)
     EXPECT_FALSE(r1.front.empty());
 }
 
+TEST(MlEvolve, EachCandidateIsValidatedOnce)
+{
+    // The builders leave the full netlist check to the seal of
+    // synth::optimize(), so a search validates each candidate once.
+    ClassifySpec spec;
+    spec.dataset.features = 2;
+    spec.dataset.classes = 2;
+    spec.dataset.bits = 4;
+    spec.depth = 2;
+    spec.search.generations = 2;
+    spec.search.population = 3;
+    metrics::Counter &validations = metrics::counter("netlist.validations");
+    metrics::Counter &scored = metrics::counter("ml.candidates_scored");
+    const std::uint64_t v0 = validations.value();
+    const std::uint64_t s0 = scored.value();
+    ThreadPool pool(1);
+    runClassify(spec, pool);
+    EXPECT_EQ(scored.value() - s0, 7u);
+    EXPECT_EQ(validations.value() - v0, 7u);
+}
+
 TEST(MlEvolve, BatchAndScalarEnginesAgree)
 {
     ClassifySpec spec = quickTreeSpec();

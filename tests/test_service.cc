@@ -1,10 +1,12 @@
 /**
  * @file
  * printedd service tests: protocol round-trips, end-to-end TCP
- * request/reply, admission control, deadlines, drain, the serving
- * determinism rule (concurrent replies byte-identical to serial
- * ones), and an EINTR signal-storm regression test for the socket
- * I/O loops.
+ * request/reply, admission control, deadlines, drain, connection
+ * lifetime (closed connections release their descriptors, an
+ * over-long line closes its client, a failed accept is retried),
+ * the serving determinism rule (concurrent replies byte-identical
+ * to serial ones), and an EINTR signal-storm regression test for
+ * the socket I/O loops.
  */
 
 #include <gtest/gtest.h>
@@ -13,19 +15,27 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <pthread.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/json_min.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/rng.hh"
 #include "service/client.hh"
+#include "service/net_io.hh"
 #include "service/protocol.hh"
 #include "service/server.hh"
 
@@ -460,8 +470,17 @@ TEST(ServiceServer, SynthOverTcp)
     EXPECT_EQ(core->string, "p1_4_2");
     EXPECT_GT(result->find("gates")->number, 100);
 
-    // The reply is a pure function of the request line.
+    // The reply is a pure function of the request line, and the
+    // repeat is served from the synthesis cache: it builds no core
+    // and hits the cached characterizations.
+    const std::uint64_t built =
+        metrics::counter("synth.cores_built").value();
+    const std::uint64_t charHits =
+        metrics::counter("synth.cache.char_hits").value();
     EXPECT_EQ(client.call(synthRequest("s1", smallConfig())), raw);
+    EXPECT_EQ(metrics::counter("synth.cores_built").value(), built);
+    EXPECT_GT(metrics::counter("synth.cache.char_hits").value(),
+              charHits);
 }
 
 TEST(ServiceServer, YieldAndSweepOverTcp)
@@ -987,6 +1006,137 @@ TEST(ServiceServer, DrainAnswersALongYieldInFlight)
     const Reply reply = parseReply(client.readLine(60000));
     EXPECT_TRUE(reply.ok) << reply.raw;
     server.wait();
+}
+
+// ---------------------------------------------------------------
+// Connection lifetime
+// ---------------------------------------------------------------
+
+/** Descriptors this process holds open. */
+std::size_t
+openFds()
+{
+    using std::filesystem::directory_iterator;
+    return std::size_t(std::distance(directory_iterator("/proc/self/fd"),
+                                     directory_iterator()));
+}
+
+/** Connect socket `fd` to loopback `port` (0 on success). */
+int
+rawConnect(int fd, std::uint16_t port)
+{
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    return ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr));
+}
+
+/**
+ * What `fd` receives until the server closes it (`closed` true) or
+ * `timeoutMs` pass without a byte (`closed` false).
+ */
+std::string
+readUntilClosed(int fd, double timeoutMs, bool &closed)
+{
+    std::string got;
+    char buf[4096];
+    closed = false;
+    while (netio::waitReadable(fd, timeoutMs)) {
+        const ssize_t n = netio::recvSome(fd, buf, sizeof(buf));
+        if (n <= 0) {
+            closed = true;
+            break;
+        }
+        got.append(buf, std::size_t(n));
+    }
+    return got;
+}
+
+TEST(ServiceServer, ClosedConnectionsReleaseTheirDescriptors)
+{
+    // A connection's socket closes once its client has hung up and
+    // its reader returned, so a long-lived server holds only its
+    // live connections.
+    Server server;
+    server.start();
+    const auto cycle = [&] {
+        Client client("127.0.0.1", server.port());
+        ASSERT_TRUE(parseReply(client.call(
+                        adminRequest("h", RequestType::Health)))
+                        .ok);
+    };
+    cycle();
+    const std::size_t start = openFds();
+    for (int i = 0; i < 300; ++i)
+        cycle();
+    // The last readers may still be returning.
+    std::size_t now = openFds();
+    for (int wait = 0; now > start + 4 && wait < 500; ++wait) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        now = openFds();
+    }
+    EXPECT_LE(now, start + 4);
+}
+
+TEST(ServiceServer, OverlongLineIsAnsweredThenClosed)
+{
+    Server server;
+    server.start();
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(rawConnect(fd, server.port()), 0);
+
+    // One byte past the limit and no newline: the server reads all
+    // of it, answers, and closes the connection.
+    const std::string line(kMaxRequestBytes + 1, 'x');
+    ASSERT_TRUE(netio::sendAll(fd, line.data(), line.size()));
+    bool closed = false;
+    EXPECT_EQ(readUntilClosed(fd, 10000, closed),
+              errorReply("", errc::parseError, "request line too long") +
+                  "\n");
+    EXPECT_TRUE(closed);
+    ::close(fd);
+}
+
+TEST(ServiceServer, AcceptRetriesWhileTheProcessIsOutOfDescriptors)
+{
+    Server server;
+    server.start();
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+
+    // Hold the process at its descriptor limit: the kernel completes
+    // the handshake, but the server's accept fails with EMFILE.
+    rlimit old{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old), 0);
+    rlimit low = old;
+    low.rlim_cur = std::min<rlim_t>(old.rlim_cur, openFds() + 16);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    std::vector<int> filler;
+    for (int dup; filler.size() < 1024 && (dup = ::dup(fd)) >= 0;)
+        filler.push_back(dup);
+    const int fillErrno = errno;
+    const int connected = rawConnect(fd, server.port());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (const int dup : filler)
+        ::close(dup);
+    ::setrlimit(RLIMIT_NOFILE, &old);
+    ASSERT_EQ(fillErrno, EMFILE);
+    ASSERT_EQ(connected, 0);
+
+    // Once descriptors are free again, the connection is served.
+    const std::string health =
+        adminRequest("h", RequestType::Health) + "\n";
+    ASSERT_TRUE(netio::sendAll(fd, health.data(), health.size()));
+    ::shutdown(fd, SHUT_WR);
+    bool closed = false;
+    const std::string reply = readUntilClosed(fd, 10000, closed);
+    ::close(fd);
+    ASSERT_FALSE(reply.empty());
+    EXPECT_TRUE(parseReply(reply.substr(0, reply.size() - 1)).ok)
+        << reply;
 }
 
 TEST(ServiceClient, CallTimeoutThrowsTimeoutError)

@@ -2,14 +2,13 @@
  * @file
  * Protocol-level tests of streaming partial replies: partial frames
  * arrive in strict point order and concatenate byte-identically to
- * the monolithic reply, resume_from starts mid-plan (and past the
- * plan is a bad_request), and a client that hangs up mid-stream and
- * resumes on a new connection never duplicates or drops a point.
+ * the monolithic reply, a request carrying "resume_from" is a
+ * bad_request, and a client that hangs up mid-stream and replays
+ * the request on a new connection gets the same bytes.
  */
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -147,88 +146,12 @@ TEST(Streaming, ClassifyStreamReassemblesByteExactly)
         monolithic);
 }
 
-TEST(Streaming, ClassifyResumeFromStartsMidSearch)
-{
-    Server server;
-    server.start();
-    Client client("127.0.0.1", server.port());
-
-    const ml::ClassifySpec spec = streamClassifySpec();
-    client.send(classifyStreamRequest("r", spec, /*resumeFrom=*/2));
-    const StreamFrame first = classifyFrame(client.readLine());
-    ASSERT_EQ(first.kind, StreamFrame::Kind::Partial);
-    EXPECT_EQ(first.index, 2u); // earlier generations not re-sent
-    const StreamFrame second = classifyFrame(client.readLine());
-    ASSERT_EQ(second.kind, StreamFrame::Kind::Partial);
-    EXPECT_EQ(second.index, 3u); // the front
-    const StreamFrame done = classifyFrame(client.readLine());
-    ASSERT_EQ(done.kind, StreamFrame::Kind::Done);
-    EXPECT_EQ(done.points, 4u);
-
-    // Resuming past everything answers done without recomputing.
-    client.send(classifyStreamRequest("r2", spec, /*resumeFrom=*/4));
-    const StreamFrame only = classifyFrame(client.readLine());
-    ASSERT_EQ(only.kind, StreamFrame::Kind::Done);
-    EXPECT_EQ(only.points, 4u);
-}
-
-TEST(Streaming, ResumeFromStartsMidSweep)
-{
-    Server server;
-    server.start();
-    Client client("127.0.0.1", server.port());
-
-    client.send(sweepStreamRequest("r", fourPointSpec(),
-                                   /*resumeFrom=*/2));
-    const StreamFrame first = classifyFrame(client.readLine());
-    ASSERT_EQ(first.kind, StreamFrame::Kind::Partial);
-    EXPECT_EQ(first.index, 2u); // earlier points are not re-sent
-    const StreamFrame second = classifyFrame(client.readLine());
-    ASSERT_EQ(second.kind, StreamFrame::Kind::Partial);
-    EXPECT_EQ(second.index, 3u);
-    const StreamFrame done = classifyFrame(client.readLine());
-    ASSERT_EQ(done.kind, StreamFrame::Kind::Done);
-    EXPECT_EQ(done.points, 4u); // the stream's total length
-}
-
-/** A streamed 9-point ISS sweep (3 cores x 3 kernels) from `from`. */
+/** `line` (a request ending in '}') with `"resume_from": from`. */
 std::string
-issStreamRequest(const std::string &id, std::uint64_t from)
+withResumeFrom(std::string line, std::uint64_t from)
 {
-    return "{\"id\": \"" + id +
-           "\", \"type\": \"sweep\", \"iss\": {\"cores\": "
-           "[\"msp430\", \"zpu\", \"z80\"], \"kernels\": [\"mult\", "
-           "\"div\", \"crc8\"], \"machines\": 100, \"seed\": 3}, "
-           "\"stream\": true, \"resume_from\": " +
-           std::to_string(from) + "}";
-}
-
-TEST(Streaming, IssSweepResumeFromStartsMidGrid)
-{
-    Server server;
-    server.start();
-    Client client("127.0.0.1", server.port());
-
-    // The whole grid, for reference bodies.
-    client.send(issStreamRequest("a", 0));
-    std::vector<std::string> all;
-    for (StreamFrame f = classifyFrame(client.readLine());
-         f.kind == StreamFrame::Kind::Partial;
-         f = classifyFrame(client.readLine()))
-        all.push_back(f.pointBody);
-    ASSERT_EQ(all.size(), 9u);
-
-    client.send(issStreamRequest("r", 4));
-    for (std::uint64_t i = 4; i < 9; ++i) {
-        const StreamFrame f = classifyFrame(client.readLine());
-        ASSERT_EQ(f.kind, StreamFrame::Kind::Partial);
-        EXPECT_EQ(f.index, i); // points 0..3 are not re-sent
-        EXPECT_EQ(f.total, 9u);
-        EXPECT_EQ(f.pointBody, all[std::size_t(i)]);
-    }
-    const StreamFrame done = classifyFrame(client.readLine());
-    ASSERT_EQ(done.kind, StreamFrame::Kind::Done);
-    EXPECT_EQ(done.points, 9u);
+    line.pop_back();
+    return line + ", \"resume_from\": " + std::to_string(from) + "}";
 }
 
 TEST(Streaming, ResumePastThePlanIsBadRequest)
@@ -237,21 +160,29 @@ TEST(Streaming, ResumePastThePlanIsBadRequest)
     server.start();
     Client client("127.0.0.1", server.port());
 
-    // One past the last point of each streamable plan: a 4-point
-    // sweep, the 9-point ISS grid, a 1-point yield and a 4-point
-    // classify (3 generations + the front).
+    // "resume_from" answers bad_request wherever it points: inside
+    // the plan, one past the last point of each streamable plan (a
+    // 4-point sweep, a 1-point yield, a 4-point classify), or on a
+    // monolithic line.
     const std::string lines[] = {
-        sweepStreamRequest("s", fourPointSpec(), 5),
-        issStreamRequest("i", 10),
-        yieldStreamRequest("y", CoreConfig::standard(1, 4, 2), 24, 7,
-                           1, 2),
-        classifyStreamRequest("c", streamClassifySpec(), 5),
+        "{\"id\":\"r\",\"type\":\"sweep\",\"stream\":true,"
+        "\"resume_from\":1}",
+        withResumeFrom(sweepStreamRequest("s", fourPointSpec()), 5),
+        withResumeFrom(
+            yieldStreamRequest("y", CoreConfig::standard(1, 4, 2), 24, 7),
+            2),
+        withResumeFrom(classifyStreamRequest("c", streamClassifySpec()),
+                       5),
+        withResumeFrom(sweepRequest("m", fourPointSpec()), 0),
     };
     for (const std::string &line : lines) {
         const Reply reply = parseReply(client.call(line));
         EXPECT_FALSE(reply.ok) << line;
         EXPECT_EQ(reply.error, errc::badRequest) << reply.raw;
     }
+    // The connection still serves.
+    EXPECT_TRUE(parseReply(client.call(sweepRequest("w", fourPointSpec())))
+                    .ok);
 }
 
 TEST(Streaming, FrameRenderersAndClassifierRoundTrip)
@@ -309,11 +240,10 @@ TEST(Streaming, FrameWithAnOutOfRangeCountIsFinal)
 
 TEST(Streaming, RequestLineRoundTripsThroughTheParser)
 {
-    const std::string line =
-        sweepStreamRequest("s", fourPointSpec(), 2, 5000);
+    const std::string line = sweepStreamRequest("s", fourPointSpec(), 5000);
     const Request req = parseRequest(line);
     EXPECT_TRUE(req.stream);
-    EXPECT_EQ(req.resumeFrom, 2u);
+    EXPECT_EQ(req.deadlineMs, 5000);
     EXPECT_EQ(requestLine(req), line);
 
     const Request mono = parseRequest(sweepRequest("s", fourPointSpec()));
@@ -321,32 +251,30 @@ TEST(Streaming, RequestLineRoundTripsThroughTheParser)
 }
 
 /**
- * A stream cut by its client: send `lineAt(0)`, hang up after `cut`
- * partial frames, then send `lineAt(cut)` on a new connection and
- * read to the done frame. Returns the point bodies in hand, which
- * must arrive in index order across both connections.
+ * A stream cut by its client: send `line`, hang up after `cut`
+ * partial frames, then send `line` again on a new connection and
+ * read the whole stream. Returns the replayed point bodies, which
+ * must arrive in index order.
  */
 std::vector<std::string>
-resumeAfterHangUp(std::uint16_t port, std::uint64_t cut,
-                  std::uint64_t total,
-                  const std::function<std::string(std::uint64_t)> &lineAt)
+replayAfterHangUp(std::uint16_t port, std::uint64_t cut,
+                  std::uint64_t total, const std::string &line)
 {
-    std::vector<std::string> points;
     {
         Client first("127.0.0.1", port);
-        first.send(lineAt(0));
-        while (points.size() < cut) {
+        first.send(line);
+        for (std::uint64_t i = 0; i < cut; ++i) {
             const StreamFrame f = classifyFrame(first.readLine());
             if (f.kind != StreamFrame::Kind::Partial) {
-                ADD_FAILURE() << "stream ended after " << points.size();
-                return points;
+                ADD_FAILURE() << "stream ended after " << i;
+                return {};
             }
-            EXPECT_EQ(f.index, points.size());
-            points.push_back(f.pointBody);
+            EXPECT_EQ(f.index, i);
         }
     } // hang up mid-stream
     Client second("127.0.0.1", port);
-    second.send(lineAt(points.size()));
+    second.send(line);
+    std::vector<std::string> points;
     for (;;) {
         const StreamFrame f = classifyFrame(second.readLine());
         if (f.kind != StreamFrame::Kind::Partial) {
@@ -360,47 +288,37 @@ resumeAfterHangUp(std::uint16_t port, std::uint64_t cut,
     }
 }
 
-TEST(Streaming, MidStreamDisconnectResumesWithoutDupOrDrop)
+TEST(Streaming, CutStreamReplaysToTheMonolithicBytes)
 {
+    // A client that hangs up mid-stream leaves the server serving,
+    // and replaying the request reassembles to the monolithic reply
+    // (the determinism rule), on a sweep and on a classify, for
+    // every cut from before the first partial to before the last.
     Server server;
     server.start();
     const SweepSpec spec = fourPointSpec();
-    const std::string expected =
-        Client("127.0.0.1", server.port()).call(sweepRequest("w", spec));
-    ASSERT_TRUE(parseReply(expected).ok) << expected;
-
-    // Every cut, from before the first partial to before the last.
-    for (std::uint64_t cut = 0; cut < 4; ++cut) {
-        const std::vector<std::string> points = resumeAfterHangUp(
-            server.port(), cut, 4, [&](std::uint64_t from) {
-                return sweepStreamRequest("w", spec, from);
-            });
-        EXPECT_EQ(assembleStreamedReply("w", RequestType::Sweep, points),
-                  expected)
-            << "cut " << cut;
-    }
-}
-
-TEST(Streaming, ClassifyMidSearchDisconnectResumesWithoutDupOrDrop)
-{
-    Server server;
-    server.start();
-    const ml::ClassifySpec spec = streamClassifySpec();
-    const std::string expected =
-        Client("127.0.0.1", server.port()).call(classifyRequest("c", spec));
-    ASSERT_TRUE(parseReply(expected).ok) << expected;
-
-    // The resumed search re-derives the generations it already
-    // streamed bit-identically, without sending them again.
-    for (std::uint64_t cut = 0; cut < 4; ++cut) {
-        const std::vector<std::string> points = resumeAfterHangUp(
-            server.port(), cut, 4, [&](std::uint64_t from) {
-                return classifyStreamRequest("c", spec, from);
-            });
-        EXPECT_EQ(
-            assembleStreamedReply("c", RequestType::Classify, points),
-            expected)
-            << "cut " << cut;
+    const ml::ClassifySpec search = streamClassifySpec();
+    const struct
+    {
+        RequestType type;
+        std::string id, monolithic, stream;
+    } cases[] = {
+        {RequestType::Sweep, "w", sweepRequest("w", spec),
+         sweepStreamRequest("w", spec)},
+        {RequestType::Classify, "c", classifyRequest("c", search),
+         classifyStreamRequest("c", search)},
+    };
+    for (const auto &c : cases) {
+        const std::string expected =
+            Client("127.0.0.1", server.port()).call(c.monolithic);
+        ASSERT_TRUE(parseReply(expected).ok) << expected;
+        for (std::uint64_t cut = 0; cut < 4; ++cut) {
+            const std::vector<std::string> points =
+                replayAfterHangUp(server.port(), cut, 4, c.stream);
+            EXPECT_EQ(assembleStreamedReply(c.id, c.type, points),
+                      expected)
+                << c.id << " cut " << cut;
+        }
     }
 }
 
