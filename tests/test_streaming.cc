@@ -288,38 +288,44 @@ replayAfterHangUp(std::uint16_t port, std::uint64_t cut,
     }
 }
 
-TEST(Streaming, CutStreamReplaysToTheMonolithicBytes)
+/**
+ * Check that a client hanging up mid-stream leaves the server
+ * serving and that replaying `stream` reassembles to the reply of
+ * `monolithic` (the determinism rule), for every cut from before the
+ * first of the four partials to before the last.
+ */
+void
+expectCutStreamsReplay(RequestType type, const std::string &id,
+                       const std::string &monolithic,
+                       const std::string &stream)
 {
-    // A client that hangs up mid-stream leaves the server serving,
-    // and replaying the request reassembles to the monolithic reply
-    // (the determinism rule), on a sweep and on a classify, for
-    // every cut from before the first partial to before the last.
     Server server;
     server.start();
-    const SweepSpec spec = fourPointSpec();
-    const ml::ClassifySpec search = streamClassifySpec();
-    const struct
-    {
-        RequestType type;
-        std::string id, monolithic, stream;
-    } cases[] = {
-        {RequestType::Sweep, "w", sweepRequest("w", spec),
-         sweepStreamRequest("w", spec)},
-        {RequestType::Classify, "c", classifyRequest("c", search),
-         classifyStreamRequest("c", search)},
-    };
-    for (const auto &c : cases) {
-        const std::string expected =
-            Client("127.0.0.1", server.port()).call(c.monolithic);
-        ASSERT_TRUE(parseReply(expected).ok) << expected;
-        for (std::uint64_t cut = 0; cut < 4; ++cut) {
-            const std::vector<std::string> points =
-                replayAfterHangUp(server.port(), cut, 4, c.stream);
-            EXPECT_EQ(assembleStreamedReply(c.id, c.type, points),
-                      expected)
-                << c.id << " cut " << cut;
-        }
+    const std::string expected =
+        Client("127.0.0.1", server.port()).call(monolithic);
+    ASSERT_TRUE(parseReply(expected).ok) << expected;
+    for (std::uint64_t cut = 0; cut < 4; ++cut) {
+        const std::vector<std::string> points =
+            replayAfterHangUp(server.port(), cut, 4, stream);
+        EXPECT_EQ(assembleStreamedReply(id, type, points), expected)
+            << id << " cut " << cut;
     }
+}
+
+TEST(Streaming, MidStreamDisconnectResumesWithoutDupOrDrop)
+{
+    const SweepSpec spec = fourPointSpec();
+    expectCutStreamsReplay(RequestType::Sweep, "w",
+                           sweepRequest("w", spec),
+                           sweepStreamRequest("w", spec));
+}
+
+TEST(Streaming, ClassifyMidSearchDisconnectResumesWithoutDupOrDrop)
+{
+    const ml::ClassifySpec search = streamClassifySpec();
+    expectCutStreamsReplay(RequestType::Classify, "c",
+                           classifyRequest("c", search),
+                           classifyStreamRequest("c", search));
 }
 
 } // namespace
